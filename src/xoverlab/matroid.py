@@ -1,25 +1,32 @@
 """Sign vectors, tope-driven covector reconstruction, and face lattices.
 
 Covectors are rebuilt from topes by the elementary criterion: X is a
-covector exactly when its composition with every tope is again a tope.  The
-scan over all 3^|E| sign vectors is vectorized but otherwise literal, so a
-budget caps the ground size.  Cocircuits, rank, uniformity, and the big face
-lattice are all derived from the resulting covector set by enumeration;
-no closed-form counting formula is ever trusted for these.
+covector exactly when its composition with every tope is again a tope.
+Cocircuits, rank, uniformity, and the big face lattice are all derived from
+the resulting covector set by enumeration; no closed-form counting formula
+is ever trusted for these.
 
-Sign vectors are stored as a pair of bitmasks (positive and negative
+A sign vector is a pair of disjoint bitmasks (positive and negative
 positions) with coordinate 1 in the most significant bit, mirroring the
-binary word encoding.  The order on sign vectors is the face order: X <= Y
-when X agrees with Y on the support of X.  Canonical sorting is
-lexicographic per coordinate with - < 0 < +, so every serialization is
-reproducible.
+binary word encoding.  The bulk scans hold a family as two numpy int64
+arrays of those masks and test membership in one bool table of 4^n entries
+indexed by (pos << n) | neg, which is 1 MiB at the ground budget n = 10.
+Composition, separation and elimination candidates are then a few bitwise
+array operations and one table lookup.  The covector scan filters the 3^n
+sign vectors tope by tope; the face-axiom scan visits all ordered pairs in
+blocks of about 2^17, so its memory does not grow with the square of the
+family size.
+
+The order on sign vectors is the face order: X <= Y when X agrees with Y on
+the support of X.  Canonical sorting is lexicographic per coordinate with
+- < 0 < +, so every serialization is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .partialcube import vc_dimension
 from .words import AlphabetSpec, BudgetExceededError, Word, phi
 
 DEFAULT_GROUND_BUDGET = 10
+_BLOCK_PAIRS = 1 << 17
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
 _VALUES = {"+": 1, "0": 0, "-": -1}
@@ -134,22 +142,6 @@ class SignVector:
         return f"SignVector({str(self)!r})"
 
 
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    return x.compose(y)
-
-
-def negate(x: SignVector) -> SignVector:
-    return x.negate()
-
-
-def separation(x: SignVector, y: SignVector) -> frozenset[int]:
-    return x.separation(y)
-
-
-def conforms(x: SignVector, y: SignVector) -> bool:
-    return x.conforms(y)
-
-
 def word_to_sign(w: Word) -> SignVector:
     """Binary word to full-support sign vector, 1 as + and 0 as -."""
     for size in w.spec.sizes:
@@ -215,14 +207,18 @@ def _heights(covectors: Sequence[SignVector]) -> list[int]:
     return h
 
 
-def _matrix(vectors: Sequence[SignVector]) -> np.ndarray:
-    return np.array([v.entries() for v in vectors], dtype=np.int8)
+def _masks(vectors: Sequence[SignVector]) -> tuple[np.ndarray, np.ndarray]:
+    """The pos and neg masks of vectors as two int64 arrays."""
+    pos = np.fromiter((v.pos for v in vectors), dtype=np.int64, count=len(vectors))
+    neg = np.fromiter((v.neg for v in vectors), dtype=np.int64, count=len(vectors))
+    return pos, neg
 
 
-def _codes(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (rows.astype(np.int64) + 1) @ weights
+def _table(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
+    """Membership table of 4^n entries, indexed by (pos << n) | neg."""
+    table = np.zeros(1 << 2 * n, dtype=bool)
+    table[(pos << n) | neg] = True
+    return table
 
 
 def covectors_from_topes(
@@ -251,29 +247,24 @@ def covectors_from_topes(
             f"space too large: ground set {n} exceeds budget {budget}"
         )
 
-    grid = np.indices((3,) * n).reshape(n, -1).T.astype(np.int8) - 1
-    tope_rows = _matrix(tope_list)
-    tope_codes = np.sort(_codes(tope_rows))
-    keep = np.ones(len(grid), dtype=bool)
-    for t in range(len(tope_list)):
-        composed = np.where(grid != 0, grid, tope_rows[t])
-        keep &= np.isin(_codes(composed), tope_codes, assume_unique=False)
-    rows = grid[keep]
-
-    covectors = []
-    for row in rows:
-        pos = neg = 0
-        for i, v in enumerate(row):
-            bit = 1 << (n - 1 - i)
-            if v > 0:
-                pos |= bit
-            elif v < 0:
-                neg |= bit
-        covectors.append(SignVector(n, pos, neg))
-    covectors = _canonical(covectors)
+    # the 3^n grid in canonical order: each coordinate, most significant
+    # first, splits every vector so far into its -, 0 and + extensions
+    pos = neg = np.zeros(1, dtype=np.int64)
+    for b in range(n - 1, -1, -1):
+        bit = 1 << b
+        pos = np.stack([pos, pos, pos | bit], axis=1).ravel()
+        neg = np.stack([neg | bit, neg, neg], axis=1).ravel()
+    tope_pos, tope_neg = _masks(tope_list)
+    is_tope = _table(tope_pos, tope_neg, n)
+    for tp, tn in zip(tope_pos.tolist(), tope_neg.tolist()):
+        free = ~(pos | neg)
+        keep = is_tope[((pos | (tp & free)) << n) | (neg | (tn & free))]
+        pos, neg = pos[keep], neg[keep]
+    covectors = [SignVector(n, p, q) for p, q in zip(pos.tolist(), neg.tolist())]
 
     maximal = [x for x in covectors if x.support_size == n]
-    assert set(maximal) == set(tope_list), "derived topes differ from input"
+    if maximal != tope_list:
+        raise RuntimeError("derived topes differ from input")
 
     heights = _heights(covectors)
     rank = max(heights)
@@ -299,10 +290,6 @@ def _minimal_nonzero(covectors: Sequence[SignVector]) -> list[SignVector]:
     return _canonical(mins)
 
 
-def cocircuits_of(om: OrientedMatroidData) -> tuple[SignVector, ...]:
-    return om.cocircuits
-
-
 @dataclass(frozen=True)
 class FaceAxiomReport:
     """First violation of the covector axioms, if any.
@@ -317,8 +304,61 @@ class FaceAxiomReport:
     witness: tuple | None
 
 
+def _pair_blocks(
+    pos: np.ndarray, neg: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (first row, X o Y masks, separator D) for blocks of rows X
+    against every Y; a block holds about _BLOCK_PAIRS pairs."""
+    step = max(1, _BLOCK_PAIRS // len(pos))
+    for lo in range(0, len(pos), step):
+        xp, xn = pos[lo:lo + step, None], neg[lo:lo + step, None]
+        free = ~(xp | xn)
+        yield lo, xp | (pos & free), xn | (neg & free), (xp & neg) | (xn & pos)
+
+
+def _first_uneliminated(
+    pos: np.ndarray, neg: np.ndarray, n: int, queries: np.ndarray
+) -> np.ndarray:
+    """For each elimination query, the first coordinate e of D with no
+    eliminator, or 0 when every e in D has one.
+
+    A query ((P | D) << n) | (N | D) stands for the separator D (bits set in
+    both halves) and X o Y off D, given by P and N.  The eliminators for e
+    are the vectors with Z_e = 0 whose restriction off D is (P, N), so each
+    (D, e) marks those restrictions in a scratch table and looks the
+    queries up in it.
+    """
+    first = np.zeros(len(queries), dtype=np.int8)
+    if not len(queries):
+        return first
+    high, low = queries >> n, queries & ((1 << n) - 1)
+    sep = high & low
+    keys = ((high & ~sep) << n) | (low & ~sep)
+    support = pos | neg
+    scratch = np.zeros(1 << 2 * n, dtype=bool)
+    order = np.argsort(sep, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(sep[order])) + 1):
+        d = int(sep[group[0]])
+        bad = np.zeros(len(group), dtype=np.int8)
+        for e in range(1, n + 1):
+            bit = 1 << (n - e)
+            if not d & bit:
+                continue
+            zero = (support & bit) == 0
+            marks = ((pos[zero] & ~d) << n) | (neg[zero] & ~d)
+            scratch[marks] = True
+            bad[~scratch[keys[group]] & (bad == 0)] = e
+            scratch[marks] = False
+        first[group] = bad
+    return first
+
+
 def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
-    """Exhaustive F0/F1/F2 check and pairwise F3 elimination check."""
+    """Exhaustive F0/F1/F2 check and pairwise F3 elimination check.
+
+    The report, witness included, is the first violation in canonical
+    order: pairs (X, Y) row by row, then separating positions ascending.
+    """
     family = _canonical(set(vectors))
     if not family:
         return FaceAxiomReport(False, "F0", ())
@@ -326,117 +366,48 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     for x in family:
         if x.n != n:
             raise ValueError("length mismatch")
-    keys = {(x.pos, x.neg) for x in family}
-    if (0, 0) not in keys:
+    if n > DEFAULT_GROUND_BUDGET:
+        raise BudgetExceededError(
+            f"space too large: ground set {n} exceeds budget {DEFAULT_GROUND_BUDGET}"
+        )
+    pos, neg = _masks(family)
+    table = _table(pos, neg, n)
+    if not table[0]:
         return FaceAxiomReport(False, "F0", ())
-    for x in family:
-        if (x.neg, x.pos) not in keys:
-            return FaceAxiomReport(False, "F1", (x,))
+    negated = table[(neg << n) | pos]
+    if not negated.all():
+        return FaceAxiomReport(False, "F1", (family[int(np.argmin(negated))],))
 
-    rows = _matrix(family)
-    codes = _codes(rows)
-    code_set = np.sort(codes)
-    index_of = {int(c): i for i, c in enumerate(codes)}
-
-    # F2: compose each X with every Y at once
-    for i, x in enumerate(family):
-        composed = np.where(rows[i] != 0, rows[i], rows)
-        ok = np.isin(_codes(composed), code_set)
+    # F2 on every pair; F3 for e separating X and Y asks for Z with Z_e = 0
+    # that agrees with X o Y off the separator D.  Most pairs are settled by
+    # the candidate that zeroes all of D; the rest depend only on D and
+    # X o Y off D, so they are collected once each as elimination queries.
+    m = len(family)
+    pending = np.zeros_like(table)
+    for lo, cp, cn, d in _pair_blocks(pos, neg):
+        ok = table[(cp << n) | cn]
         if not ok.all():
-            j = int(np.argmin(ok))
-            return FaceAxiomReport(False, "F2", (x, family[j]))
-
-    # F3: for e separating X and Y, an eliminator Z has Z_e = 0 and agrees
-    # with X o Y away from the separator set D.  Most pairs are settled by
-    # the candidate that zeroes all of D; the rest depend only on
-    # (e, D, X o Y outside D), so they are batched, grouped by D, and
-    # answered against the projection of the zero-at-e vectors onto the
-    # complement of D, cached per (e, D).
-    zero_rows = [rows[np.flatnonzero(rows[:, e] == 0)] for e in range(n)]
-    bit_weights = 1 << np.arange(n)
-    restr_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def projection_codes(e: int, dm: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = restr_cache.get((e, dm))
-        if cached is None:
-            keep = np.flatnonzero(~((dm >> np.arange(n)) & 1).astype(bool))
-            cached = (np.sort(_codes(zero_rows[e][:, keep])), keep)
-            restr_cache[(e, dm)] = cached
-        return cached
-
-    full_dm = (1 << n) - 1
-    pending_dm: list[np.ndarray] = []
-    pending_comp: list[np.ndarray] = []
-    pending = 0
-
-    def resolve_pending() -> bool:
-        """True when every pending query has an eliminator."""
-        nonlocal pending
-        if not pending:
-            return True
-        dm_all = np.concatenate(pending_dm)
-        comp_all = np.vstack(pending_comp)
-        pending_dm.clear()
-        pending_comp.clear()
-        pending = 0
-        order = np.argsort(dm_all, kind="stable")
-        dm_sorted = dm_all[order]
-        bounds = np.searchsorted(dm_sorted, np.unique(dm_sorted), side="left")
-        bounds = list(bounds) + [len(dm_sorted)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            dm = int(dm_sorted[lo])
-            if dm == full_dm:
-                continue  # fully separated: the zero vector eliminates
-            group = comp_all[order[lo:hi]]
-            for e in range(n):
-                if not dm >> e & 1:
-                    continue
-                arr, keep = projection_codes(e, dm)
-                if not np.isin(_codes(group[:, keep]), arr).all():
-                    return False
-        return True
-
-    violated = False
-    for i in range(len(family)):
-        if not (rows[i] != 0).any():
-            continue
-        sep = (rows[i] != 0) & (rows == -rows[i])
-        active = sep.any(axis=1)
-        if not active.any():
-            continue
-        composed = np.where(rows[i] != 0, rows[i], rows)
-        easy = np.where(sep, 0, composed)
-        easy_ok = np.isin(_codes(easy), code_set)
-        miss = np.flatnonzero(active & ~easy_ok)
-        if not len(miss):
-            continue
-        pending_dm.append(sep[miss] @ bit_weights)
-        pending_comp.append(composed[miss])
-        pending += len(miss)
-        if pending >= 1 << 22 and not resolve_pending():
-            violated = True
-            break
-    if not violated and not resolve_pending():
-        violated = True
-    if not violated:
+            i, j = divmod(int(np.argmin(ok)), m)
+            return FaceAxiomReport(False, "F2", (family[lo + i], family[j]))
+        settled = table[((cp & ~d) << n) | (cn & ~d)]
+        pending[(((cp | d) << n) | (cn | d))[(d != 0) & ~settled]] = True
+    queries = np.flatnonzero(pending)
+    first = _first_uneliminated(pos, neg, n, queries)
+    if not first.any():
         return FaceAxiomReport(True, None, None)
 
-    # a violation exists; rescan true pairs in canonical order so the
-    # reported witness does not depend on the deduplication above
-    for i, x in enumerate(family):
-        for j, y in enumerate(family):
-            dmask = (rows[i] != 0) & (rows[j] == -rows[i])
-            if not dmask.any():
-                continue
-            target = np.where(rows[i] != 0, rows[i], rows[j])
-            dm = int(dmask @ bit_weights)
-            for e in np.flatnonzero(dmask):
-                if dm == (1 << n) - 1:
-                    break
-                arr, keep = projection_codes(int(e), dm)
-                if not np.isin(_codes(target[None, keep]), arr).item():
-                    return FaceAxiomReport(False, "F3", (x, y, int(e) + 1))
-    raise AssertionError("violation vanished on rescan")
+    # a violation exists; rescan the pairs in canonical order so the
+    # witness does not depend on the deduplication above
+    failing = np.zeros(len(table), dtype=np.int8)
+    failing[queries] = first
+    for lo, cp, cn, d in _pair_blocks(pos, neg):
+        e = failing[((cp | d) << n) | (cn | d)]
+        if e.any():
+            i, j = divmod(int(np.argmax(e != 0)), m)
+            return FaceAxiomReport(
+                False, "F3", (family[lo + i], family[j], int(e[i, j]))
+            )
+    raise RuntimeError("violation vanished on rescan")
 
 
 @dataclass(frozen=True)
@@ -530,11 +501,6 @@ def face_lattice(om: OrientedMatroidData) -> FaceLattice:
     )
 
 
-def om_rank(om: OrientedMatroidData) -> int:
-    """Height of the topes in the face order."""
-    return max(_heights(om.covectors))
-
-
 def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
     """Whether all cocircuit supports share one size covering all subsets.
 
@@ -583,7 +549,8 @@ def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> Oriente
     spec = AlphabetSpec((2,) * n)
     pair = rset(k, Word.from_index(0, spec), Word.from_index((1 << n) - 1, spec))
     topes = [word_to_sign(w) for w in pair.members]
-    assert uniform_tope_check(topes), "crossover topes failed the tope count test"
+    if not uniform_tope_check(topes):
+        raise RuntimeError("crossover topes failed the tope count test")
     return covectors_from_topes(topes, budget=budget)
 
 

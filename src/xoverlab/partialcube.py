@@ -172,7 +172,8 @@ def is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
             if (masks[i] ^ masks[j]).bit_count() != dist[i][j]:
                 return None
     for i, j in g.edges:  # isometry forces bipartiteness; keep it checked
-        assert masks[i].bit_count() % 2 != masks[j].bit_count() % 2
+        if masks[i].bit_count() % 2 == masks[j].bit_count() % 2:
+            raise RuntimeError("edge joins labels of equal parity")
     c = len(classes)
     labels = {
         g.vertices[v]: format(masks[v], f"0{c}b") if c else ""

@@ -44,7 +44,6 @@ from .matroid import (
     covectors_from_topes,
     face_lattice,
     is_uniform,
-    om_rank,
     tope_graph,
     uniform_tope_check,
     word_to_sign,
@@ -480,7 +479,7 @@ def check_om(max_n: int = 8) -> CheckResult:
             om = covectors_from_topes(topes)
             if not check_face_axioms(om.covectors).holds:
                 failures.append(f"FAIL face axioms: k={k} n={n}")
-            rank = om_rank(om)
+            rank = om.rank
             if rank != k + 1 or om.ground_size - rank != n - k - 1:
                 failures.append(f"FAIL rank: k={k} n={n} rank={rank}")
             uniform, s = is_uniform(om)

@@ -7,11 +7,13 @@ enumerated value is the arbiter and the test pins it.
 """
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xoverlab import matroid
 from xoverlab.crossover import rset, transit_graph
 from xoverlab.graphs import SimpleGraph
 from xoverlab.matroid import (
@@ -20,15 +22,10 @@ from xoverlab.matroid import (
     OrientedMatroidData,
     SignVector,
     check_face_axioms,
-    compose,
-    conforms,
     covectors_from_topes,
     face_lattice,
     is_uniform,
-    negate,
     om_from_rset,
-    om_rank,
-    separation,
     sign_to_word,
     tope_graph,
     uniform_tope_check,
@@ -55,6 +52,51 @@ def antipodal_topes(k, n):
     lo = Word.from_index(0, spec)
     hi = Word.from_index(2**n - 1, spec)
     return [word_to_sign(w) for w in rset(k, lo, hi).members]
+
+
+def literal_face_axioms(vectors):
+    """Pairwise F0-F3 scan by the definitions, in canonical order."""
+    family = sorted(set(vectors), key=lambda x: x.key)
+    if not family:
+        return FaceAxiomReport(False, "F0", ())
+    n = family[0].n
+    members = set(family)
+    if SignVector.zero(n) not in members:
+        return FaceAxiomReport(False, "F0", ())
+    for x in family:
+        if -x not in members:
+            return FaceAxiomReport(False, "F1", (x,))
+    for x in family:
+        for y in family:
+            if x.compose(y) not in members:
+                return FaceAxiomReport(False, "F2", (x, y))
+    # restrictions off the separator of the Z with Z_e = 0, per (separator, e)
+    eliminators = {}
+    for x in family:
+        for y in family:
+            sep = x.separation(y)
+            if not sep:
+                continue
+            kept = [f for f in range(1, n + 1) if f not in sep]
+            composed = x.compose(y)
+            target = tuple(composed.entry(f) for f in kept)
+            for e in sorted(sep):
+                if (sep, e) not in eliminators:
+                    eliminators[sep, e] = {
+                        tuple(z.entry(f) for f in kept)
+                        for z in family if z.entry(e) == 0
+                    }
+                if target not in eliminators[sep, e]:
+                    return FaceAxiomReport(False, "F3", (x, y, e))
+    return FaceAxiomReport(True, None, None)
+
+
+def literal_covectors(topes):
+    """Every sign vector X with X o T a tope for every tope T, canonically."""
+    tope_set = set(topes)
+    n = next(iter(tope_set)).n
+    grid = (sv("".join(c)) for c in itertools.product("-0+", repeat=n))
+    return tuple(x for x in grid if all(x.compose(t) in tope_set for t in tope_set))
 
 
 signs_st = st.integers(min_value=1, max_value=5).flatmap(
@@ -100,26 +142,26 @@ class TestSignVector:
         assert x.compose(SignVector.zero(3)) == x
         assert SignVector.zero(3).compose(x) == x
         # first nonzero wins coordinate-wise
-        assert str(compose(sv("+0-"), sv("--+"))) == "+--"
+        assert str(sv("+0-").compose(sv("--+"))) == "+--"
 
     def test_separation(self):
-        assert separation(sv("+0-"), sv("-0-")) == frozenset({1})
-        assert separation(sv("++"), sv("--")) == frozenset({1, 2})
-        assert separation(sv("+0"), sv("0-")) == frozenset()
+        assert sv("+0-").separation(sv("-0-")) == frozenset({1})
+        assert sv("++").separation(sv("--")) == frozenset({1, 2})
+        assert sv("+0").separation(sv("0-")) == frozenset()
 
     def test_conforms(self):
-        assert conforms(sv("0-0"), sv("+-0"))
-        assert not conforms(sv("+-0"), sv("0-0"))
-        assert not conforms(sv("+0"), sv("-+"))
-        assert conforms(SignVector.zero(2), sv("-+"))
+        assert sv("0-0").conforms(sv("+-0"))
+        assert not sv("+-0").conforms(sv("0-0"))
+        assert not sv("+0").conforms(sv("-+"))
+        assert SignVector.zero(2).conforms(sv("-+"))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compose(sv("+"), sv("++"))
+            sv("+").compose(sv("++"))
         with pytest.raises(ValueError):
-            separation(sv("+"), sv("++"))
+            sv("+").separation(sv("++"))
         with pytest.raises(ValueError):
-            conforms(sv("+"), sv("++"))
+            sv("+").conforms(sv("++"))
 
     def test_canonical_order(self):
         got = sorted(svs("00", "0+", "+0", "-0", "0-", "++", "--"), key=lambda v: v.key)
@@ -130,14 +172,34 @@ class TestSignVector:
         y = SignVector.from_string(other_text[: x.n].ljust(x.n, "0"))
         assert x.compose(x) == x
         assert x.compose(y).compose(y) == x.compose(y)
-        assert conforms(x, x.compose(y))
+        assert x.conforms(x.compose(y))
 
     @given(signs_st)
     def test_negation_distributes(self, x):
         assert (-x).key != x.key or x.is_zero
-        assert separation(x, -x) == frozenset(
+        assert x.separation(-x) == frozenset(
             e for e in range(1, x.n + 1) if x.entry(e) != 0
         )
+
+
+@st.composite
+def families_st(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(st.sampled_from("+-0"), min_size=n, max_size=n).map(
+        lambda cs: sv("".join(cs))
+    )
+    family = draw(st.sets(vector, max_size=40))
+    if draw(st.booleans()):  # close up F0 and F1 so F2 and F3 are reached
+        family |= {-x for x in family} | {SignVector.zero(n)}
+    return family
+
+
+@st.composite
+def tope_sets_st(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    half = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1))
+    full = (1 << n) - 1
+    return [SignVector(n, p, full & ~p) for q in half for p in (q, full & ~q)]
 
 
 class TestWordSignBridge:
@@ -214,6 +276,25 @@ class TestCovectorsFromTopes:
             for t in om.topes:
                 assert x.compose(t) in tope_set
 
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 6) for k in range(1, n)])
+    def test_matches_literal_criterion_on_crossover_topes(self, k, n):
+        topes = antipodal_topes(k, n)
+        assert covectors_from_topes(topes).covectors == literal_covectors(topes)
+
+    @given(tope_sets_st())
+    @settings(deadline=None)
+    def test_matches_literal_criterion_on_symmetric_tope_sets(self, topes):
+        assert covectors_from_topes(topes).covectors == literal_covectors(topes)
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 8) for k in range(1, n)])
+    def test_face_counts_of_crossover_oms(self, k, n):
+        # covectors with j zeros: C(n, j) * 2 phi_{k-j}(n-j-1) for j <= k,
+        # then only the zero vector
+        want = {j: comb(n, j) * 2 * phi(k - j, n - j - 1) for j in range(k + 1)}
+        want[n] = 1
+        om = om_from_rset(k, n)
+        assert Counter(n - x.support_size for x in om.covectors) == want
+
     def test_topes_sorted_canonically(self):
         om = covectors_from_topes(antipodal_topes(2, 4))
         keys = [t.key for t in om.topes]
@@ -266,6 +347,35 @@ class TestFaceAxioms:
 
     def test_empty_family(self):
         assert check_face_axioms([]).axiom == "F0"
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            check_face_axioms([SignVector.zero(11)])
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 7) for k in range(1, n)])
+    def test_matches_literal_scan_on_crossover_oms(self, k, n):
+        # removing a tope pair breaks F2, a cocircuit pair F3, a lone one F1
+        om = om_from_rset(k, n)
+        cocircuit, tope = om.cocircuits[0], om.topes[0]
+
+        def without(*xs):
+            return [y for y in om.covectors if y not in xs]
+
+        families = {
+            None: om.covectors,
+            "F1": without(cocircuit),
+            "F2": without(tope, -tope),
+            "F3": without(cocircuit, -cocircuit),
+        }
+        for axiom, family in families.items():
+            report = check_face_axioms(family)
+            assert report.axiom == axiom
+            assert report == literal_face_axioms(family)
+
+    @given(families_st())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_scan_on_random_families(self, family):
+        assert check_face_axioms(family) == literal_face_axioms(family)
 
 
 class TestFaceLattice:
@@ -350,10 +460,9 @@ class TestRank:
     def test_crossover_rank_is_k_plus_one(self, k, n):
         om = om_from_rset(k, n)
         assert om.rank == k + 1
-        assert om_rank(om) == k + 1
 
     def test_six_bit_three_point(self):
-        assert om_rank(om_from_rset(3, 6)) == 4
+        assert om_from_rset(3, 6).rank == 4
 
     def test_free_rank_equals_ground_size(self):
         for n in (2, 3, 4):
@@ -431,6 +540,11 @@ class TestOmFromRset:
         for k, n in ((0, 3), (3, 3), (4, 2), (1, 11)):
             with pytest.raises((ValueError, BudgetExceededError)):
                 om_from_rset(k, n)
+
+    def test_failed_tope_check_raises(self, monkeypatch):
+        monkeypatch.setattr(matroid, "uniform_tope_check", lambda topes: False)
+        with pytest.raises(RuntimeError, match="tope count"):
+            om_from_rset(2, 4)
 
     def test_ground_size_carried(self):
         om = om_from_rset(2, 5)
