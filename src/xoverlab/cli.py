@@ -11,8 +11,10 @@ emit identical bytes.  The seed only influences suites that sample.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
+import os
 import sys
 
 from . import __version__, verify as verify_mod
@@ -49,6 +51,20 @@ PALETTE = (
 
 class CliError(ValueError):
     """Bad command line; reported on stderr with exit status 2."""
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file beside it and a rename, so no
+    reader ever sees a partial file.  An OSError becomes a CliError."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise CliError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _parse_spec(args, word_text: str | None = None) -> AlphabetSpec:
@@ -287,8 +303,6 @@ def cmd_om(args) -> tuple[int, str]:
             "path": args.lattice,
             "level_sizes": list(lat.level_sizes()),
         }
-        with open(args.lattice, "w") as fh:
-            fh.write(lat.to_dot())
     rows = [
         ("ground size", str(om.ground_size)),
         ("rank", str(om.rank)),
@@ -302,7 +316,10 @@ def cmd_om(args) -> tuple[int, str]:
     if args.lattice:
         rows.append(("lattice levels",
                      " ".join(str(s) for s in doc["face_lattice"]["level_sizes"])))
-    return 0, _render(args, doc, rows, ("quantity", "value"))
+    text = _render(args, doc, rows, ("quantity", "value"))
+    if args.lattice:
+        _write_atomic(args.lattice, lat.to_dot())
+    return 0, text
 
 
 def _parse_t_range(text: str) -> tuple[int, ...]:
@@ -439,16 +456,12 @@ def render_command(argv) -> str:
 def main(argv=None) -> int:
     try:
         code, text, out = _run(sys.argv[1:] if argv is None else argv)
-    except CliError as err:
+        if out:
+            _write_atomic(out, text)
+    except ValueError as err:  # CliError included
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
     return code
 

@@ -348,7 +348,8 @@ def _greedy_lex_path(start: Word, goal: Word, pick_max: bool) -> list[Word]:
                 key = cand.index ^ base
                 if best is None or (key > best_key if pick_max else key < best_key):
                     best, best_key = cand, key
-        assert best is not None
+        if best is None:
+            raise RuntimeError(f"no step from {current} toward {goal}")
         path.append(best)
         current = best
     return path

@@ -1,12 +1,14 @@
 """Partial-cube recognition and the structure statistics built on it.
 
-Recognition follows the classical route: compute the edge parallelism
-relation from geodesic intervals, demand that it is an equivalence whose
-classes are genuine cuts (removal splits the graph into exactly two parts),
-label each vertex by its cut sides, and accept only when the labeling is an
-isometry into the hypercube.  Everything downstream (cut sizes, antipodal
-maps, VC dimension, cube minors, quadrangulation statistics) consumes either
-the graph or the returned embedding.
+Recognition uses distance half-spaces (Djokovic 1973, Winkler 1984; see
+Eppstein, "Recognizing partial cubes in quadratic time", JGAA 2011, sec. 2).
+For an edge uv, W_uv is the set of vertices closer to u than to v; in a
+partial cube the edges crossing W_uv form one cut class, and the classes
+partition the edges.  Each class is read off two rows of the cached distance
+matrix, and the resulting side labeling is accepted only when it is an
+isometry into the hypercube: O(V*E) + O(V^2) in all.  Everything downstream
+(cut sizes, antipodal maps, VC dimension, cube minors, quadrangulation
+statistics) consumes either the graph or the returned embedding.
 
 Vertex labels are plain 0/1 strings, one coordinate per cut class, so empty
 labelings (single-vertex graphs) stay representable.  Class order, and hence
@@ -36,75 +38,6 @@ def _require_connected(g: SimpleGraph) -> None:
 
 
 @dataclass(frozen=True)
-class ParallelRelation:
-    """Edge parallelism: uv is related to xy when each edge's endpoints lie
-    in the geodesic interval spanned by the other's.
-
-    Reflexive and symmetric by construction.  Transitivity is a property of
-    the input graph, not of this container, so it is exposed as a query.
-    """
-
-    edges: tuple[Edge, ...]
-    relation: frozenset[tuple[Edge, Edge]]
-
-    def related(self, e: Edge, f: Edge) -> bool:
-        return (e, f) in self.relation if e <= f else (f, e) in self.relation
-
-    def classes(self) -> list[list[Edge]]:
-        """Connected components of the relation, ordered by smallest edge."""
-        comp: dict[Edge, int] = {}
-        order: list[list[Edge]] = []
-        for e in self.edges:
-            if e in comp:
-                continue
-            comp[e] = len(order)
-            bucket = [e]
-            queue = deque([e])
-            while queue:
-                cur = queue.popleft()
-                for f in self.edges:
-                    if f not in comp and self.related(cur, f):
-                        comp[f] = comp[e]
-                        bucket.append(f)
-                        queue.append(f)
-            order.append(sorted(bucket))
-        return order
-
-    def is_transitive(self) -> bool:
-        for bucket in self.classes():
-            for e, f in combinations(bucket, 2):
-                if not self.related(e, f):
-                    return False
-        return True
-
-
-def parallel_relation(g: SimpleGraph) -> ParallelRelation:
-    _require_connected(g)
-    dist = g.distances()
-
-    def between(z: int, a: int, b: int) -> bool:
-        return dist[a][z] + dist[z][b] == dist[a][b]
-
-    def oriented(u: int, v: int, x: int, y: int) -> bool:
-        return (
-            between(v, u, y)
-            and between(x, u, y)
-            and between(u, v, x)
-            and between(y, v, x)
-        )
-
-    pairs: set[tuple[Edge, Edge]] = set()
-    edges = g.edges
-    for a in range(len(edges)):
-        u, v = edges[a]
-        for b in range(a, len(edges)):
-            x, y = edges[b]
-            if oriented(u, v, x, y) or oriented(u, v, y, x):
-                pairs.add((edges[a], edges[b]))
-    return ParallelRelation(edges, frozenset(pairs))
-
-
-@dataclass(frozen=True)
 class PartialCubeEmbedding:
     """Isometric binary labeling of a graph together with its cut classes.
 
@@ -124,62 +57,51 @@ class PartialCubeEmbedding:
         return {str(v): lbl for v, lbl in self.labels.items()}
 
 
-def _split_sides(g: SimpleGraph, removed: frozenset[Edge]) -> list[set[int]]:
-    seen = [False] * g.n
-    parts: list[set[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        part = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                e = (u, w) if u < w else (w, u)
-                if e in removed or seen[w]:
-                    continue
-                seen[w] = True
-                part.add(w)
-                queue.append(w)
-        parts.append(part)
-    return parts
-
-
 def is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
     """Embedding of g into a hypercube, or None when g is not a partial cube.
 
-    The parallelism relation must be transitive, every class must be a cut
-    whose removal leaves exactly two components, and the induced side
-    labeling must reproduce all graph distances.
+    Half-space method (Djokovic 1973, Winkler 1984): the first edge uv with
+    no class yet, in sorted edge order, cuts the vertices into
+    W_uv = {w : d(w,u) < d(w,v)} and the rest; its class is every edge
+    crossing that cut.  A vertex equidistant from u and v (g is not
+    bipartite) or a crossing edge already in an earlier class rejects g
+    early.  The side labeling must then reproduce all graph distances.  The
+    cuts are disjoint, hence independent in the cut space, so there are at
+    most V - 1 of them: O(V*E) for the cuts plus O(V^2) for the isometry
+    check, on the cached distance matrix.
     """
     _require_connected(g)
-    rel = parallel_relation(g)
-    if not rel.is_transitive():
-        return None
-    classes = rel.classes()
-    masks = [0] * g.n
-    for c, bucket in enumerate(classes):
-        parts = _split_sides(g, frozenset(bucket))
-        if len(parts) != 2:
-            return None
-        one = parts[0] if 0 not in parts[0] else parts[1]
-        for v in one:
-            masks[v] |= 1 << (len(classes) - 1 - c)
     dist = g.distances()
+    edges = g.edges
+    classed: set[Edge] = set()
+    cuts: list[tuple[Edge, ...]] = []
+    masks = [0] * g.n
+    for u, v in edges:
+        if (u, v) in classed:
+            continue
+        du, dv = dist[u], dist[v]
+        if any(a == b for a, b in zip(du, dv)):
+            return None
+        near = [a < b for a, b in zip(du, dv)]
+        cut = tuple(e for e in edges if near[e[0]] != near[e[1]])
+        if not classed.isdisjoint(cut):
+            return None
+        classed.update(cut)
+        cuts.append(cut)
+        masks = [(m << 1) | (side != near[0]) for m, side in zip(masks, near)]
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if (masks[i] ^ masks[j]).bit_count() != dist[i][j]:
                 return None
-    for i, j in g.edges:  # isometry forces bipartiteness; keep it checked
+    for i, j in edges:  # isometry forces bipartiteness; keep it checked
         if masks[i].bit_count() % 2 == masks[j].bit_count() % 2:
             raise RuntimeError("edge joins labels of equal parity")
-    c = len(classes)
+    c = len(cuts)
     labels = {
         g.vertices[v]: format(masks[v], f"0{c}b") if c else ""
         for v in range(g.n)
     }
-    return PartialCubeEmbedding(labels, tuple(tuple(b) for b in classes))
+    return PartialCubeEmbedding(labels, tuple(cuts))
 
 
 def cut_sizes(e: PartialCubeEmbedding) -> tuple[int, ...]:

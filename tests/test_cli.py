@@ -14,6 +14,7 @@ import pytest
 from golden_manifest import GOLDEN, GOLDEN_DIR
 
 from xoverlab import cli
+from xoverlab.matroid import face_lattice, om_from_rset
 from xoverlab.verify import CheckResult
 
 
@@ -138,6 +139,48 @@ class TestMain:
         text = target.read_text()
         assert text.startswith("digraph face_lattice")
         assert '"1^"' in text
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "doc.json"
+        assert cli.main(["rset", "-k", "1", "-x", "00", "-y", "11",
+                         "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_lattice_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "lat.dot"
+        assert cli.main(["om", "-k", "2", "-n", "4",
+                         "--lattice", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in captured.err
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "adir"
+        target.mkdir()
+        assert cli.main(["rset", "-k", "1", "-x", "00", "-y", "11",
+                         "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    def test_lattice_replaces_file_atomically(self, tmp_path, capsys):
+        target = tmp_path / "lat.dot"
+        target.write_text("stale")
+        assert cli.main(["om", "-k", "1", "-n", "3",
+                         "--lattice", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_text() == face_lattice(om_from_rset(1, 3)).to_dot()
+        assert [p.name for p in tmp_path.iterdir()] == ["lat.dot"]
+
+    def test_lattice_not_written_when_render_fails(self, tmp_path, capsys):
+        target = tmp_path / "lat.dot"
+        assert cli.main(["om", "-k", "2", "-n", "4", "--format", "dot",
+                         "--lattice", str(target)]) == 2
+        assert "not available" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

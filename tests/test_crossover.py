@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from xoverlab.crossover import (
     CutSet,
+    _greedy_lex_path,
     block_count,
     closure,
     find_parents,
@@ -369,6 +370,15 @@ class TestLexPaths:
             key = lambda p: tuple(w.index ^ start.index for w in p)
             lo, hi = min(seqs, key=key), max(seqs, key=key)
             assert lex_extreme_path_vertices(x, y) == WordSet(set(lo) | set(hi), spec)
+
+    def test_greedy_walk_without_a_step_raises(self):
+        # equal letters under different alphabets: the words differ, yet no
+        # position does, so the walk has no step; this must raise a clear
+        # error even under python -O instead of putting None on the path
+        start = Word((0, 0), bspec(2))
+        goal = Word((0, 0), AlphabetSpec((3, 3)))
+        with pytest.raises(RuntimeError, match="no step"):
+            _greedy_lex_path(start, goal, pick_max=False)
 
 
 def test_transit_graph_is_distance_one_graph():

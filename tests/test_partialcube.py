@@ -5,15 +5,20 @@ histograms, VC dimensions) were computed independently by brute force before
 being frozen here.
 """
 
+from collections import deque
+from dataclasses import dataclass
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xoverlab import AlphabetSpec, Word, rset
 from xoverlab.crossover import transit_graph
-from xoverlab.graphs import SimpleGraph, hamming_graph
+from xoverlab.graphs import SimpleGraph, hamming_graph, is_connected
 from xoverlab.partialcube import (
-    ParallelRelation,
+    PartialCubeEmbedding,
+    _require_connected,
     cut_sizes,
     degree_profile,
     is_antipodal,
@@ -21,7 +26,6 @@ from xoverlab.partialcube import (
     is_planar_quadrangulation,
     largest_cube_minor_dim,
     min_max_degree,
-    parallel_relation,
     vc_dimension,
 )
 
@@ -45,6 +49,140 @@ def rgraph(k, n):
 
 def label_masks(emb):
     return {v: int(lbl, 2) if lbl else 0 for v, lbl in emb.labels.items()}
+
+
+# Literal oracle: the edge parallelism relation built pair by pair (O(E^2)),
+# its connected components as classes, and each class split off by removing
+# it and searching the rest.  is_partial_cube must agree with it exactly.
+
+Edge = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class ParallelRelation:
+    """Edge parallelism: uv is related to xy when each edge's endpoints lie
+    in the geodesic interval spanned by the other's.
+
+    Reflexive and symmetric by construction.  Transitivity is a property of
+    the input graph, not of this container, so it is exposed as a query.
+    """
+
+    edges: tuple[Edge, ...]
+    relation: frozenset[tuple[Edge, Edge]]
+
+    def related(self, e: Edge, f: Edge) -> bool:
+        return (e, f) in self.relation if e <= f else (f, e) in self.relation
+
+    def classes(self) -> list[list[Edge]]:
+        """Connected components of the relation, ordered by smallest edge."""
+        comp: dict[Edge, int] = {}
+        order: list[list[Edge]] = []
+        for e in self.edges:
+            if e in comp:
+                continue
+            comp[e] = len(order)
+            bucket = [e]
+            queue = deque([e])
+            while queue:
+                cur = queue.popleft()
+                for f in self.edges:
+                    if f not in comp and self.related(cur, f):
+                        comp[f] = comp[e]
+                        bucket.append(f)
+                        queue.append(f)
+            order.append(sorted(bucket))
+        return order
+
+    def is_transitive(self) -> bool:
+        for bucket in self.classes():
+            for e, f in combinations(bucket, 2):
+                if not self.related(e, f):
+                    return False
+        return True
+
+
+def parallel_relation(g: SimpleGraph) -> ParallelRelation:
+    _require_connected(g)
+    dist = g.distances()
+
+    def between(z: int, a: int, b: int) -> bool:
+        return dist[a][z] + dist[z][b] == dist[a][b]
+
+    def oriented(u: int, v: int, x: int, y: int) -> bool:
+        return (
+            between(v, u, y)
+            and between(x, u, y)
+            and between(u, v, x)
+            and between(y, v, x)
+        )
+
+    pairs: set[tuple[Edge, Edge]] = set()
+    edges = g.edges
+    for a in range(len(edges)):
+        u, v = edges[a]
+        for b in range(a, len(edges)):
+            x, y = edges[b]
+            if oriented(u, v, x, y) or oriented(u, v, y, x):
+                pairs.add((edges[a], edges[b]))
+    return ParallelRelation(edges, frozenset(pairs))
+
+
+def _split_sides(g: SimpleGraph, removed: frozenset[Edge]) -> list[set[int]]:
+    seen = [False] * g.n
+    parts: list[set[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        part = {s}
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                e = (u, w) if u < w else (w, u)
+                if e in removed or seen[w]:
+                    continue
+                seen[w] = True
+                part.add(w)
+                queue.append(w)
+        parts.append(part)
+    return parts
+
+
+def literal_is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
+    """Embedding of g into a hypercube, or None when g is not a partial cube.
+
+    The parallelism relation must be transitive, every class must be a cut
+    whose removal leaves exactly two components, and the induced side
+    labeling must reproduce all graph distances.
+    """
+    _require_connected(g)
+    rel = parallel_relation(g)
+    if not rel.is_transitive():
+        return None
+    classes = rel.classes()
+    masks = [0] * g.n
+    for c, bucket in enumerate(classes):
+        parts = _split_sides(g, frozenset(bucket))
+        if len(parts) != 2:
+            return None
+        one = parts[0] if 0 not in parts[0] else parts[1]
+        for v in one:
+            masks[v] |= 1 << (len(classes) - 1 - c)
+    dist = g.distances()
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if (masks[i] ^ masks[j]).bit_count() != dist[i][j]:
+                return None
+    for i, j in g.edges:  # isometry forces bipartiteness; keep it checked
+        if masks[i].bit_count() % 2 == masks[j].bit_count() % 2:
+            raise RuntimeError("edge joins labels of equal parity")
+    c = len(classes)
+    labels = {
+        g.vertices[v]: format(masks[v], f"0{c}b") if c else ""
+        for v in range(g.n)
+    }
+    return PartialCubeEmbedding(labels, tuple(tuple(b) for b in classes))
 
 
 class TestParallelRelation:
@@ -84,12 +222,15 @@ class TestIsPartialCube:
 
     def test_c5_rejected_by_cut_splitting(self):
         # the relation on an odd cycle is trivially transitive (all classes
-        # singletons); rejection must come from the two-components condition
+        # singletons); the oracle's rejection must come from the
+        # two-components condition
         assert parallel_relation(cyc(5)).is_transitive()
+        assert literal_is_partial_cube(cyc(5)) is None
         assert is_partial_cube(cyc(5)) is None
 
     def test_k23_rejected_by_intransitivity(self):
         assert not parallel_relation(k23()).is_transitive()
+        assert literal_is_partial_cube(k23()) is None
         assert is_partial_cube(k23()) is None
 
     def test_k4_rejected(self):
@@ -154,6 +295,94 @@ class TestIsPartialCube:
     def test_as_dict_serialization(self):
         emb = is_partial_cube(cyc(4))
         assert emb.as_dict() == {"0": "00", "1": "10", "2": "11", "3": "01"}
+
+
+def assert_matches_oracle(g):
+    """is_partial_cube equals the literal oracle: verdict, labels, cuts."""
+    fast, lit = is_partial_cube(g), literal_is_partial_cube(g)
+    assert (fast is None) == (lit is None), g.edges
+    if fast is not None:
+        assert list(fast.labels.items()) == list(lit.labels.items())
+        assert fast.cuts == lit.cuts
+    return fast
+
+
+def is_bipartite(g):
+    # connected g: bipartite iff no edge joins two vertices of one BFS layer
+    d0 = g.distances()[0]
+    return all((d0[i] + d0[j]) % 2 for i, j in g.edges)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on at most 8 vertices: a random spanning tree plus
+    extra edges, restricted to the tree's bipartition half of the time."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    bipartite = draw(st.booleans())
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if not bipartite or (depth[i] + depth[j]) % 2
+    ]
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    tree = {(p, i) for i, p in enumerate(parents, start=1)}
+    return SimpleGraph(list(range(n)), tree | extra)
+
+
+class TestAgainstLiteralOracle:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_rset_graphs(self, d):
+        for k in range(1, 7):
+            assert assert_matches_oracle(rgraph(k, d)) is not None, (k, d)
+
+    def test_cycles(self):
+        for m in range(3, 10):
+            emb = assert_matches_oracle(cyc(m))
+            assert (emb is not None) == (m % 2 == 0), m
+
+    def test_small_negatives_and_cube(self):
+        k4 = SimpleGraph(list(range(4)), [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        assert assert_matches_oracle(k23()) is None
+        assert assert_matches_oracle(k4) is None
+        assert assert_matches_oracle(hamming_graph(B3)) is not None
+
+    def test_every_connected_graph_on_five_vertices(self):
+        # all labeled graphs on up to 5 vertices, so every kind of verdict
+        # occurs: odd cycles, bipartite non-partial cubes, partial cubes
+        kinds = {"odd": 0, "bipartite": 0, "cube": 0}
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+                g = SimpleGraph(list(range(n)), edges)
+                if not is_connected(g):
+                    continue
+                emb = assert_matches_oracle(g)
+                if emb is not None:
+                    kinds["cube"] += 1
+                elif is_bipartite(g):
+                    kinds["bipartite"] += 1
+                else:
+                    kinds["odd"] += 1
+        assert min(kinds.values()) > 0, kinds
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_graphs())
+    def test_random_connected_graphs(self, g):
+        assert_matches_oracle(g)
+
+    def test_r4_d10_representative(self):
+        # V = 512, E = 1,860; the oracle takes seconds here, so only the
+        # shape is pinned
+        g = rgraph(4, 10)
+        assert (g.n, g.m) == (512, 1860)
+        emb = is_partial_cube(g)
+        assert emb.word_length == 10
+        assert cut_sizes(emb) == (186,) * 10
+        assert len(set(emb.labels.values())) == 512
 
 
 class TestCutSizes:
