@@ -349,12 +349,18 @@ def cmd_verify(args) -> tuple[int, str]:
     if args.suite not in list(verify_mod.SUITES) + ["all"]:
         known = ", ".join(list(verify_mod.SUITES) + ["all"])
         raise CliError(f"unknown suite {args.suite!r}; known suites: {known}")
-    results = []
+    calls = []
     for name in names:
         fn = verify_mod.SUITES[name]
         accepted = inspect.signature(fn).parameters
         kwargs = {k: v for k, v in requested.items() if k in accepted}
-        results.append(fn(**kwargs))
+        if "max_n" in accepted:
+            # a suite's sweeps enumerate binary spaces of up to max_n positions
+            max_n = kwargs.get("max_n", accepted["max_n"].default)
+            if max_n >= 1:
+                AlphabetSpec((2,) * max_n).check_budget(args.budget)
+        calls.append((fn, kwargs))
+    results = [fn(**kwargs) for fn, kwargs in calls]
     doc = _doc(
         args, "verify",
         suite=args.suite,

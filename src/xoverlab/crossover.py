@@ -62,18 +62,25 @@ class RSetResult:
     k: int
 
 
+def _splice(lead: tuple[int, ...], other: tuple[int, ...],
+            positions: tuple[int, ...]) -> tuple[int, ...]:
+    """Alternating segments of two letter tuples, lead first, cut at positions."""
+    bounds = (0,) + positions + (len(lead),)
+    parents = (lead, other)
+    letters: tuple[int, ...] = ()
+    for seg in range(len(bounds) - 1):
+        letters += parents[seg % 2][bounds[seg]:bounds[seg + 1]]
+    return letters
+
+
 def recombine(x: Word, y: Word, cuts: CutSet) -> Word:
     """Copy alternating segments from the two parents at the given cuts."""
     spec = require_same_spec(x, y)
     n = spec.n
     if any(p > n - 1 for p in cuts.positions):
         raise ValueError(f"cut positions must lie in [1, {n - 1}]")
-    parents = (x, y) if cuts.order == "first" else (y, x)
-    bounds = (0,) + cuts.positions + (n,)
-    letters: list[int] = []
-    for seg in range(len(bounds) - 1):
-        letters.extend(parents[seg % 2].letters[bounds[seg]:bounds[seg + 1]])
-    return Word(tuple(letters), spec)
+    lead, other = (x, y) if cuts.order == "first" else (y, x)
+    return Word(_splice(lead.letters, other.letters, cuts.positions), spec)
 
 
 def _validate_k(k: int) -> int:
@@ -84,16 +91,21 @@ def _validate_k(k: int) -> int:
 
 
 def rset_by_cut_enumeration(k: int, x: Word, y: Word) -> WordSet:
-    """Literal definition: every offspring of every cut set with <= k cuts."""
+    """Literal definition: every offspring of every cut set with <= k cuts.
+
+    Runs on raw letter tuples and builds its result through the validating
+    ``Word`` constructor, never through the packed-index decoder, so it stays
+    independent of the fast path it is checked against.
+    """
     k = _validate_k(k)
     spec = require_same_spec(x, y)
     gaps = range(1, spec.n)
-    members: set[Word] = set()
+    members: set[tuple[int, ...]] = set()
     for count in range(0, min(k, spec.n - 1) + 1):
         for positions in combinations(gaps, count):
-            for order in ("first", "second"):
-                members.add(recombine(x, y, CutSet(positions, order)))
-    return WordSet(members, spec)
+            members.add(_splice(x.letters, y.letters, positions))
+            members.add(_splice(y.letters, x.letters, positions))
+    return WordSet((Word(t, spec) for t in members), spec)
 
 
 @lru_cache(maxsize=65536)
@@ -159,16 +171,19 @@ def _rset_letters(k: int, x: tuple[int, ...], y: tuple[int, ...]) -> set[tuple[i
     return out
 
 
+def _rset_packed(k: int, x: Word, y: Word) -> Iterable[int]:
+    """Packed indices of the recombination set, over any alphabet."""
+    spec = x.spec
+    if spec.is_binary:
+        return _rset_indices(k, x.index, y.index, spec.n)
+    return map(spec.index_of, _rset_letters(k, x.letters, y.letters))
+
+
 def rset(k: int, x: Word, y: Word) -> RSetResult:
     """All offspring of x and y reachable with at most k cut points."""
     k = _validate_k(k)
     spec = require_same_spec(x, y)
-    if spec.is_binary:
-        idxs = _rset_indices(k, x.index, y.index, spec.n)
-        members = WordSet((Word.from_index(i, spec) for i in idxs), spec)
-    else:
-        tuples = _rset_letters(k, x.letters, y.letters)
-        members = WordSet((Word(t, spec) for t in tuples), spec)
+    members = WordSet.from_indices(_rset_packed(k, x, y), spec)
     return RSetResult(members, (x, y), k)
 
 
@@ -185,14 +200,14 @@ def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
         for zi in _rset_indices(k - 1, xi, yi, n):
             acc.update(_rset_indices(1, xi, zi, n))
             acc.update(_rset_indices(1, zi, yi, n))
-        members = WordSet((Word.from_index(i, spec) for i in acc), spec)
+        members = WordSet.from_indices(acc, spec)
     else:
-        prev = rset(k - 1, x, y).members
+        xl, yl = x.letters, y.letters
         acc_t: set[tuple[int, ...]] = set()
-        for z in prev:
-            acc_t.update(_rset_letters(1, x.letters, z.letters))
-            acc_t.update(_rset_letters(1, z.letters, y.letters))
-        members = WordSet((Word(t, spec) for t in acc_t), spec)
+        for zl in _rset_letters(k - 1, xl, yl):
+            acc_t.update(_rset_letters(1, xl, zl))
+            acc_t.update(_rset_letters(1, zl, yl))
+        members = WordSet.from_indices(map(spec.index_of, acc_t), spec)
     return RSetResult(members, (x, y), k)
 
 
@@ -250,9 +265,9 @@ def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     spec = require_same_spec(x, y)
     if spec.is_binary:
         idxs = _closure_indices(k, x.index, y.index, spec.n, budget)
-        return WordSet((Word.from_index(i, spec) for i in idxs), spec)
+        return WordSet.from_indices(idxs, spec)
     tuples = _closure_letters(k, x.letters, y.letters, budget)
-    return WordSet((Word(t, spec) for t in tuples), spec)
+    return WordSet.from_indices(map(spec.index_of, tuples), spec)
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
@@ -296,9 +311,7 @@ def generate_convexity(
         for c in nxt:
             family.add(c)
         worklist = nxt
-    sets = [
-        WordSet((Word.from_index(i, spec) for i in idxs), spec) for idxs in family
-    ]
+    sets = [WordSet.from_indices(idxs, spec) for idxs in family]
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(w.letters for w in s))))
 
 
@@ -306,11 +319,11 @@ def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]
     """All unordered pairs inside s whose recombination set is exactly s."""
     k = _validate_k(k)
     members = s.members if isinstance(s, WordSet) else tuple(sorted(s))
-    target = WordSet(members)
+    target = WordSet(members).indices
     out: list[tuple[Word, Word]] = []
     for i, u in enumerate(members):
         for v in members[i:]:
-            if rset(k, u, v).members == target:
+            if frozenset(_rset_packed(k, u, v)) == target:
                 out.append((u, v))
     return out
 

@@ -17,10 +17,14 @@ through the public API wherever a sweep relies on it.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 from .axioms import (
     check_axiom,
@@ -31,6 +35,7 @@ from .axioms import (
     table_from_rset,
 )
 from .crossover import (
+    _rset_indices,
     closure,
     lex_extreme_path_vertices,
     rset,
@@ -69,7 +74,14 @@ class CheckResult:
     details: tuple[str, ...]
 
 
-def _result(name: str, notes: list[str], failures: list[str]) -> CheckResult:
+def _result(name: str, notes: list[str], failures: list[str],
+            checked: int | None = None) -> CheckResult:
+    """A suite's outcome; ``checked`` counts the cases its bounds admitted,
+    and a suite whose bounds admitted none fails instead of passing."""
+    if checked == 0:
+        failures = failures + [
+            f"FAIL {name}: checked nothing within the requested bounds"
+        ]
     return CheckResult(name, not failures, tuple(notes + failures))
 
 
@@ -82,7 +94,8 @@ def _w(i: int, spec: AlphabetSpec) -> Word:
 
 
 def _member_indices(k: int, xi: int, yi: int, spec: AlphabetSpec) -> frozenset[int]:
-    return frozenset(w.index for w in rset(k, _w(xi, spec), _w(yi, spec)).members)
+    """Packed member indices of rset(k, x, y), read off the binary kernel."""
+    return frozenset(_rset_indices(k, xi, yi, spec.n))
 
 
 def _restrict(index: int, mask: int, n: int) -> int:
@@ -114,7 +127,7 @@ def _translation_samples(
     for _ in range(count):
         xi = rng.randrange(1 << n)
         yi = rng.randrange(1 << n)
-        direct = _member_indices(k, xi, yi, spec)
+        direct = rset(k, _w(xi, spec), _w(yi, spec)).members.indices
         translated = frozenset(xi ^ z for z in _member_indices(k, 0, xi ^ yi, spec))
         if direct != translated:
             failures.append(
@@ -180,7 +193,7 @@ def check_sizes(max_n: int = 10, max_k: int = 5, seed: int = 0,
         f"n<={max_n}, k<={max_k}",
         f"translation witnessed on {samples} random pairs per (n, k)",
     ]
-    return _result("sizes", notes, failures)
+    return _result("sizes", notes, failures, checked)
 
 
 def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
@@ -215,7 +228,7 @@ def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
         f"2<=k<={max_k} (the recursion is defined from k=2 up)",
         f"plus {samples} random direct pairs per (n, k)",
     ]
-    return _result("recursion", notes, failures)
+    return _result("recursion", notes, failures, checked)
 
 
 def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
@@ -231,7 +244,7 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
             want = _interval_indices(mask)
             for k in range(1, max_k + 1):
                 checked += 1
-                closed = frozenset(w.index for w in closure(k, w0, wm))
+                closed = closure(k, w0, wm).indices
                 if closed != want:
                     failures.append(
                         f"FAIL closure: n={n} k={k} mask={mask:0{n}b}"
@@ -246,7 +259,7 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
         f"n<={max_n}, k<={max_k}",
         "interval equality holds exactly when the distance is at most k+1",
     ]
-    return _result("closure", notes, failures)
+    return _result("closure", notes, failures, checked)
 
 
 def check_axioms_battery() -> CheckResult:
@@ -304,9 +317,11 @@ def check_axioms_battery() -> CheckResult:
 def check_hamming(max_n: int = 5) -> CheckResult:
     """Hypercube and Hamming-graph recognition on crossover tables."""
     failures: list[str] = []
+    checked = 0
     for n in range(1, max_n + 1):
         spec = _bspec(n)
         for k in (1, 2, 3):
+            checked += 1
             if not recognize_hypercube(table_from_rset(k, spec)):
                 failures.append(f"FAIL hypercube: rset:{k} over 2^{n}")
     for sizes in ((3, 3), (2, 3)):
@@ -325,7 +340,7 @@ def check_hamming(max_n: int = 5) -> CheckResult:
         "hamming recognition passes for closure tables over 3,3 and 2,3",
         "the 6-cycle interval table is rejected by both recognizers",
     ]
-    return _result("hamming", notes, failures)
+    return _result("hamming", notes, failures, checked)
 
 
 def check_parents(max_n: int = 6, max_k: int = 4) -> CheckResult:
@@ -354,7 +369,7 @@ def check_parents(max_n: int = 6, max_k: int = 4) -> CheckResult:
         f"n<={max_n}, k<={max_k}; every recombination set determines "
         "its parents",
     ]
-    return _result("parents", notes, failures)
+    return _result("parents", notes, failures, examined)
 
 
 def _representative_graph(k: int, d: int) -> SimpleGraph:
@@ -402,16 +417,18 @@ def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0,
         f"n<={max_n}, k<={max_k}",
         "K_{2,3} and C_5 are rejected",
     ]
-    return _result("partialcube", notes, failures)
+    return _result("partialcube", notes, failures, reps)
 
 
 def check_vc(max_n: int = 7, max_k: int = 6) -> CheckResult:
     """VC dimension is min(k+1, d) and matches the largest cube minor."""
     failures: list[str] = []
     failures.extend(_restriction_failures(max_n, max_k))
+    reps = 0
     for d in range(1, max_n + 1):
         spec = _bspec(d)
         for k in range(1, max_k + 1):
+            reps += 1
             members = rset(k, _w(0, spec), _w((1 << d) - 1, spec)).members
             vc = vc_dimension(list(members))
             if vc != min(k + 1, d):
@@ -427,7 +444,7 @@ def check_vc(max_n: int = 7, max_k: int = 6) -> CheckResult:
         f"restriction to differing positions verified for every mask, "
         f"n<={max_n}, k<={max_k}",
     ]
-    return _result("vc", notes, failures)
+    return _result("vc", notes, failures, reps)
 
 
 def check_r2(ts: tuple[int, ...] = (4, 5, 6, 7)) -> CheckResult:
@@ -459,7 +476,7 @@ def check_r2(ts: tuple[int, ...] = (4, 5, 6, 7)) -> CheckResult:
         "2t-2, degree histogram {t: 2, 4: t^2-3t, 3: 2t}, planar "
         "quadrangulation with t^2-t faces",
     ]
-    return _result("r2", notes, failures)
+    return _result("r2", notes, failures, len(ts))
 
 
 def check_om(max_n: int = 8) -> CheckResult:
@@ -518,7 +535,7 @@ def check_om(max_n: int = 8) -> CheckResult:
         "faces, one per cocircuit",
         "the k=2, n=4 face lattice has level sizes (1, 12, 24, 14, 1)",
     ]
-    return _result("om", notes, failures)
+    return _result("om", notes, failures, cases)
 
 
 def check_lexpaths(max_n: int = 6) -> CheckResult:
@@ -538,11 +555,47 @@ def check_lexpaths(max_n: int = 6) -> CheckResult:
         f"all {checked} ordered pairs, n<={max_n}: extreme path vertices "
         "equal the one-point recombination set",
     ]
-    return _result("lexpaths", notes, failures)
+    return _result("lexpaths", notes, failures, checked)
+
+
+# Reads a JSON list of command lines on stdin and writes their documents,
+# as a JSON list of strings, on stdout.
+_RENDER_SCRIPT = (
+    "import json, sys\n"
+    "from xoverlab import cli\n"
+    "json.dump([cli.render_command(a) for a in json.load(sys.stdin)], sys.stdout)\n"
+)
+
+
+def _render_fresh(commands: list[list[str]], hash_seed: str) -> list[str]:
+    """Documents of the command lines, rendered by a new interpreter with
+    the given PYTHONHASHSEED; raises RuntimeError if it fails."""
+    # Imported here, not at the top: only this suite starts a process, and
+    # every CLI start would pay for the import.
+    import subprocess
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    package_root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _RENDER_SCRIPT],
+            input=json.dumps(commands), capture_output=True, text=True,
+            env=env, timeout=600, check=False,
+        )
+    except (OSError, subprocess.TimeoutExpired) as err:
+        raise RuntimeError(str(err)) from err
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:]
+        raise RuntimeError(f"exit {proc.returncode}: {' '.join(tail)}")
+    return json.loads(proc.stdout)
 
 
 def check_determinism() -> CheckResult:
-    """Repeated command invocations emit byte-identical documents."""
+    """Command invocations emit byte-identical documents, repeated in this
+    process and in a new interpreter with a different hash seed."""
     from . import cli
 
     commands = [
@@ -558,12 +611,29 @@ def check_determinism() -> CheckResult:
         ["om", "-k", "1", "-n", "3", "--format", "table"],
     ]
     failures = []
+    firsts = []
     for argv in commands:
         first = cli.render_command(argv)
         second = cli.render_command(argv)
+        firsts.append(first)
         if first != second:
             failures.append(f"FAIL determinism: {' '.join(argv)}")
-    notes = [f"{len(commands)} command lines rendered twice, byte-identical"]
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    try:
+        fresh = _render_fresh(commands, hash_seed)
+    except RuntimeError as err:
+        failures.append(f"FAIL determinism: new interpreter failed: {err}")
+    else:
+        for argv, first, doc in zip(commands, firsts, fresh):
+            if doc != first:
+                failures.append(
+                    f"FAIL determinism across hash seeds: {' '.join(argv)}"
+                )
+    notes = [
+        f"{len(commands)} command lines rendered twice, byte-identical",
+        "the same documents, byte for byte, from a new interpreter with "
+        "a different PYTHONHASHSEED",
+    ]
     return _result("determinism", notes, failures)
 
 

@@ -4,17 +4,34 @@ A word is a fixed-length tuple of letters; the letter at position i is drawn
 from {0, ..., a_i - 1} with a_i >= 2.  Words are ordered lexicographically
 with position 1 most significant, and every word set produced by this package
 is kept in that order so identical inputs give byte-identical output.
+
+Inside the package a word set is a set of packed mixed-radix indices
+(``AlphabetSpec.index_of``).  Position 1 is the most significant digit, so
+sorting the indices is sorting the words, and a ``WordSet`` keys and orders
+its members by index.  Indices become ``Word`` objects only at the
+``WordSet`` boundary, through one table decoder per alphabet: the positions
+are split into runs whose alphabet product is at most 256, each run's letter
+tuples are tabulated in index order, and a word is its runs' table entries
+concatenated.  ``WordSet.from_indices`` checks once per set that every index
+lies in [0, size); every in-range index decodes to valid letters, so its
+words skip the per-letter check that ``Word(letters, spec)``, ``Word.parse``
+and ``Word.from_index`` apply to input from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, prod
-from typing import Iterable, Iterator
+from operator import add, ge, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_BUDGET = 2 ** 20
 SMALL_SPACE_BUDGET = 2 ** 8
+# Largest alphabet product of one decoder table; a position whose own
+# alphabet is larger decodes without a table.
+_TABLE_LIMIT = 2 ** 8
 
 
 class IncompatibleWordsError(ValueError):
@@ -69,14 +86,14 @@ class AlphabetSpec:
             )
 
     def index_of(self, letters: tuple[int, ...]) -> int:
-        return sum(l * s for l, s in zip(letters, self._strides))
+        return sum(map(mul, letters, self._strides))
 
-    def letters_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for a, s in zip(self.sizes, self._strides):
-            q, index = divmod(index, s)
-            out.append(q)
-        return tuple(out)
+    def check_index(self, index: int) -> None:
+        if not 0 <= index < self.size:
+            raise ValueError(
+                f"index {index} out of range for alphabet {self}: "
+                f"expected 0 <= index < {self.size}"
+            )
 
     def iter_words(self) -> Iterator["Word"]:
         """All words in canonical (lexicographic) order."""
@@ -102,6 +119,44 @@ class AlphabetSpec:
         return ",".join(str(a) for a in self.sizes)
 
 
+@lru_cache(maxsize=64)
+def _decoder(sizes: tuple[int, ...]) -> Callable[[Sequence[int]], list[tuple[int, ...]]]:
+    """Letter tuples of packed indices over ``sizes``, by table lookup.
+
+    The positions are split, from the least significant end, into runs whose
+    alphabet product is at most _TABLE_LIMIT; each run's letter tuples are
+    tabulated in index order, and a word is the concatenation of one table
+    entry per run.  Every index must lie in [0, prod(sizes)): a negative one
+    would wrap around the tables instead of failing.
+    """
+    runs = []
+    place, end = 1, len(sizes)
+    while end:
+        start, radix = end - 1, sizes[end - 1]
+        while start and radix * sizes[start - 1] <= _TABLE_LIMIT:
+            start -= 1
+            radix *= sizes[start]
+        table = (
+            tuple(product(*(range(a) for a in sizes[start:end])))
+            if radix <= _TABLE_LIMIT else ()
+        )
+        runs.append((place, radix, table))
+        place *= radix
+        end = start
+
+    def decode(indices: Sequence[int]) -> list[tuple[int, ...]]:
+        letters: list[tuple[int, ...]] = []
+        for place, radix, table in runs:
+            if table:
+                run = [table[i // place % radix] for i in indices]
+            else:
+                run = [(i // place % radix,) for i in indices]
+            letters = list(map(add, run, letters)) if letters else run
+        return letters
+
+    return decode
+
+
 @dataclass(frozen=True)
 class Word:
     """A fixed-length word over an :class:`AlphabetSpec`."""
@@ -110,26 +165,29 @@ class Word:
     spec: AlphabetSpec
 
     def __post_init__(self) -> None:
-        letters = tuple(int(l) for l in self.letters)
-        if len(letters) != self.spec.n:
+        letters = tuple(map(int, self.letters))
+        sizes = self.spec.sizes
+        if len(letters) != len(sizes):
             raise ValueError(
-                f"word has {len(letters)} letters, alphabet has {self.spec.n} positions"
+                f"word has {len(letters)} letters, alphabet has {len(sizes)} positions"
             )
-        for pos, (l, a) in enumerate(zip(letters, self.spec.sizes), start=1):
-            if not 0 <= l < a:
-                raise ValueError(
-                    f"invalid letter {l} at position {pos}: alphabet size {a}"
-                )
+        if min(letters) < 0 or any(map(ge, letters, sizes)):
+            for pos, (l, a) in enumerate(zip(letters, sizes), start=1):
+                if not 0 <= l < a:
+                    raise ValueError(
+                        f"invalid letter {l} at position {pos}: alphabet size {a}"
+                    )
         object.__setattr__(self, "letters", letters)
 
-    @property
+    @cached_property
     def index(self) -> int:
         """Packed mixed-radix index; equals the bit packing for binary words."""
         return self.spec.index_of(self.letters)
 
     @classmethod
     def from_index(cls, index: int, spec: AlphabetSpec) -> "Word":
-        return cls(spec.letters_of(index), spec)
+        spec.check_index(index)
+        return cls(_decoder(spec.sizes)([index])[0], spec)
 
     @classmethod
     def parse(cls, text: str, spec: AlphabetSpec) -> "Word":
@@ -186,20 +244,43 @@ class WordSet:
     __slots__ = ("_members", "_index_set", "_spec")
 
     def __init__(self, members: Iterable[Word], spec: AlphabetSpec | None = None):
-        seen: dict[tuple[int, ...], Word] = {}
+        seen: dict[int, Word] = {}
         for w in members:
             if spec is None:
                 spec = w.spec
-            elif w.spec != spec:
+            elif w.spec is not spec and w.spec != spec:
                 raise IncompatibleWordsError(
                     f"incompatible words: alphabets {spec} and {w.spec} differ"
                 )
-            seen[w.letters] = w
+            seen[w.index] = w
         if spec is None:
             raise ValueError("empty WordSet needs an explicit alphabet")
         self._spec = spec
-        self._members = tuple(seen[k] for k in sorted(seen))
-        self._index_set = frozenset(w.index for w in self._members)
+        # Index order is the canonical (lexicographic) order.
+        self._members = tuple(map(seen.__getitem__, sorted(seen)))
+        self._index_set = frozenset(seen)
+
+    @classmethod
+    def from_indices(cls, indices: Iterable[int], spec: AlphabetSpec) -> "WordSet":
+        """The words with the given packed indices, each decoded once.
+
+        One range check covers the whole set; the decoded words skip the
+        per-letter check, since every in-range index has valid letters.
+        """
+        idxs = sorted(set(indices))
+        if idxs:
+            spec.check_index(idxs[0])
+            spec.check_index(idxs[-1])
+        new = object.__new__
+        members = []
+        for i, letters in zip(idxs, _decoder(spec.sizes)(idxs)):
+            w = new(Word)
+            fields = w.__dict__
+            fields["letters"] = letters
+            fields["spec"] = spec
+            fields["index"] = i
+            members.append(w)
+        return cls(members, spec)
 
     @property
     def spec(self) -> AlphabetSpec:
@@ -247,7 +328,7 @@ def interval(x: Word, y: Word) -> WordSet:
     """All words agreeing with x or y at every position; size 2**d(x, y)."""
     spec = require_same_spec(x, y)
     choices = [sorted({a, b}) for a, b in zip(x.letters, y.letters)]
-    return WordSet((Word(ls, spec) for ls in product(*choices)), spec)
+    return WordSet.from_indices(map(spec.index_of, product(*choices)), spec)
 
 
 def phi(h: int, n: int) -> int:

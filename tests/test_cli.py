@@ -223,6 +223,35 @@ class TestVerifyCommand:
         doc = json.loads(text)
         assert "n<=3" in doc["results"][0]["details"][0]
 
+    @pytest.mark.parametrize("argv", [
+        ["sizes", "--max-n", "0"],
+        ["lexpaths", "--max-n", "0"],
+        ["recursion", "--max-k", "1"],
+    ])
+    def test_suite_that_checks_nothing_fails(self, argv, capsys):
+        assert cli.main(["verify", *argv]) == 1
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["passed"] is False
+        assert any(line.startswith("FAIL") and "checked nothing" in line
+                   for line in result["details"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sizes", "--max-n", "30"],
+        ["lexpaths"],  # default max_n = 6: 64 words
+        ["all"],
+    ])
+    def test_bounds_beyond_budget_exit_2(self, argv, capsys):
+        assert cli.main(["verify", *argv, "--budget", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: space too large")
+        assert captured.out == ""
+
+    def test_bounds_within_budget_pass(self):
+        code, text, _ = cli._run(
+            ["verify", "sizes", "--max-n", "4", "--budget", "16"])
+        assert code == 0
+        assert json.loads(text)["passed"] is True
+
     def test_table_format(self):
         code, text, _ = cli._run(["verify", "axioms", "--format", "table"])
         assert code == 0

@@ -88,6 +88,17 @@ class TestRSetAgainstDefinition:
             for x, y in all_pairs(spec):
                 assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
 
+    def test_oracle_does_not_decode_packed_indices(self, monkeypatch):
+        # the oracle must not share the fast path's decoder
+        x, y = bword("00000"), bword("10110")
+        want = rset(2, x, y).members
+
+        def refuse(cls, indices, spec):
+            raise AssertionError("oracle decoded packed indices")
+
+        monkeypatch.setattr(WordSet, "from_indices", classmethod(refuse))
+        assert rset_by_cut_enumeration(2, x, y) == want
+
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_binary_sampled_large(self, n):
         rng = random.Random(n)
@@ -295,6 +306,23 @@ class TestParents:
                     continue
                 ps = find_parents(k, rset(k, x, y).members)
                 assert ps == [tuple(sorted((x, y)))]
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 3, 4)])
+    def test_matches_pairwise_rset_comparison(self, sizes):
+        spec = AlphabetSpec(sizes)
+        words = list(spec.iter_words())
+        rng = random.Random(5)
+        for k in (1, 2):
+            for _ in range(6):
+                target = rset(k, rng.choice(words), rng.choice(words)).members
+                want = [
+                    (u, v)
+                    for i, u in enumerate(target.members)
+                    for v in target.members[i:]
+                    if rset(k, u, v).members == target
+                ]
+                assert find_parents(k, target) == want
+                assert find_parents(k, list(target)) == want
 
     def test_ambiguous_at_or_below_threshold(self):
         x, y = bword("0011"), bword("0000")  # distance 2 with k = 1

@@ -31,6 +31,80 @@ def test_suite_passes_at_reduced_bounds(name, kwargs):
     assert result.details
 
 
+BOUNDED = [
+    ("sizes", {"max_n": 0}),
+    ("sizes", {"max_k": 0, "max_n": 3}),
+    ("recursion", {"max_k": 1, "max_n": 3}),
+    ("closure", {"max_n": 0}),
+    ("hamming", {"max_n": 0}),
+    ("parents", {"max_n": 2, "max_k": 1}),
+    ("partialcube", {"max_n": 0}),
+    ("vc", {"max_k": 0, "max_n": 3}),
+    ("r2", {"ts": ()}),
+    ("om", {"max_n": 1}),
+    ("lexpaths", {"max_n": 0}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", BOUNDED,
+                         ids=[f"{n}-{'-'.join(map(str, k.values()))}"
+                              for n, k in BOUNDED])
+def test_suite_that_checks_nothing_fails(name, kwargs):
+    result = verify.SUITES[name](**kwargs)
+    assert not result.passed
+    assert result.details[-1] == (
+        f"FAIL {name}: checked nothing within the requested bounds")
+
+
+class TestDeterminism:
+    def test_new_interpreter_renders_the_same_bytes(self):
+        from xoverlab import cli
+
+        argv = [["rset", "-k", "2", "-x", "0000", "-y", "1111"],
+                ["axioms", "--source", "closure:1", "--spec", "3,3"]]
+        assert verify._render_fresh(argv, "7") == [
+            cli.render_command(a) for a in argv]
+
+    def test_hash_seed_differs_from_this_process(self, monkeypatch):
+        seeds = []
+
+        def fake(commands, hash_seed):
+            from xoverlab import cli
+            seeds.append(hash_seed)
+            return [cli.render_command(a) for a in commands]
+
+        monkeypatch.setattr(verify, "_render_fresh", fake)
+        for current in ("1", "0", "random"):
+            monkeypatch.setenv("PYTHONHASHSEED", current)
+            assert verify.check_determinism().passed
+        monkeypatch.delenv("PYTHONHASHSEED")
+        assert verify.check_determinism().passed
+        assert seeds == ["2", "1", "1", "1"]
+
+    def test_differing_document_fails(self, monkeypatch):
+        def fake(commands, hash_seed):
+            from xoverlab import cli
+            docs = [cli.render_command(a) for a in commands]
+            docs[3] += " "
+            return docs
+
+        monkeypatch.setattr(verify, "_render_fresh", fake)
+        result = verify.check_determinism()
+        assert not result.passed
+        assert result.details[-1] == (
+            "FAIL determinism across hash seeds: "
+            "closure -k 1 -x 000 -y 111")
+
+    def test_failing_interpreter_fails(self, monkeypatch):
+        def fake(commands, hash_seed):
+            raise RuntimeError("exit 1: boom")
+
+        monkeypatch.setattr(verify, "_render_fresh", fake)
+        result = verify.check_determinism()
+        assert not result.passed
+        assert "new interpreter failed: exit 1: boom" in result.details[-1]
+
+
 def test_registry_names():
     assert list(verify.SUITES) == [
         "sizes", "recursion", "closure", "axioms", "hamming", "parents",

@@ -1,5 +1,12 @@
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
+
+import xoverlab
 
 from xoverlab.words import (
     AlphabetSpec,
@@ -73,6 +80,16 @@ class TestWord:
         with pytest.raises(ValueError, match="position 2"):
             Word((0, 5), s)
 
+    @pytest.mark.parametrize("letters,message", [
+        ((0, -1, 0), "invalid letter -1 at position 2"),
+        ((2, 0, 9), "invalid letter 2 at position 1"),
+        ((1, 0, 4), "invalid letter 4 at position 3"),
+        ((0, 0), "word has 2 letters, alphabet has 3 positions"),
+    ])
+    def test_first_invalid_letter_is_reported(self, letters, message):
+        with pytest.raises(ValueError, match=message):
+            Word(letters, spec_of(2, 3, 4))
+
     def test_cross_spec_comparison_rejected(self):
         a = Word((0,), spec_of(2))
         b = Word((0,), spec_of(3))
@@ -110,6 +127,89 @@ class TestWordSet:
         s = spec_of(2, 2)
         ws = WordSet([Word.parse("01", s), Word.parse("11", s)])
         assert ws.indices == frozenset({1, 3})
+
+
+def reference_letters(index, sizes):
+    """Mixed-radix digits by repeated division, position 1 most significant."""
+    out = []
+    for a in reversed(sizes):
+        index, r = divmod(index, a)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+# 2^20 and (300, 2, 300) decode through three runs; 300 > 256 has no table
+DECODER_SPECS = [(2,) * n for n in range(1, 11)] + [
+    (3, 3, 3), (2, 3, 4) * 2, (300, 2), (2,) * 20, (300, 2, 300),
+]
+
+
+class TestDecoder:
+    @pytest.mark.parametrize(
+        "sizes", DECODER_SPECS, ids=lambda t: ",".join(map(str, t)))
+    def test_decoded_letters_match_enumeration(self, sizes):
+        s = AlphabetSpec(sizes)
+        if s.size <= 4096:
+            idxs = list(range(s.size))
+            want = [w.letters for w in s.iter_words()]
+            assert want == [reference_letters(i, sizes) for i in idxs]
+        else:
+            rng = random.Random(len(sizes))
+            idxs = sorted({0, s.size - 1, *rng.sample(range(s.size), 2000)})
+            want = [reference_letters(i, sizes) for i in idxs]
+        ws = WordSet.from_indices(reversed(idxs), s)
+        assert [w.letters for w in ws] == want
+        assert [w.index for w in ws] == idxs
+        assert [Word.from_index(i, s).letters for i in idxs] == want
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 4), (2,) * 20])
+    def test_out_of_range_indices_rejected(self, sizes):
+        s = AlphabetSpec(sizes)
+        for bad in (-1, s.size, s.size + 5):
+            with pytest.raises(ValueError, match="out of range"):
+                Word.from_index(bad, s)
+            with pytest.raises(ValueError, match="out of range"):
+                WordSet.from_indices([0, bad, 1], s)
+
+    def test_out_of_range_rejected_under_optimize(self):
+        src = str(Path(xoverlab.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from xoverlab.words import AlphabetSpec, Word, WordSet\n"
+            "s = AlphabetSpec((2, 3))\n"
+            "for call in (lambda: Word.from_index(-1, s),\n"
+            "             lambda: Word.from_index(6, s),\n"
+            "             lambda: WordSet.from_indices([-1, 0], s),\n"
+            "             lambda: WordSet.from_indices([6], s)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    sys.exit('accepted')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_duplicate_indices_collapse(self):
+        s = spec_of(2, 3)
+        ws = WordSet.from_indices([4, 1, 4, 1, 1], s)
+        assert ws.indices == frozenset({1, 4}) and ws.to_text() == ["01", "11"]
+        assert len(WordSet.from_indices([], s)) == 0
+
+    @pytest.mark.parametrize("sizes", [(2,) * 6, (3, 2, 4), (2,) * 12])
+    def test_agrees_with_word_constructor(self, sizes):
+        s = AlphabetSpec(sizes)
+        idxs = random.Random(7).sample(range(s.size), min(s.size, 40))
+        built = WordSet([Word(reference_letters(i, sizes), s) for i in idxs])
+        decoded = WordSet.from_indices(idxs, s)
+        assert decoded.members == built.members
+        assert [w.letters for w in decoded] == [w.letters for w in built]
+        assert decoded.indices == built.indices
+        assert decoded == built and hash(decoded) == hash(built)
+        for w in decoded:
+            assert w == Word(w.letters, s) and hash(w) == hash(Word(w.letters, s))
 
 
 def test_hamming_distance_basic():
