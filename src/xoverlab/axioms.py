@@ -32,6 +32,10 @@ SIX_VAR_AXIOMS = ("A4", "AX", "AXp")
 DEFAULT_SIX_VAR_LIMIT = 64
 
 
+class SixVarLimitError(ValueError):
+    """A six-variable axiom was asked of a carrier above the limit."""
+
+
 def _bits(mask: int):
     """Indices of set bits, ascending."""
     while mask:
@@ -712,17 +716,44 @@ def _find_CGp(c: _Ctx):
 
 
 def _find_Pa(c: _Ctx):
-    for p in range(c.v):
-        ep = c.entry[p]
-        for a in range(c.v):
+    # col[a][z] is the set of b1 whose entry with a contains z, so
+    # meets[a][b][a1], the union of col[a] over E(a1, b), is the set of b1
+    # with E(a1, b) & E(b1, a) nonempty.  The first failing b1 of a
+    # (p, a, b, a1) prefix is the lowest bit of E(p, b) outside it.
+    v = c.v
+    entry = c.entry
+    col = [[0] * v for _ in range(v)]
+    for a in range(v):
+        cola = col[a]
+        for b1 in range(v):
+            for z in _bits(entry[b1][a]):
+                cola[z] |= 1 << b1
+    meets = [[None] * v for _ in range(v)]
+    for p in range(v):
+        ep = entry[p]
+        for a in range(v):
             epa = ep[a]
-            for b in range(c.v):
+            if not epa:
+                continue
+            a1s = list(_bits(epa))
+            cola = col[a]
+            meets_a = meets[a]
+            for b in range(v):
                 epb = ep[b]
-                for a1 in _bits(epa):
-                    ea1b = c.entry[a1][b]
-                    for b1 in _bits(epb):
-                        if not ea1b & c.entry[b1][a]:
-                            return (p, a, b, a1, b1)
+                if not epb:
+                    continue
+                row = meets_a[b]
+                if row is None:
+                    row = meets_a[b] = [0] * v
+                    for a1 in range(v):
+                        m = 0
+                        for z in _bits(entry[a1][b]):
+                            m |= cola[z]
+                        row[a1] = m
+                for a1 in a1s:
+                    bad = epb & ~row[a1]
+                    if bad:
+                        return (p, a, b, a1, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -930,13 +961,14 @@ def check_axiom(
     """Exhaustively check one axiom, returning the first counterexample.
 
     n/a/sizes parametrize the two counting conditions A2 and A2p; everything
-    else ignores them.  Six-variable axioms refuse carriers larger than
-    six_var_limit; raise the limit explicitly to override.
+    else ignores them.  Six-variable axioms raise SixVarLimitError on
+    carriers larger than six_var_limit; raise the limit explicitly to
+    override.
     """
     if axiom not in AXIOM_BODIES:
         raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
     if axiom in SIX_VAR_AXIOMS and len(table) > six_var_limit:
-        raise ValueError(
+        raise SixVarLimitError(
             f"{axiom} on a carrier of {len(table)} exceeds the six-variable "
             f"limit {six_var_limit}; pass six_var_limit to override"
         )

@@ -20,6 +20,9 @@ import sys
 from . import __version__, verify as verify_mod
 from .axioms import (
     AXIOM_IDS,
+    DEFAULT_SIX_VAR_LIMIT,
+    SIX_VAR_AXIOMS,
+    SixVarLimitError,
     check_all,
     check_axiom,
     table_from_closure,
@@ -173,13 +176,20 @@ def _build_table(source: str, spec: AlphabetSpec, budget: int):
 def cmd_axioms(args) -> tuple[int, str]:
     spec = _parse_spec(args)
     table = _build_table(args.source, spec, args.budget)
-    if args.check is None or args.check == "all":
-        reports = check_all(table)
-    else:
-        reports = [
-            check_axiom(table, ax.strip())
-            for ax in args.check.split(",") if ax.strip()
-        ]
+    try:
+        if args.check is None or args.check == "all":
+            reports = check_all(table)
+        else:
+            reports = [
+                check_axiom(table, ax.strip())
+                for ax in args.check.split(",") if ax.strip()
+            ]
+    except SixVarLimitError as err:
+        raise CliError(
+            f"{', '.join(SIX_VAR_AXIOMS)} are checked only on carriers of at "
+            f"most {DEFAULT_SIX_VAR_LIMIT} words, and --spec {args.spec} has "
+            f"{len(table)}; pass --check without them, or a smaller --spec"
+        ) from err
     records = [
         {
             "axiom": r.axiom,

@@ -6,11 +6,18 @@ enumerates parent-switch patterns between consecutive differing positions,
 which ``rset_by_cut_enumeration`` (the literal all-cut-subsets definition)
 must reproduce exactly -- the test suite checks the two routes against each
 other before anything else relies on the fast path.
+
+``closure`` and ``is_closed`` depend only on k and the number t of
+differing positions, so both work in the canonical pattern space, where the
+parents are 0 and 2**t - 1 and bit j stands for one differing position.
+The closure is computed once per (k, t) and kept in a 256-entry cache; its
+fixpoint stops as soon as it holds all 2**t masks of the parents' box,
+which contains every offspring, and it is mapped back to packed indices of
+any alphabet through one subset-sum table of per-position index steps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -24,7 +31,7 @@ from .words import (
     SMALL_SPACE_BUDGET,
     Word,
     WordSet,
-    interval,
+    hamming_distance,
     phi,
     require_same_spec,
 )
@@ -221,70 +228,99 @@ def rset_size_formula(k: int, t: int) -> int:
     return 2 * phi(k, t - 1)
 
 
-def _closure_indices(k: int, xi: int, yi: int, n: int, budget: int) -> set[int]:
-    members = {xi, yi}
-    queue: deque[tuple[int, int]] = deque([(xi, yi)] if xi != yi else [])
-    while queue:
-        u, v = queue.popleft()
-        for w in _rset_indices(k, u, v, n):
-            if w not in members:
-                for s in members:
-                    queue.append((w, s))
-                members.add(w)
-                if len(members) > budget:
-                    raise BudgetExceededError(
-                        f"space too large: closure exceeded budget {budget}"
-                    )
-    return members
+def _over_budget(limit: int) -> BudgetExceededError:
+    return BudgetExceededError(f"space too large: closure exceeded budget {limit}")
 
 
-def _closure_letters(
-    k: int, x: tuple[int, ...], y: tuple[int, ...], budget: int
-) -> set[tuple[int, ...]]:
-    members = {x, y}
-    queue: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque(
-        [(x, y)] if x != y else []
-    )
-    while queue:
-        u, v = queue.popleft()
-        for w in _rset_letters(k, u, v):
-            if w not in members:
-                for s in members:
-                    queue.append((w, s))
-                members.add(w)
-                if len(members) > budget:
-                    raise BudgetExceededError(
-                        f"space too large: closure exceeded budget {budget}"
-                    )
-    return members
+@lru_cache(maxsize=256)
+def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
+    """Closure of the parents 0 and 2**t - 1 in the canonical pattern space.
+
+    Bit j of a mask stands for the j-th differing position counted from the
+    last, and a set bit means the second parent's letter.  Every kernel
+    pattern is a subset of its pair's difference mask, so every offspring
+    lies in the parents' box {w : w_i in {x_i, y_i}}, here the 2**t masks.
+    Once the box is full no pending pair can add a member, so the fixpoint
+    stops there; until then every member is reached by an actual
+    recombination of two members.  Each member is first paired with its box
+    antipode, which differs from it everywhere and so has the largest
+    recombination set; then every pair is taken in discovery order.
+    Raises as soon as the closure has more than ``limit`` members, which
+    the member list never holds.
+    """
+    size = 1 << t
+    full = size - 1
+    members = [0, full] if t else [0]
+    if len(members) > limit:
+        raise _over_budget(limit)
+    seen = bytearray(size)
+    seen[0] = seen[full] = 1
+
+    def grow(u: int, v: int) -> None:
+        fresh = [w for w in map(u.__xor__, _ymask_patterns(k, u ^ v, t))
+                 if not seen[w]]
+        if len(members) + len(fresh) > limit:
+            raise _over_budget(limit)
+        for w in fresh:
+            seen[w] = 1
+        members.extend(fresh)
+
+    for u in members:
+        if len(members) == size:
+            return range(size)
+        if seen[full ^ u] == 1:
+            # 2 marks a member whose antipode pair has been taken
+            seen[u] = 2
+            grow(u, full ^ u)
+    for i, u in enumerate(members):
+        for v in members[:i]:
+            if len(members) == size:
+                return range(size)
+            grow(u, v)
+    return range(size) if len(members) == size else tuple(members)
 
 
 def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
-    """Least set containing x, y and closed under k-point recombination."""
+    """Least set containing x, y and closed under k-point recombination.
+
+    Only which positions differ matters, so the closure is computed once per
+    (k, t) over the t differing positions (``_closure_patterns``) and mapped
+    back through a subset-sum table of the per-position index steps
+    ``(y_p - x_p) * stride_p``, which serves every alphabet.  The cache holds
+    256 (k, t, limit) entries; ``limit`` is the budget capped at 2**t, the
+    largest possible closure, so budgets that cannot bind share one entry,
+    and a full box is stored as a ``range``.  Raises ``BudgetExceededError``
+    exactly when the closure has more than ``budget`` members.
+    """
     k = _validate_k(k)
     spec = require_same_spec(x, y)
-    if spec.is_binary:
-        idxs = _closure_indices(k, x.index, y.index, spec.n, budget)
-        return WordSet.from_indices(idxs, spec)
-    tuples = _closure_letters(k, x.letters, y.letters, budget)
-    return WordSet.from_indices(map(spec.index_of, tuples), spec)
+    steps = [
+        (b - a) * stride
+        for a, b, stride in zip(x.letters, y.letters, spec._strides) if a != b
+    ]
+    t = len(steps)
+    masks = _closure_patterns(k, t, min(budget, 1 << t))
+    # sums[m] is the packed index of the word with mask m; bit 0 is the
+    # last differing position
+    sums = [x.index]
+    for step in reversed(steps):
+        sums += [s + step for s in sums]
+    return WordSet.from_indices(map(sums.__getitem__, masks), spec)
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
-    """Whether the recombination set of x and y is recombination-closed."""
+    """Whether the recombination set of x and y is recombination-closed.
+
+    Scanned in the canonical pattern space, where the parents are 0 and
+    2**t - 1, until the first pair with an offspring outside the set.
+    """
     k = _validate_k(k)
-    spec = require_same_spec(x, y)
-    if spec.is_binary:
-        idxs = _rset_indices(k, x.index, y.index, spec.n)
-        mset = set(idxs)
-        for u, v in combinations(idxs, 2):
-            if any(w not in mset for w in _rset_indices(k, u, v, spec.n)):
-                return False
-        return True
-    members = [w.letters for w in rset(k, x, y).members]
+    require_same_spec(x, y)
+    t = hamming_distance(x, y)
+    members = _ymask_patterns(k, (1 << t) - 1, t)
     mset = set(members)
     for u, v in combinations(members, 2):
-        if any(w not in mset for w in _rset_letters(k, u, v)):
+        if any(u ^ m not in mset for m in _ymask_patterns(k, u ^ v, t)):
             return False
     return True
 

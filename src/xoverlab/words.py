@@ -20,8 +20,8 @@ and ``Word.from_index`` apply to input from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from operator import add, ge, mul
@@ -159,10 +159,15 @@ def _decoder(sizes: tuple[int, ...]) -> Callable[[Sequence[int]], list[tuple[int
 
 @dataclass(frozen=True)
 class Word:
-    """A fixed-length word over an :class:`AlphabetSpec`."""
+    """A fixed-length word over an :class:`AlphabetSpec`.
+
+    ``index`` is the packed mixed-radix index; it equals the bit packing for
+    binary words.
+    """
 
     letters: tuple[int, ...]
     spec: AlphabetSpec
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = tuple(map(int, self.letters))
@@ -178,11 +183,7 @@ class Word:
                         f"invalid letter {l} at position {pos}: alphabet size {a}"
                     )
         object.__setattr__(self, "letters", letters)
-
-    @cached_property
-    def index(self) -> int:
-        """Packed mixed-radix index; equals the bit packing for binary words."""
-        return self.spec.index_of(self.letters)
+        object.__setattr__(self, "index", self.spec.index_of(letters))
 
     @classmethod
     def from_index(cls, index: int, spec: AlphabetSpec) -> "Word":

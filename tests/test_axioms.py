@@ -18,6 +18,7 @@ from xoverlab.axioms import (
     AXIOM_IDS,
     DEFAULT_SIX_VAR_LIMIT,
     SIX_VAR_AXIOMS,
+    SixVarLimitError,
     TransitTable,
     _Ctx,
     check_all,
@@ -168,6 +169,19 @@ class TestFinderSoundness:
                 assert not got.holds, (trial, axiom)
                 assert got.witness == tuple(table.carrier[i] for i in expect)
 
+    def test_pa_on_many_random_tables(self):
+        rng = random.Random(20261018)
+        verdicts = []
+        for trial in range(200):
+            table = random_table(rng, rng.randint(2, 6))
+            expect = brute_force(table, "Pa")
+            got = check_axiom(table, "Pa")
+            assert got.holds == (expect is None), trial
+            if expect is not None:
+                assert got.witness == tuple(table.carrier[i] for i in expect), trial
+            verdicts.append(got.holds)
+        assert verdicts.count(False) >= 100 and verdicts.count(True) >= 20
+
     def test_global_axioms_have_empty_witness_when_failing(self):
         table = table_from_interval(cycle_graph(6))
         rep = check_axiom(table, "A2")
@@ -280,6 +294,14 @@ class TestReportMechanics:
                 check_axiom(table, axiom, six_var_limit=4)
             assert check_axiom(table, axiom, six_var_limit=8).holds
         assert len(table) <= DEFAULT_SIX_VAR_LIMIT
+
+    def test_six_var_limit_has_its_own_error(self):
+        table = table_from_closure(1, B3)
+        assert issubclass(SixVarLimitError, ValueError)
+        with pytest.raises(SixVarLimitError, match="AX on a carrier of 8"):
+            check_axiom(table, "AX", six_var_limit=7)
+        with pytest.raises(SixVarLimitError):
+            check_all(table, six_var_limit=7)
 
     def test_implication_violation_raises_internal_error(self, monkeypatch):
         # no real table can violate M => GW3, so force a fake GW3 failure

@@ -115,6 +115,19 @@ class TestErrors:
         for axiom in ("T1", "MO", "GW4", "A2p"):
             assert axiom in err
 
+    def test_six_variable_limit_names_the_cli_way_out(self, capsys):
+        argv = ["axioms", "--source", "rset:1", "--spec", "2^7"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: A4, AX, AXp are checked only on carriers of at most 64 words"
+        )
+        assert "--check" in err and "--spec" in err
+        assert "six_var_limit" not in err
+        assert cli.main([*argv, "--check", "T1,A1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["axiom"] for r in doc["reports"]] == ["T1", "A1"]
+
 
 class TestMain:
     def test_stdout_document(self, capsys):

@@ -3,10 +3,12 @@ literal cut-enumeration definition before anything else trusts it."""
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xoverlab.crossover as crossover_mod
 from xoverlab.crossover import (
     CutSet,
     _greedy_lex_path,
@@ -234,7 +236,80 @@ class TestRecursion:
             rset_recursive(1, bword("0"), bword("1"))
 
 
+@lru_cache(maxsize=None)
+def _literal_rset(k, u, v, spec):
+    return frozenset(
+        w.letters for w in rset_by_cut_enumeration(k, Word(u, spec), Word(v, spec))
+    )
+
+
+def literal_closure(k, x, y):
+    """Closure by the plain pairwise fixpoint over letter tuples.
+
+    Every pair of members is recombined by the literal cut enumeration until
+    no pair adds a word; no relabelling to difference positions and no stop
+    at the parents' box.
+    """
+    spec = x.spec
+    members = {x.letters, y.letters}
+    pending = [(x.letters, y.letters)]
+    while pending:
+        u, v = pending.pop()
+        for w in _literal_rset(k, u, v, spec):
+            if w not in members:
+                pending.extend((w, s) for s in members)
+                members.add(w)
+    return WordSet((Word(t, spec) for t in members), spec)
+
+
 class TestClosure:
+    @pytest.mark.parametrize("sizes", [
+        (2,), (2, 2), (2, 2, 2), (2,) * 4, (2,) * 5, (3, 3), (3, 3, 3), (2, 3, 4),
+    ])
+    def test_equals_literal_closure(self, sizes):
+        words = list(AlphabetSpec(sizes).iter_words())
+        for k in range(1, 5):
+            for x, y in itertools.combinations_with_replacement(words, 2):
+                assert closure(k, x, y) == literal_closure(k, x, y), (k, x, y)
+
+    @pytest.mark.parametrize("sizes,x,y", [
+        ((2,) * 6, "010011", "101110"),
+        ((2,) * 3, "000", "111"),
+        ((3, 3, 3), "0,1,2", "2,1,0"),
+        ((2, 3, 4), "0,0,0", "1,2,3"),
+    ])
+    def test_budget_binds_exactly_above_closure_size(self, sizes, x, y):
+        spec = AlphabetSpec(sizes)
+        x, y = Word.parse(x, spec), Word.parse(y, spec)
+        for k in (1, 2):
+            size = len(literal_closure(k, x, y))
+            assert len(closure(k, x, y, budget=size)) == size
+            message = f"space too large: closure exceeded budget {size - 1}"
+            with pytest.raises(BudgetExceededError) as err:
+                closure(k, x, y, budget=size - 1)
+            assert str(err.value) == message
+
+    def test_budget_counts_the_parents(self):
+        spec = AlphabetSpec((2, 3))
+        x, y = Word((0, 0), spec), Word((0, 2), spec)
+        assert len(closure(1, x, x, budget=1)) == 1
+        assert len(closure(1, x, y, budget=2)) == 2
+        for budget, (u, v) in ((0, (x, x)), (1, (x, y))):
+            with pytest.raises(BudgetExceededError, match=f"budget {budget}$"):
+                closure(1, u, v, budget=budget)
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 3, 4), (2, 2, 3, 3)])
+    def test_is_closed_matches_literal_scan(self, sizes):
+        spec = AlphabetSpec(sizes)
+        for k in (1, 2, 3):
+            for x, y in all_pairs(spec):
+                members = {w.letters for w in rset_by_cut_enumeration(k, x, y)}
+                literal = all(
+                    _literal_rset(k, u, v, spec) <= members
+                    for u, v in itertools.combinations(sorted(members), 2)
+                )
+                assert is_closed(k, x, y) == literal, (k, x, y)
+
     def test_equals_interval(self):
         for n in range(2, 6):
             spec = bspec(n)
@@ -263,6 +338,63 @@ class TestClosure:
         for k in (1, 2):
             for x, y in all_pairs(spec):
                 assert is_closed(k, x, y) == (hamming_distance(x, y) <= k + 1)
+
+
+def _toy_kernel(seed):
+    """Random masks inside each difference mask, closed under complement.
+
+    Unlike crossover, whose closure is always the whole box, these kernels
+    mostly leave the box partly empty.
+    """
+    @lru_cache(maxsize=None)
+    def patterns(k, diff, t):
+        rng = random.Random(seed * 1_000_003 + diff)
+        subs = [m for m in range(diff + 1) if m & diff == m]
+        out = {0, diff}
+        if rng.random() < 0.5:
+            for m in rng.sample(subs, min(k, len(subs))):
+                out |= {m, diff ^ m}
+        return tuple(sorted(out))
+    return patterns
+
+
+def pairwise_pattern_closure(kernel, k, t):
+    members = {0, (1 << t) - 1}
+    pending = [(0, (1 << t) - 1)]
+    while pending:
+        u, v = pending.pop()
+        for w in (u ^ m for m in kernel(k, u ^ v, t)):
+            if w not in members:
+                pending.extend((w, s) for s in members)
+                members.add(w)
+    return members
+
+
+class TestClosureFixpoint:
+    """The pattern-space fixpoint is exact for any kernel inside the box, so
+    its result is the closure whether or not the box fills."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        crossover_mod._closure_patterns.cache_clear()
+        yield
+        crossover_mod._closure_patterns.cache_clear()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_fixpoint_on_toy_kernels(self, monkeypatch, seed):
+        kernel = _toy_kernel(seed)
+        monkeypatch.setattr(crossover_mod, "_ymask_patterns", kernel)
+        filled = 0
+        for k in (1, 2):
+            for t in range(0, 8):
+                expect = pairwise_pattern_closure(kernel, k, t)
+                got = crossover_mod._closure_patterns(k, t, 1 << t)
+                assert sorted(got) == sorted(expect), (k, t)
+                filled += len(expect) == 1 << t
+                if len(expect) > 1:
+                    with pytest.raises(BudgetExceededError):
+                        crossover_mod._closure_patterns(k, t, len(expect) - 1)
+        assert 0 < filled < 16
 
 
 class TestConvexity:

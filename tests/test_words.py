@@ -70,6 +70,17 @@ class TestWord:
         s = spec_of(2, 2, 2, 2)
         assert Word.parse("1011", s).index == 0b1011
 
+    def test_index_is_stored_at_construction(self):
+        s = spec_of(3, 2, 4)
+        w = Word((2, 1, 3), s)
+        assert w.__dict__["index"] == s.index_of((2, 1, 3)) == s.size - 1
+        decoded = WordSet.from_indices([5], s).members[0]
+        assert decoded.__dict__["index"] == 5
+        # the index is derived, so it takes no part in equality, hash or repr
+        assert decoded == Word.from_index(5, s)
+        assert hash(decoded) == hash(Word.from_index(5, s))
+        assert "index" not in repr(w)
+
     def test_parse_compact_and_comma(self):
         s = spec_of(2, 2, 2)
         assert Word.parse("011", s) == Word((0, 1, 1), s)
