@@ -1,24 +1,51 @@
 """Finite-model checking of transit-function axioms with first witnesses.
 
 A TransitTable materializes a symmetric set-valued function on a finite
-carrier.  Every axiom in the catalog is evaluated by exhaustive enumeration
-in canonical nested order (carrier indices ascending, variables in the order
-they appear in the axiom statement), so the first counterexample is
-reproducible.  The enumerators prune on premise-false tuples only, which
-cannot change the first witness.
+carrier.  Every axiom in the catalog is decided as if by exhaustive
+enumeration in canonical nested order (carrier indices ascending, variables
+in the order they appear in the axiom statement), so the first
+counterexample is reproducible.  The finders skip premise-false tuples only,
+which cannot change the first witness; the tests hold the literal axiom
+bodies and compare the finders against a full scan of them.
 
 Entry sets are stored as integer bitmasks over carrier indices; subset,
-intersection and membership tests are single integer operations.
+intersection and membership tests are single integer operations.  The
+costliest finders go one step further and precompute bitset rows, so that
+an inner variable scan becomes a few row operations plus a lowest-set-bit
+lookup:
+
+- cols[a][m], the set of z whose entry with a contains m, serves Pa, CG and
+  (on the closure) CGp;
+- AX numbers the ordered edges (pairs whose entry has two members) in
+  canonical order and gives each edge ab the row of edges cd with
+  par(a, b, c, d); the first e f of a premise-true (ab, cd) is the lowest
+  bit of row(cd) outside row(ab);
+- Pa concatenates the rows of one carrier element into a single integer, one
+  block per partner, so a whole (p, a) prefix is tested at once;
+- MM compares distinct entry masks, each keyed to the first pair carrying
+  it, instead of all pairs of pairs.
+
+AX and AXp are the same predicate as written: AXp spells out the three
+parallelism tests of AX entry by entry, so both catalog entries share one
+finder and always give the same verdict and witness.
+
+The six-variable axioms A4, AX and AXp are refused on carriers above
+DEFAULT_SIX_VAR_LIMIT = 256 elements (the 2^8 binary space) unless the
+caller raises the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from math import prod
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .graphs import SimpleGraph, is_connected
-from .words import AlphabetSpec, DEFAULT_BUDGET, Word
+from .words import AlphabetSpec, DEFAULT_BUDGET
 from . import crossover
 
 AXIOM_IDS = (
@@ -29,7 +56,7 @@ AXIOM_IDS = (
 )
 
 SIX_VAR_AXIOMS = ("A4", "AX", "AXp")
-DEFAULT_SIX_VAR_LIMIT = 64
+DEFAULT_SIX_VAR_LIMIT = 256
 
 
 class SixVarLimitError(ValueError):
@@ -42,6 +69,26 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _transpose(rows: Sequence[int], v: int) -> list[int]:
+    """Columns of a v-by-v bit matrix: bit i of out[j] is bit j of rows[i]."""
+    width = (v + 7) // 8
+    packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    matrix = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(v, width), axis=1,
+        bitorder="little",
+    )[:, :v]
+    out = np.packbits(matrix.T, axis=1, bitorder="little").tobytes()
+    return [
+        int.from_bytes(out[j * width:(j + 1) * width], "little")
+        for j in range(v)
+    ]
 
 
 class TransitTable:
@@ -99,15 +146,6 @@ class TransitTable:
 
     def size_of(self, i: int, j: int) -> int:
         return self._size[i][j]
-
-    def degrees(self) -> tuple[int, ...]:
-        """Per-element count of partners whose entry has exactly two members."""
-        size = self._size
-        v = len(self._carrier)
-        return tuple(sum(1 for j in range(v) if size[i][j] == 2) for i in range(v))
-
-    def max_degree(self) -> int:
-        return max(self.degrees())
 
     def underlying_graph(self) -> SimpleGraph:
         """Edges are exactly the distinct pairs whose entry is the pair itself."""
@@ -221,7 +259,7 @@ class AxiomReport:
 
 
 class _Ctx:
-    """Shared precomputation for the axiom bodies and enumerators."""
+    """Shared precomputation for the axiom finders."""
 
     def __init__(self, table: TransitTable, n=None, a=None, sizes=None):
         self.table = table
@@ -245,6 +283,14 @@ class _Ctx:
         self._value_set: frozenset[int] | None = None
         self._closure: _Ctx | None = None
         self._intervals: list[list[int]] | None = None
+        self._cols: list[list[int]] | None = None
+
+    @property
+    def cols(self) -> list[list[int]]:
+        """cols[a][m] is the set of z whose entry with a contains m."""
+        if self._cols is None:
+            self._cols = [_transpose(row, self.v) for row in self.entry]
+        return self._cols
 
     @property
     def value_set(self) -> frozenset[int]:
@@ -283,167 +329,7 @@ class _Ctx:
         return self._intervals
 
     def delta(self) -> int:
-        return max(
-            sum(1 for j in range(self.v) if self.size[i][j] == 2)
-            for i in range(self.v)
-        )
-
-    def par(self, u: int, v: int, x: int, y: int) -> bool:
-        """Edge-parallelism witness pattern: v,x between u,y and u,y between v,x."""
-        euy = self.entry[u][y]
-        evx = self.entry[v][x]
-        return bool(
-            euy >> v & 1 and euy >> x & 1 and evx >> u & 1 and evx >> y & 1
-        )
-
-
-# ---------------------------------------------------------------------------
-# axiom bodies: total boolean functions of one variable tuple, used directly
-# by the brute-force cross-checks in the tests and to re-verify witnesses
-
-def _body_T1(c: _Ctx, t) -> bool:
-    x, y = t
-    e = c.entry[x][y]
-    return bool(e >> x & 1 and e >> y & 1)
-
-
-def _body_T2(c: _Ctx, t) -> bool:
-    x, y = t
-    return c.entry[x][y] == c.entry[y][x]
-
-
-def _body_T3(c: _Ctx, t) -> bool:
-    (x,) = t
-    return c.entry[x][x] == 1 << x
-
-
-def _body_GW4(c: _Ctx, t) -> bool:
-    x, y, z = t
-    if not c.entry[x][y] >> z & 1:
-        return True
-    return c.size[x][z] <= c.size[x][y]
-
-
-def _body_GW3(c: _Ctx, t) -> bool:
-    x, y, u, v = t
-    e = c.entry[x][y]
-    if not (e >> u & 1 and e >> v & 1):
-        return True
-    return c.size[u][v] <= c.size[x][y]
-
-
-def _body_B1(c: _Ctx, t) -> bool:
-    x, y, z = t
-    if not (c.entry[x][y] >> z & 1 and z != y):
-        return True
-    return not c.entry[x][z] >> y & 1
-
-
-def _body_B2(c: _Ctx, t) -> bool:
-    x, y, z = t
-    if not c.entry[x][y] >> z & 1:
-        return True
-    return c.entry[x][z] & ~c.entry[x][y] == 0
-
-
-def _body_B3(c: _Ctx, t) -> bool:
-    x, y, z, w = t
-    if not (c.entry[x][y] >> z & 1 and c.entry[x][z] >> w & 1):
-        return True
-    return bool(c.entry[w][y] >> z & 1)
-
-
-def _body_M(c: _Ctx, t) -> bool:
-    x, y, u, v = t
-    e = c.entry[x][y]
-    if not (e >> u & 1 and e >> v & 1):
-        return True
-    return c.entry[u][v] & ~e == 0
-
-
-def _body_MM(c: _Ctx, t) -> bool:
-    u, v, x, y = t
-    inter = c.entry[u][v] & c.entry[x][y]
-    return inter == 0 or inter in c.value_set
-
-
-def _body_MG(c: _Ctx, t) -> bool:
-    x, y = t
-    return c.entry[x][y] & ~c.intervals[x][y] == 0
-
-
-def _body_CG(c: _Ctx, t) -> bool:
-    a, x, y, z = t
-    ea = c.entry[a]
-    if ea[x] & ~ea[y]:
-        return True
-    chain = ea[x] & ~ea[z] == 0 and ea[z] & ~ea[y] == 0
-    return chain == bool(c.entry[x][y] >> z & 1)
-
-
-def _body_CGp(c: _Ctx, t) -> bool:
-    # evaluated on the closure; gated on x lying between a and y there
-    a, x, y, z = t
-    cc = c.closure
-    if not cc.entry[a][y] >> x & 1:
-        return True
-    left = bool(cc.entry[a][z] >> x & 1 and cc.entry[a][y] >> z & 1)
-    return left == bool(cc.entry[x][y] >> z & 1)
-
-
-def _body_Pa(c: _Ctx, t) -> bool:
-    p, a, b, a1, b1 = t
-    if not (c.entry[p][a] >> a1 & 1 and c.entry[p][b] >> b1 & 1):
-        return True
-    return c.entry[a1][b] & c.entry[b1][a] != 0
-
-
-def _body_C4(c: _Ctx, t) -> bool:
-    x, y, z = t
-    if not c.entry[x][y] >> z & 1:
-        return True
-    return c.entry[x][z] & c.entry[z][y] == 1 << z
-
-
-def _body_MO(c: _Ctx, t) -> bool:
-    x, y, z = t
-    return c.entry[x][y] & c.entry[y][z] & c.entry[z][x] != 0
-
-
-def _body_S1(c: _Ctx, t) -> bool:
-    x, y, z, w = t
-    if c.size[x][y] != 2 or c.size[z][w] != 2:
-        return True
-    exz = c.entry[x][z]
-    if not (c.entry[y][w] >> x & 1 and exz >> y & 1 and exz >> w & 1):
-        return True
-    return bool(c.entry[y][w] >> z & 1)
-
-
-def _body_S2(c: _Ctx, t) -> bool:
-    x, y, z, w = t
-    if c.size[x][y] != 2 or c.size[y][w] != 2:
-        return True
-    if not c.entry[x][y] >> y & 1:
-        return True
-    if c.entry[x][z] >> w & 1 or c.entry[y][w] >> z & 1:
-        return True
-    return bool(c.entry[x][w] >> y & 1)
-
-
-def _body_A1(c: _Ctx, t) -> bool:
-    x, u, v = t
-    if c.size[x][u] != 2 or c.size[x][v] != 2:
-        return True
-    if u == v or c.size[u][v] == 2:
-        return True
-    others = c.adj[u] & c.adj[v] & ~(1 << x)
-    return others.bit_count() == 1
-
-
-def _body_A2(c: _Ctx, t) -> bool:
-    n = c.n if c.n is not None else c.delta()
-    return c.delta() == n and c.v == 2 ** n
+        return max(m.bit_count() for m in self.adj)
 
 
 def _resolve_sizes(c: _Ctx) -> tuple[int, ...] | None:
@@ -469,97 +355,10 @@ def _resolve_sizes(c: _Ctx) -> tuple[int, ...] | None:
     return search(target_count, 2, target_delta)
 
 
-def _body_A2p(c: _Ctx, t) -> bool:
-    sizes = _resolve_sizes(c)
-    if sizes is None:
-        return False
-    prod = 1
-    for s in sizes:
-        prod *= s
-    return c.v == prod and c.delta() == sum(s - 1 for s in sizes)
-
-
-def _body_A3(c: _Ctx, t) -> bool:
-    x, y, u, v = t
-    s = c.size
-    pattern = (
-        s[x][u] == 2 and s[x][v] == 2 and s[y][u] == 2 and s[y][v] == 2
-        and s[x][y] == 2 and s[u][v] > 2
-    )
-    return not pattern
-
-
-def _body_A4(c: _Ctx, t) -> bool:
-    x, y, u, v, w, z = t
-    s = c.size
-    pattern = (
-        s[x][u] == 2 and s[x][v] == 2 and s[y][u] == 2 and s[y][v] == 2
-        and s[v][w] == 2 and s[y][z] == 2 and s[w][z] == 2 and s[x][w] == 2
-        and s[u][v] > 2 and s[u][w] > 2 and s[u][z] > 2 and s[x][y] > 2
-        and s[x][z] > 2 and s[v][z] > 2 and s[y][w] > 2
-    )
-    return not pattern
-
-
-def _body_AX(c: _Ctx, t) -> bool:
-    a, b, cc, d, e, f = t
-    s = c.size
-    if s[a][b] != 2 or s[cc][d] != 2 or s[e][f] != 2:
-        return True
-    if not (c.par(a, b, cc, d) and c.par(cc, d, e, f)):
-        return True
-    return c.par(a, b, e, f)
-
-
-def _body_AXp(c: _Ctx, t) -> bool:
-    a, b, cc, d, e, f = t
-    s = c.size
-    if s[a][b] != 2 or s[cc][d] != 2 or s[e][f] != 2:
-        return True
-    ead = c.entry[a][d]
-    ebc = c.entry[b][cc]
-    ecf = c.entry[cc][f]
-    ede = c.entry[d][e]
-    if not (ead >> b & 1 and ead >> cc & 1 and ebc >> a & 1 and ebc >> d & 1):
-        return True
-    if not (ecf >> d & 1 and ecf >> e & 1 and ede >> cc & 1 and ede >> f & 1):
-        return True
-    eaf = c.entry[a][f]
-    ebe = c.entry[b][e]
-    return bool(eaf >> b & 1 and eaf >> e & 1 and ebe >> a & 1 and ebe >> f & 1)
-
-
-def _body_H3(c: _Ctx, t) -> bool:
-    x, y, u, v = t
-    if u == v or x == y or c.size[x][y] <= 4:
-        return True
-    euv = c.entry[u][v]
-    if euv & ~c.entry[x][y]:
-        return True
-    if euv == (1 << u) | (1 << v):
-        return True
-    return {u, v} == {x, y}
-
-
-AXIOM_BODIES: dict[str, tuple[int, Callable[[_Ctx, tuple], bool]]] = {
-    "T1": (2, _body_T1), "T2": (2, _body_T2), "T3": (1, _body_T3),
-    "GW3": (4, _body_GW3), "GW4": (3, _body_GW4),
-    "B1": (3, _body_B1), "B2": (3, _body_B2), "B3": (4, _body_B3),
-    "M": (4, _body_M), "MM": (4, _body_MM), "MG": (2, _body_MG),
-    "CG": (4, _body_CG), "CGp": (4, _body_CGp),
-    "Pa": (5, _body_Pa), "C4": (3, _body_C4), "MO": (3, _body_MO),
-    "S1": (4, _body_S1), "S2": (4, _body_S2),
-    "A1": (3, _body_A1), "A2": (0, _body_A2), "A2p": (0, _body_A2p),
-    "A3": (4, _body_A3), "A4": (6, _body_A4),
-    "AX": (6, _body_AX), "AXp": (6, _body_AXp),
-    "H3": (4, _body_H3),
-}
-
-
 # ---------------------------------------------------------------------------
-# enumerators: first violating tuple in canonical nested order, or None.
+# finders: first violating tuple in canonical nested order, or None.
 # Loops skip premise-false tuples only, so the first witness matches a full
-# scan with the body functions above; the tests verify this agreement.
+# scan of the axiom's body; the tests keep the bodies and check this.
 
 def _find_T1(c: _Ctx):
     for x in range(c.v):
@@ -655,20 +454,26 @@ def _find_M(c: _Ctx):
 
 
 def _find_MM(c: _Ctx):
-    # the verdict depends only on the two unordered pairs, so scan those and
-    # map the earliest failing combination back to its least ordered tuple
-    pair_keys = [(i, j) for i in range(c.v) for j in range(i, c.v)]
-    values = c.value_set
-    best = None
-    for (i, j) in pair_keys:
-        e1 = c.entry[i][j]
-        for (k, l) in pair_keys:
-            inter = e1 & c.entry[k][l]
-            if inter and inter not in values:
-                for cand in ((i, j, k, l), (k, l, i, j)):
-                    if best is None or cand < best:
-                        best = cand
-    return best
+    # The verdict depends only on the two entry masks, and a tuple can be
+    # reordered within each pair, so the first witness is the least pair
+    # whose mask has a failing partner, followed by that partner's least
+    # pair.  Masks are taken in order of their first pair; a failing partner
+    # met before mask i would already have been reported, so mask i is
+    # tested against the later masks only.
+    first: dict[int, tuple[int, int]] = {}
+    for i in range(c.v):
+        row = c.entry[i]
+        for j in range(i, c.v):
+            first.setdefault(row[j], (i, j))
+    masks = list(first)
+    allowed = c.value_set | {0}
+    for i, m in enumerate(masks):
+        later = masks[i + 1:]
+        if all(map(allowed.__contains__, map(m.__and__, later))):
+            continue
+        partner = next(m2 for m2 in later if m & m2 not in allowed)
+        return first[m] + first[partner]
+    return None
 
 
 def _find_MG(c: _Ctx):
@@ -681,80 +486,93 @@ def _find_MG(c: _Ctx):
 
 
 def _find_CG(c: _Ctx):
-    for a in range(c.v):
+    # Per a, S[x] = {z : E(a,x) <= E(a,z)} is the meet of cols[a] over
+    # E(a,x), and T[y] = {z : E(a,z) <= E(a,y)} is its transpose.  The
+    # premise is y in S[x]; the first failing z is the lowest bit of the
+    # chain set S[x] & T[y] that disagrees with E(x,y).
+    v = c.v
+    full = (1 << v) - 1
+    for a in range(v):
         ea = c.entry[a]
-        for x in range(c.v):
-            eax = ea[x]
-            for y in range(c.v):
-                if eax & ~ea[y]:
-                    continue
-                eay = ea[y]
-                exy = c.entry[x][y]
-                for z in range(c.v):
-                    eaz = ea[z]
-                    chain = eax & ~eaz == 0 and eaz & ~eay == 0
-                    if chain != bool(exy >> z & 1):
-                        return (a, x, y, z)
+        col = c.cols[a]
+        S = []
+        for mask in ea:
+            meet = full
+            for m in _bits(mask):
+                meet &= col[m]
+            S.append(meet)
+        T = _transpose(S, v)
+        for x in range(v):
+            sx = S[x]
+            ex = c.entry[x]
+            for y in _bits(sx):
+                bad = (sx & T[y]) ^ ex[y]
+                if bad:
+                    return (a, x, y, _low(bad))
     return None
 
 
 def _find_CGp(c: _Ctx):
+    # On the closure, with col = cols[a]: the premise x in E'(a,y) is
+    # y in col[x], and the first failing z is the lowest bit where
+    # col[x] & E'(a,y) and E'(x,y) disagree.
     cc = c.closure
     for a in range(cc.v):
         ea = cc.entry[a]
+        col = cc.cols[a]
         for x in range(cc.v):
-            for y in range(cc.v):
-                if not ea[y] >> x & 1:
-                    continue
-                eay = ea[y]
-                exy = cc.entry[x][y]
-                for z in range(cc.v):
-                    left = bool(ea[z] >> x & 1 and eay >> z & 1)
-                    if left != bool(exy >> z & 1):
-                        return (a, x, y, z)
+            cx = col[x]
+            ex = cc.entry[x]
+            for y in _bits(cx):
+                bad = (cx & ea[y]) ^ ex[y]
+                if bad:
+                    return (a, x, y, _low(bad))
     return None
 
 
 def _find_Pa(c: _Ctx):
-    # col[a][z] is the set of b1 whose entry with a contains z, so
-    # meets[a][b][a1], the union of col[a] over E(a1, b), is the set of b1
-    # with E(a1, b) & E(b1, a) nonempty.  The first failing b1 of a
-    # (p, a, b, a1) prefix is the lowest bit of E(p, b) outside it.
+    # Pa fails at (p, a, b, a1, b1) when a1 is in E(p, a), b1 in E(p, b) and
+    # E(a1, b) & E(b1, a) is empty.  For each a, good[a1] packs, block b,
+    # the set of b1 meeting E(a1, b): the union of cols[a] over that mask,
+    # computed once per (a, mask).  Row p packs E(p, b) the same way, so a
+    # (p, a) prefix fails exactly where row p leaves the meet of good over
+    # E(p, a), and the lowest such bit names the first failing b.  Each a
+    # is scanned only over the p below the least failing p found so far,
+    # which keeps the canonical first witness.
     v = c.v
     entry = c.entry
-    col = [[0] * v for _ in range(v)]
+    width = (v + 7) // 8
+    stride = 8 * width
+
+    def packed(masks) -> int:
+        return int.from_bytes(b"".join(masks), "little")
+
+    members = {m: list(_bits(m)) for row in entry for m in row}
+    rows = [packed([m.to_bytes(width, "little") for m in row]) for row in entry]
+    full = (1 << v * stride) - 1
+    best = None
+    limit = v
     for a in range(v):
-        cola = col[a]
-        for b1 in range(v):
-            for z in _bits(entry[b1][a]):
-                cola[z] |= 1 << b1
-    meets = [[None] * v for _ in range(v)]
-    for p in range(v):
-        ep = entry[p]
-        for a in range(v):
-            epa = ep[a]
-            if not epa:
-                continue
-            a1s = list(_bits(epa))
-            cola = col[a]
-            meets_a = meets[a]
-            for b in range(v):
-                epb = ep[b]
-                if not epb:
-                    continue
-                row = meets_a[b]
-                if row is None:
-                    row = meets_a[b] = [0] * v
-                    for a1 in range(v):
-                        m = 0
-                        for z in _bits(entry[a1][b]):
-                            m |= cola[z]
-                        row[a1] = m
-                for a1 in a1s:
-                    bad = epb & ~row[a1]
-                    if bad:
-                        return (p, a, b, a1, (bad & -bad).bit_length() - 1)
-    return None
+        cola = c.cols[a]
+        meets = {
+            m: reduce(or_, map(cola.__getitem__, bits), 0).to_bytes(width, "little")
+            for m, bits in members.items()
+        }
+        good = [packed(map(meets.__getitem__, row)) for row in entry]
+        ea = entry[a]
+        for p in range(limit):
+            bad = rows[p] & ~reduce(and_, map(good.__getitem__, members[ea[p]]), full)
+            if bad:
+                best = (p, a, _low(bad) // stride, good)
+                limit = p
+                break
+    if best is None:
+        return None
+    p, a, b, good = best
+    epb = entry[p][b]
+    block = b * stride
+    a1 = next(x for x in _bits(entry[p][a]) if epb & ~(good[x] >> block))
+    return (p, a, b, a1, _low(epb & ~(good[a1] >> block)))
 
 
 def _find_C4(c: _Ctx):
@@ -825,10 +643,20 @@ def _find_A1(c: _Ctx):
     return None
 
 
-def _find_global(body):
-    def find(c: _Ctx):
-        return None if body(c, ()) else ()
-    return find
+def _find_A2(c: _Ctx):
+    n = c.n if c.n is not None else c.delta()
+    return None if c.delta() == n and c.v == 2 ** n else ()
+
+
+def _find_A2p(c: _Ctx):
+    sizes = _resolve_sizes(c)
+    if (
+        sizes is not None
+        and c.v == prod(sizes)
+        and c.delta() == sum(s - 1 for s in sizes)
+    ):
+        return None
+    return ()
 
 
 def _find_A3(c: _Ctx):
@@ -872,44 +700,41 @@ def _find_A4(c: _Ctx):
     return None
 
 
-def _iter_ordered_edges(c: _Ctx):
-    for a in range(c.v):
-        for b in _bits(c.adj[a]):
-            yield a, b
-
-
 def _find_AX(c: _Ctx):
-    edges = list(_iter_ordered_edges(c))
-    par = c.par
+    # par(a, b, c, d) says b, c lie in E(a, d) and a, d lie in E(b, c).  For
+    # an edge ab and a d with b in E(a, d), the c completing it are
+    # cols[b][a] & cols[b][d] & E(a, d), cut to the neighbours of d.  rows[i]
+    # is the set of edge numbers cd parallel to edge i; whether every cd in
+    # a row has its own row inside it depends on the row alone, so a row
+    # found closed is not scanned again.
+    v = c.v
+    adj = c.adj
+    entry = c.entry
+    cols = c.cols
+    edges = [(a, b) for a in range(v) for b in _bits(adj[a])]
+    number = {e: i for i, e in enumerate(edges)}
+    rows = []
     for a, b in edges:
-        for cc, d in edges:
-            if not par(a, b, cc, d):
-                continue
-            for e, f in edges:
-                if par(cc, d, e, f) and not par(a, b, e, f):
-                    return (a, b, cc, d, e, f)
-    return None
-
-
-def _find_AXp(c: _Ctx):
-    edges = list(_iter_ordered_edges(c))
-    for a, b in edges:
-        for cc, d in edges:
-            ead = c.entry[a][d]
-            ebc = c.entry[b][cc]
-            if not (ead >> b & 1 and ead >> cc & 1 and ebc >> a & 1 and ebc >> d & 1):
-                continue
-            for e, f in edges:
-                ecf = c.entry[cc][f]
-                ede = c.entry[d][e]
-                if not (ecf >> d & 1 and ecf >> e & 1
-                        and ede >> cc & 1 and ede >> f & 1):
-                    continue
-                eaf = c.entry[a][f]
-                ebe = c.entry[b][e]
-                if not (eaf >> b & 1 and eaf >> e & 1
-                        and ebe >> a & 1 and ebe >> f & 1):
-                    return (a, b, cc, d, e, f)
+        colb = cols[b]
+        ea = entry[a]
+        from_b = colb[a]
+        row = 0
+        for d in _bits(cols[a][b]):
+            for cc in _bits(from_b & colb[d] & ea[d] & adj[d]):
+                row |= 1 << number[cc, d]
+        rows.append(row)
+    closed: set[int] = set()
+    for i, row in enumerate(rows):
+        if row in closed:
+            continue
+        rest = row
+        while rest:
+            j = _low(rest)
+            bad = rows[j] & ~row
+            if bad:
+                return edges[i] + edges[j] + edges[_low(bad)]
+            rest &= rest - 1
+        closed.add(row)
     return None
 
 
@@ -942,9 +767,9 @@ _FINDERS: dict[str, Callable[[_Ctx], tuple | None]] = {
     "CG": _find_CG, "CGp": _find_CGp,
     "Pa": _find_Pa, "C4": _find_C4, "MO": _find_MO,
     "S1": _find_S1, "S2": _find_S2,
-    "A1": _find_A1, "A2": _find_global(_body_A2), "A2p": _find_global(_body_A2p),
+    "A1": _find_A1, "A2": _find_A2, "A2p": _find_A2p,
     "A3": _find_A3, "A4": _find_A4,
-    "AX": _find_AX, "AXp": _find_AXp,
+    "AX": _find_AX, "AXp": _find_AX,
     "H3": _find_H3,
 }
 
@@ -965,7 +790,7 @@ def check_axiom(
     carriers larger than six_var_limit; raise the limit explicitly to
     override.
     """
-    if axiom not in AXIOM_BODIES:
+    if axiom not in _FINDERS:
         raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
     if axiom in SIX_VAR_AXIOMS and len(table) > six_var_limit:
         raise SixVarLimitError(

@@ -22,7 +22,6 @@ from .axioms import (
     AXIOM_IDS,
     DEFAULT_SIX_VAR_LIMIT,
     SIX_VAR_AXIOMS,
-    SixVarLimitError,
     check_all,
     check_axiom,
     table_from_closure,
@@ -175,21 +174,25 @@ def _build_table(source: str, spec: AlphabetSpec, budget: int):
 
 def cmd_axioms(args) -> tuple[int, str]:
     spec = _parse_spec(args)
-    table = _build_table(args.source, spec, args.budget)
-    try:
-        if args.check is None or args.check == "all":
-            reports = check_all(table)
-        else:
-            reports = [
-                check_axiom(table, ax.strip())
-                for ax in args.check.split(",") if ax.strip()
-            ]
-    except SixVarLimitError as err:
+    if args.check is None or args.check == "all":
+        names = None
+    else:
+        names = [ax.strip() for ax in args.check.split(",") if ax.strip()]
+    # refuse before building the table: a 2^9 table alone takes seconds
+    spec.check_budget(args.budget)
+    if spec.size > DEFAULT_SIX_VAR_LIMIT and (
+        names is None or set(names) & set(SIX_VAR_AXIOMS)
+    ):
         raise CliError(
             f"{', '.join(SIX_VAR_AXIOMS)} are checked only on carriers of at "
             f"most {DEFAULT_SIX_VAR_LIMIT} words, and --spec {args.spec} has "
-            f"{len(table)}; pass --check without them, or a smaller --spec"
-        ) from err
+            f"{spec.size}; pass --check without them, or a smaller --spec"
+        )
+    table = _build_table(args.source, spec, args.budget)
+    if names is None:
+        reports = check_all(table)
+    else:
+        reports = [check_axiom(table, ax) for ax in names]
     records = [
         {
             "axiom": r.axiom,

@@ -115,12 +115,19 @@ class TestErrors:
         for axiom in ("T1", "MO", "GW4", "A2p"):
             assert axiom in err
 
-    def test_six_variable_limit_names_the_cli_way_out(self, capsys):
-        argv = ["axioms", "--source", "rset:1", "--spec", "2^7"]
-        assert cli.main(argv) == 2
+    def test_six_variable_limit_names_the_cli_way_out(self, capsys, monkeypatch):
+        argv = ["axioms", "--source", "rset:1", "--spec", "2^9"]
+
+        def no_table(*args):
+            raise AssertionError("the table was built before the limit check")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_table", no_table)
+            assert cli.main(argv) == 2
+            assert cli.main([*argv, "--check", "T1,AXp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: A4, AX, AXp are checked only on carriers of at most 64 words"
+            "error: A4, AX, AXp are checked only on carriers of at most 256 words"
         )
         assert "--check" in err and "--spec" in err
         assert "six_var_limit" not in err
