@@ -45,7 +45,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import SimpleGraph, is_connected
-from .words import AlphabetSpec, DEFAULT_BUDGET
+from .words import AlphabetSpec, DEFAULT_BUDGET, Word
 from . import crossover
 
 AXIOM_IDS = (
@@ -167,36 +167,39 @@ class TransitTable:
         return t
 
 
-def table_from_rset(
-    k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
+def _pair_table(
+    name: str, spec: AlphabetSpec, budget: int,
+    pair_indices: Callable[[Word, Word], Iterable[int]],
 ) -> TransitTable:
-    """Recombination sets of every pair of words over the given alphabet."""
+    """Entries pair_indices(x, y) for every pair of words over the alphabet.
+
+    ``iter_words`` yields words in index order, so a carrier index is a
+    packed index, and packed indices from the crossover kernel are entries.
+    """
     spec.check_budget(budget)
     words = list(spec.iter_words())
-    lookup = {w: i for i, w in enumerate(words)}
     entries = {}
     for i, x in enumerate(words):
         entries[(i, i)] = (i,)
         for j in range(i + 1, len(words)):
-            members = crossover.rset(k, x, words[j]).members
-            entries[(i, j)] = tuple(lookup[w] for w in members)
-    return TransitTable(words, entries, name=f"rset:{k} on {spec}")
+            entries[(i, j)] = pair_indices(x, words[j])
+    return TransitTable(words, entries, name=f"{name} on {spec}")
+
+
+def table_from_rset(
+    k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
+) -> TransitTable:
+    """Recombination sets of every pair of words over the given alphabet."""
+    return _pair_table(f"rset:{k}", spec, budget,
+                       lambda x, y: crossover._rset_packed(k, x, y))
 
 
 def table_from_closure(
     k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
 ) -> TransitTable:
     """Recombination closures of every pair of words over the given alphabet."""
-    spec.check_budget(budget)
-    words = list(spec.iter_words())
-    lookup = {w: i for i, w in enumerate(words)}
-    entries = {}
-    for i, x in enumerate(words):
-        entries[(i, i)] = (i,)
-        for j in range(i + 1, len(words)):
-            members = crossover.closure(k, x, words[j], budget=budget)
-            entries[(i, j)] = tuple(lookup[w] for w in members)
-    return TransitTable(words, entries, name=f"closure:{k} on {spec}")
+    return _pair_table(f"closure:{k}", spec, budget,
+                       lambda x, y: crossover._closure_packed(k, x, y, budget))
 
 
 def table_from_interval(graph: SimpleGraph) -> TransitTable:

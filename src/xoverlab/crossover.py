@@ -1,27 +1,34 @@
 """k-point crossover recombination sets and their closure geometry.
 
-``recombine`` applies one explicit cut set to two parent words.  ``rset``
-collects every offspring reachable with at most k cut points; its fast path
-enumerates parent-switch patterns between consecutive differing positions,
-which ``rset_by_cut_enumeration`` (the literal all-cut-subsets definition)
-must reproduce exactly -- the test suite checks the two routes against each
-other before anything else relies on the fast path.
+``recombine`` applies one explicit cut set to two parent words.  Everything
+else runs on one kernel.  A recombination set R_k(x, y) and the closure of x
+and y depend only on k and on the t positions where the parents differ, so
+both are computed in the canonical pattern space of those positions: a
+t-bit mask whose bit j stands for the j-th differing position counted from
+the last, a set bit meaning the second parent's letter, so the parents are 0
+and 2**t - 1.  ``_ymask_patterns(k, mask, t)`` lists the offspring of the
+masks 0 and ``mask``; it is cached on (k, mask, t), so every pair of parents
+at distance t, at any positions and over any alphabet, shares the one entry
+(k, 2**t - 1, t).  ``_closure_patterns`` closes the parents under it once per
+(k, t).
 
-``closure`` and ``is_closed`` depend only on k and the number t of
-differing positions, so both work in the canonical pattern space, where the
-parents are 0 and 2**t - 1 and bit j stands for one differing position.
-The closure is computed once per (k, t) and kept in a 256-entry cache; its
-fixpoint stops as soon as it holds all 2**t masks of the parents' box,
-which contains every offspring, and it is mapped back to packed indices of
-any alphabet through one subset-sum table of per-position index steps.
+``_scatter`` maps masks back to packed indices over any alphabet.  Position
+p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
+subset-sum table per byte of the mask adds a byte's steps in one lookup.
+``rset``, ``rset_recursive``, ``closure`` and ``find_parents`` all go through
+these two functions, and so do the axiom tables, which take the packed
+indices as they are.  ``rset_by_cut_enumeration`` (the literal
+all-cut-subsets definition) shares none of it, and the test suite checks the
+two routes against each other before anything else relies on the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable
+from operator import sub, xor
+from typing import Iterable, Sequence
 
 from .graphs import SimpleGraph, word_graph
 from .words import (
@@ -116,105 +123,88 @@ def rset_by_cut_enumeration(k: int, x: Word, y: Word) -> WordSet:
 
 
 @lru_cache(maxsize=65536)
-def _ymask_patterns(k: int, diff: int, n: int) -> tuple[int, ...]:
-    """Masks m (subsets of diff) with offspring x ^ m reachable by <= k cuts.
+def _ymask_patterns(k: int, mask: int, t: int) -> tuple[int, ...]:
+    """Offspring of the t-bit masks 0 and ``mask`` by at most k cuts.
 
-    Only parent switches between consecutive differing positions matter: a
-    cut in a gap where the parents agree either side is a no-op, and any one
-    gap of a class of equivalent gaps represents them all.
+    Only a parent switch between consecutive set bits of ``mask`` matters: a
+    cut in a gap where the parents agree either side is a no-op.  The switch
+    just above set bit b flips the part of ``mask`` at b and below, so an
+    offspring is the XOR of at most k such parts, or its complement in
+    ``mask``.
     """
-    if diff == 0:
-        return (0,)
-    bits = [1 << b for b in range(n - 1, -1, -1) if diff >> b & 1]
-    t = len(bits)
-    suffix = [0] * t
-    acc = 0
-    for j in range(t - 1, -1, -1):
-        acc |= bits[j]
-        suffix[j] = acc
+    # the part at the top set bit and below is mask itself: no switch
+    lows = [mask & ((2 << b) - 1) for b in range(t) if mask >> b & 1][:-1]
     out: set[int] = set()
-    for count in range(0, min(k, t - 1) + 1):
-        for switches in combinations(range(1, t), count):
-            m = 0
-            for s in switches:
-                m ^= suffix[s]
+    for count in range(min(k, len(lows)) + 1):
+        for switches in combinations(lows, count):
+            m = reduce(xor, switches, 0)
             out.add(m)
-            out.add(diff ^ m)
+            out.add(mask ^ m)
     return tuple(sorted(out))
 
 
-def _rset_indices(k: int, xi: int, yi: int, n: int) -> list[int]:
-    """Recombination set of two binary words given as packed indices."""
-    diff = xi ^ yi
-    return [xi ^ m for m in _ymask_patterns(k, diff, n)]
+def _steps(x: Word, y: Word) -> list[int]:
+    """Index steps (y_p - x_p) * stride_p of the positions where x and y differ."""
+    return [(b - a) * stride for a, b, stride
+            in zip(x.letters, y.letters, x.spec._strides) if a != b]
 
 
-def _rset_letters(k: int, x: tuple[int, ...], y: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Recombination set over arbitrary alphabets, on raw letter tuples."""
-    dpos = [i for i, (a, b) in enumerate(zip(x, y)) if a != b]
-    t = len(dpos)
-    if t == 0:
-        return {x}
-    out: set[tuple[int, ...]] = set()
-    for count in range(0, min(k, t - 1) + 1):
-        for switches in combinations(range(1, t), count):
-            take_y = [False] * t
-            side = False
-            si = 0
-            for j in range(t):
-                if si < len(switches) and switches[si] == j:
-                    side = not side
-                    si += 1
-                take_y[j] = side
-            child = list(x)
-            other = list(x)
-            for j, p in enumerate(dpos):
-                if take_y[j]:
-                    child[p] = y[p]
-                else:
-                    other[p] = y[p]
-            out.add(tuple(child))
-            out.add(tuple(other))
+def _scatter(base: int, steps: list[int], masks: Sequence[int]) -> list[int]:
+    """Packed indices of the masks' words: base plus the steps of their set bits.
+
+    Bit j of a mask stands for ``steps[-1 - j]``.  The steps are summed one
+    byte of the mask at a time, through a 256-entry subset-sum table per
+    byte, so no table outgrows 256 entries whatever the distance.
+    """
+    bits = steps[::-1]
+    tables = []
+    for lo in range(0, max(len(bits), 1), 8):
+        sums = [0 if tables else base]
+        for step in bits[lo:lo + 8]:
+            sums += [s + step for s in sums]
+        tables.append(sums)
+    if len(tables) == 1:
+        return list(map(tables[0].__getitem__, masks))
+    low, high, *rest = tables
+    out = [low[m & 255] + high[m >> 8 & 255] for m in masks]
+    for byte, table in enumerate(rest, 2):
+        out = [i + table[m >> 8 * byte & 255] for i, m in zip(out, masks)]
     return out
 
 
-def _rset_packed(k: int, x: Word, y: Word) -> Iterable[int]:
-    """Packed indices of the recombination set, over any alphabet."""
-    spec = x.spec
-    if spec.is_binary:
-        return _rset_indices(k, x.index, y.index, spec.n)
-    return map(spec.index_of, _rset_letters(k, x.letters, y.letters))
+def _rset_packed(k: int, x: Word, y: Word) -> list[int]:
+    """Packed indices of rset(k, x, y): the (k, t) patterns, scattered."""
+    k = _validate_k(k)
+    steps = _steps(x, y)
+    t = len(steps)
+    return _scatter(x.index, steps, _ymask_patterns(k, (1 << t) - 1, t))
 
 
 def rset(k: int, x: Word, y: Word) -> RSetResult:
     """All offspring of x and y reachable with at most k cut points."""
-    k = _validate_k(k)
     spec = require_same_spec(x, y)
     members = WordSet.from_indices(_rset_packed(k, x, y), spec)
-    return RSetResult(members, (x, y), k)
+    return RSetResult(members, (x, y), int(k))
 
 
 def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
-    """R_k built from R_{k-1} by one-point recombination through each member."""
+    """R_k built from R_{k-1} by one-point recombination through each member.
+
+    The union is taken in pattern space, where every inner one-point set is
+    a cached lookup, and scattered to packed indices once.
+    """
     k = _validate_k(k)
     if k < 2:
         raise ValueError("the recursion needs k >= 2")
     spec = require_same_spec(x, y)
-    if spec.is_binary:
-        n = spec.n
-        xi, yi = x.index, y.index
-        acc: set[int] = set()
-        for zi in _rset_indices(k - 1, xi, yi, n):
-            acc.update(_rset_indices(1, xi, zi, n))
-            acc.update(_rset_indices(1, zi, yi, n))
-        members = WordSet.from_indices(acc, spec)
-    else:
-        xl, yl = x.letters, y.letters
-        acc_t: set[tuple[int, ...]] = set()
-        for zl in _rset_letters(k - 1, xl, yl):
-            acc_t.update(_rset_letters(1, xl, zl))
-            acc_t.update(_rset_letters(1, zl, yl))
-        members = WordSet.from_indices(map(spec.index_of, acc_t), spec)
+    steps = _steps(x, y)
+    t = len(steps)
+    full = (1 << t) - 1
+    acc: set[int] = set()
+    for z in _ymask_patterns(k - 1, full, t):
+        acc.update(_ymask_patterns(1, z, t))
+        acc.update(map(z.__xor__, _ymask_patterns(1, z ^ full, t)))
+    members = WordSet.from_indices(_scatter(x.index, steps, tuple(acc)), spec)
     return RSetResult(members, (x, y), k)
 
 
@@ -236,17 +226,15 @@ def _over_budget(limit: int) -> BudgetExceededError:
 def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
     """Closure of the parents 0 and 2**t - 1 in the canonical pattern space.
 
-    Bit j of a mask stands for the j-th differing position counted from the
-    last, and a set bit means the second parent's letter.  Every kernel
-    pattern is a subset of its pair's difference mask, so every offspring
-    lies in the parents' box {w : w_i in {x_i, y_i}}, here the 2**t masks.
-    Once the box is full no pending pair can add a member, so the fixpoint
-    stops there; until then every member is reached by an actual
-    recombination of two members.  Each member is first paired with its box
-    antipode, which differs from it everywhere and so has the largest
-    recombination set; then every pair is taken in discovery order.
-    Raises as soon as the closure has more than ``limit`` members, which
-    the member list never holds.
+    Every kernel pattern is a subset of its pair's difference mask, so every
+    offspring lies in the parents' box, here the 2**t masks.  Once the box
+    is full no pending pair can add a member, so the fixpoint stops there;
+    until then every member is reached by an actual recombination of two
+    members.  Each member is first paired with its box antipode, which
+    differs from it everywhere and so has the largest recombination set;
+    then every pair is taken in discovery order.  Raises as soon as the
+    closure has more than ``limit`` members, which the member list never
+    holds.
     """
     size = 1 << t
     full = size - 1
@@ -280,32 +268,27 @@ def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
     return range(size) if len(members) == size else tuple(members)
 
 
+def _closure_packed(k: int, x: Word, y: Word, budget: int) -> list[int]:
+    """Packed indices of closure(k, x, y): the (k, t) closure, scattered."""
+    k = _validate_k(k)
+    steps = _steps(x, y)
+    t = len(steps)
+    return _scatter(x.index, steps, _closure_patterns(k, t, min(budget, 1 << t)))
+
+
 def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     """Least set containing x, y and closed under k-point recombination.
 
     Only which positions differ matters, so the closure is computed once per
-    (k, t) over the t differing positions (``_closure_patterns``) and mapped
-    back through a subset-sum table of the per-position index steps
-    ``(y_p - x_p) * stride_p``, which serves every alphabet.  The cache holds
+    (k, t) in the canonical pattern space (``_closure_patterns``) and
+    scattered to packed indices like any recombination set.  The cache holds
     256 (k, t, limit) entries; ``limit`` is the budget capped at 2**t, the
     largest possible closure, so budgets that cannot bind share one entry,
     and a full box is stored as a ``range``.  Raises ``BudgetExceededError``
     exactly when the closure has more than ``budget`` members.
     """
-    k = _validate_k(k)
     spec = require_same_spec(x, y)
-    steps = [
-        (b - a) * stride
-        for a, b, stride in zip(x.letters, y.letters, spec._strides) if a != b
-    ]
-    t = len(steps)
-    masks = _closure_patterns(k, t, min(budget, 1 << t))
-    # sums[m] is the packed index of the word with mask m; bit 0 is the
-    # last differing position
-    sums = [x.index]
-    for step in reversed(steps):
-        sums += [s + step for s in sums]
-    return WordSet.from_indices(map(sums.__getitem__, masks), spec)
+    return WordSet.from_indices(_closure_packed(k, x, y, budget), spec)
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
@@ -319,10 +302,8 @@ def is_closed(k: int, x: Word, y: Word) -> bool:
     t = hamming_distance(x, y)
     members = _ymask_patterns(k, (1 << t) - 1, t)
     mset = set(members)
-    for u, v in combinations(members, 2):
-        if any(u ^ m not in mset for m in _ymask_patterns(k, u ^ v, t)):
-            return False
-    return True
+    return all(u ^ m in mset for u, v in combinations(members, 2)
+               for m in _ymask_patterns(k, u ^ v, t))
 
 
 def generate_convexity(
@@ -352,15 +333,27 @@ def generate_convexity(
 
 
 def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]:
-    """All unordered pairs inside s whose recombination set is exactly s."""
+    """All unordered pairs inside s whose recombination set is exactly s.
+
+    A recombination set contains its parents and lies in their box, so
+    parents of s differ exactly where s varies, each taking one of the two
+    letters there: u's only candidate partner is u with every varying
+    position flipped, and a position with three letters rules out all.
+    """
     k = _validate_k(k)
-    members = s.members if isinstance(s, WordSet) else tuple(sorted(s))
-    target = WordSet(members).indices
+    target = s if isinstance(s, WordSet) else WordSet(s)
+    columns = [set(letters) for letters in zip(*(w.letters for w in target))]
+    if any(len(col) > 2 for col in columns):
+        return []
+    # u_p + v_p is the same for every antipodal pair u, v
+    sums = [min(col) + max(col) for col in columns]
+    by_letters = {w.letters: w for w in target}
     out: list[tuple[Word, Word]] = []
-    for i, u in enumerate(members):
-        for v in members[i:]:
-            if frozenset(_rset_packed(k, u, v)) == target:
-                out.append((u, v))
+    for u in target:
+        v = by_letters.get(tuple(map(sub, sums, u.letters)))
+        if (v is not None and u.index <= v.index
+                and frozenset(_rset_packed(k, u, v)) == target.indices):
+            out.append((u, v))
     return out
 
 

@@ -4,15 +4,15 @@ Each suite recomputes one claim from scratch at desk scale and reports an
 exact pass/fail with detail lines; nothing is sampled where enumeration is
 affordable, and nothing carries a tolerance.
 
-Pair sweeps over binary spaces lean on one structural fact: the packed
-recombination core computes rset(k, x, y) as x XOR patterns(x XOR y), where
-the patterns depend only on the difference mask, so member sets translate
-exactly and enumerating all 2^n difference masks covers every ordered pair.
-Suites that collapse further, to one representative per (k, distance), first
-check that restricting each mask's member set to its differing positions
-reproduces the representative, so the collapse is verified rather than
-assumed.  Seeded random pair samples additionally re-witness translation
-through the public API wherever a sweep relies on it.
+Pair sweeps over binary spaces lean on one structural fact: the crossover
+kernel scatters patterns that depend only on k and the differing positions
+onto x, so rset(k, x, y) = x XOR rset(k, 0, x XOR y) and enumerating all 2^n
+difference masks covers every ordered pair.  Suites that collapse further,
+to one representative per (k, distance), first check that restricting each
+mask's member set to its differing positions reproduces the representative,
+so the collapse is verified rather than assumed.  Both checks read the
+packed indices of ``rset``'s kernel and so check its scatter; seeded random
+pair samples re-witness translation through ``rset`` itself.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -35,7 +36,7 @@ from .axioms import (
     table_from_rset,
 )
 from .crossover import (
-    _rset_indices,
+    _rset_packed,
     closure,
     lex_extreme_path_vertices,
     rset,
@@ -89,13 +90,14 @@ def _bspec(n: int) -> AlphabetSpec:
     return AlphabetSpec((2,) * n)
 
 
+@lru_cache(maxsize=1 << 16)
 def _w(i: int, spec: AlphabetSpec) -> Word:
     return Word.from_index(i, spec)
 
 
 def _member_indices(k: int, xi: int, yi: int, spec: AlphabetSpec) -> frozenset[int]:
-    """Packed member indices of rset(k, x, y), read off the binary kernel."""
-    return frozenset(_rset_indices(k, xi, yi, spec.n))
+    """Packed member indices of rset(k, x, y) for words given by index."""
+    return frozenset(_rset_packed(k, _w(xi, spec), _w(yi, spec)))
 
 
 def _restrict(index: int, mask: int, n: int) -> int:
@@ -213,20 +215,21 @@ def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
                         f"FAIL recursion: n={n} k={k} mask={mask:0{n}b}"
                     )
     rng = random.Random(seed)
-    for n in range(2, max_n + 1):
+    mixed = [AlphabetSpec((3, 3, 3)), AlphabetSpec((2, 3, 4))]
+    for spec in [_bspec(n) for n in range(2, max_n + 1)] + mixed:
         for k in range(2, max_k + 1):
-            spec = _bspec(n)
             for _ in range(samples):
-                xi, yi = rng.randrange(1 << n), rng.randrange(1 << n)
-                if (rset_recursive(k, _w(xi, spec), _w(yi, spec)).members
-                        != rset(k, _w(xi, spec), _w(yi, spec)).members):
+                x, y = (_w(rng.randrange(spec.size), spec) for _ in range(2))
+                if rset_recursive(k, x, y).members != rset(k, x, y).members:
                     failures.append(
-                        f"FAIL recursion sample: n={n} k={k} x={xi} y={yi}"
+                        f"FAIL recursion sample: spec={spec} k={k} x={x} y={y}"
                     )
     notes = [
         f"difference-mask sweep: {checked} comparisons, n<={max_n}, "
         f"2<=k<={max_k} (the recursion is defined from k=2 up)",
         f"plus {samples} random direct pairs per (n, k)",
+        f"plus {len(mixed) * max(max_k - 1, 0) * samples} random pairs "
+        f"over 3,3,3 and 2,3,4, {samples} per (alphabet, k)",
     ]
     return _result("recursion", notes, failures, checked)
 

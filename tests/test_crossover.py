@@ -83,10 +83,10 @@ class TestRSetAgainstDefinition:
             for x, y in all_pairs(spec):
                 assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
 
-    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3), (3, 2, 2), (2, 3, 4)])
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3), (3, 2, 2), (2, 3, 4), (3, 3, 3)])
     def test_mixed_alphabets_exhaustive(self, sizes):
         spec = AlphabetSpec(sizes)
-        for k in (1, 2):
+        for k in (1, 2, 3):
             for x, y in all_pairs(spec):
                 assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
 
@@ -110,6 +110,37 @@ class TestRSetAgainstDefinition:
             y = Word.from_index(rng.randrange(spec.size), spec)
             k = rng.randint(1, 4)
             assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
+
+    def test_ternary_sampled_past_two_mask_bytes(self):
+        # t >= 17 differing positions put bits in a third byte of the mask,
+        # so the scatter sums three byte tables
+        rng = random.Random(18)
+        spec = AlphabetSpec((3,) * 18)
+        for trial in range(12):
+            x = [rng.randrange(3) for _ in range(18)]
+            y = [(a + rng.randrange(1, 3)) % 3 for a in x]
+            if trial % 2:
+                p = rng.randrange(18)
+                y[p] = x[p]
+            x, y = Word(tuple(x), spec), Word(tuple(y), spec)
+            assert hamming_distance(x, y) == 18 - trial % 2
+            k = rng.randint(1, 4)
+            assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
+
+    def test_patterns_are_cached_per_k_and_distance(self):
+        # parents at the same distance share one pattern entry, whatever
+        # their positions and alphabet
+        crossover_mod._ymask_patterns.cache_clear()
+        try:
+            rset(2, bword("0011010"), bword("1010011"))
+            misses = crossover_mod._ymask_patterns.cache_info().misses
+            assert misses == 1
+            spec = AlphabetSpec((3, 2, 4, 3, 2))
+            rset(2, Word((0, 1, 3, 2, 0), spec), Word((2, 1, 1, 2, 1), spec))
+            info = crossover_mod._ymask_patterns.cache_info()
+            assert (info.misses, info.hits) == (misses, 1)
+        finally:
+            crossover_mod._ymask_patterns.cache_clear()
 
     def test_translation_invariance(self):
         # shifting both parents by the same mask shifts the whole set
@@ -227,9 +258,10 @@ class TestRecursion:
                 assert rset_recursive(k, x, y).members == rset(k, x, y).members
 
     def test_mixed_alphabet(self):
-        spec = AlphabetSpec((3, 3, 2))
-        for x, y in all_pairs(spec):
-            assert rset_recursive(2, x, y).members == rset(2, x, y).members
+        for sizes in ((3, 3, 2), (2, 3, 4)):
+            for k in (2, 3):
+                for x, y in all_pairs(AlphabetSpec(sizes)):
+                    assert rset_recursive(k, x, y).members == rset(k, x, y).members
 
     def test_needs_k_at_least_two(self):
         with pytest.raises(ValueError):
@@ -455,6 +487,19 @@ class TestParents:
                 ]
                 assert find_parents(k, target) == want
                 assert find_parents(k, list(target)) == want
+
+    def test_repeated_words_give_each_pair_once(self):
+        x, y = bword("0000"), bword("1111")
+        target = rset(1, x, y).members
+        assert find_parents(1, list(target) * 2) == [(x, y)]
+
+    def test_three_letters_at_a_position_rule_out_every_pair(self):
+        spec = AlphabetSpec((3, 2))
+        target = WordSet([Word((0, 0), spec), Word((1, 0), spec),
+                          Word((2, 0), spec), Word((2, 1), spec)])
+        assert not any(rset(1, u, v).members == target
+                       for u, v in itertools.combinations_with_replacement(target, 2))
+        assert find_parents(1, target) == []
 
     def test_ambiguous_at_or_below_threshold(self):
         x, y = bword("0011"), bword("0000")  # distance 2 with k = 1
