@@ -314,21 +314,7 @@ class _Ctx:
     def intervals(self) -> list[list[int]]:
         """Geodesic-interval masks of the underlying graph, unreachable -> 0."""
         if self._intervals is None:
-            g = self.table.underlying_graph()
-            dist = g.distances()
-            v = self.v
-            out = [[0] * v for _ in range(v)]
-            for i in range(v):
-                for j in range(i, v):
-                    d = dist[i][j]
-                    if d >= 0:
-                        mask = 0
-                        for z in range(v):
-                            dz = dist[i][z]
-                            if 0 <= dz and dist[z][j] >= 0 and dz + dist[z][j] == d:
-                                mask |= 1 << z
-                        out[i][j] = out[j][i] = mask
-            self._intervals = out
+            self._intervals = table_from_interval(self.table.underlying_graph())._entry
         return self._intervals
 
     def delta(self) -> int:

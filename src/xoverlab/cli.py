@@ -40,9 +40,7 @@ from .partialcube import (
     largest_cube_minor_dim,
     vc_dimension,
 )
-from .words import AlphabetSpec, Word, WordSet, hamming_distance
-
-DEFAULT_BUDGET = 1 << 20
+from .words import DEFAULT_BUDGET, AlphabetSpec, Word, WordSet, hamming_distance
 
 # colorbrewer Dark2 + Set1, fixed order; cut class c gets entry c mod 12
 PALETTE = (

@@ -19,13 +19,18 @@ family size.
 
 The order on sign vectors is the face order: X <= Y when X agrees with Y on
 the support of X.  Canonical sorting is lexicographic per coordinate with
-- < 0 < +, so every serialization is reproducible.
+- < 0 < +, so every serialization is reproducible.  One face-order pass
+walks the submasks of each covector's support to list the covectors
+strictly below it, and gives each covector its longest-chain height.  The
+rank is the largest height, the cocircuits are the covectors of height 1
+(the atoms of the face lattice), and the lattice covers follow from the
+same below lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,36 +180,28 @@ def _canonical(vectors: Iterable[SignVector]) -> list[SignVector]:
     return sorted(vectors, key=lambda x: x.key)
 
 
-def _strictly_below(cov_index: dict[tuple[int, int], int], x: SignVector) -> list[int]:
-    """Indices of covectors strictly below x in the face order.
+def _face_order(covectors: Sequence[SignVector]) -> tuple[list[list[int]], list[int]]:
+    """Indices strictly below each covector in the face order, and each
+    covector's longest-chain height above the zero vector.
 
-    Candidates are exactly the restrictions of x to proper subsets of its
-    support, so submask enumeration is complete.
+    The candidates below x are exactly the restrictions of x to proper
+    subsets of its support, so submask enumeration is complete.
     """
-    sup = x.support
-    if sup == 0:
-        return []
-    out = []
-    sub = (sup - 1) & sup
-    while True:
-        idx = cov_index.get((x.pos & sub, x.neg & sub))
-        if idx is not None:
-            out.append(idx)
-        if sub == 0:
-            break
-        sub = (sub - 1) & sup
-    return out
-
-
-def _heights(covectors: Sequence[SignVector]) -> list[int]:
-    """Longest-chain height of each covector above the zero vector."""
-    cov_index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
-    order = sorted(range(len(covectors)), key=lambda i: covectors[i].support_size)
-    h = [0] * len(covectors)
-    for i in order:
-        below = _strictly_below(cov_index, covectors[i])
-        h[i] = 1 + max((h[j] for j in below), default=-1)
-    return h
+    index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
+    below: list[list[int]] = []
+    for x in covectors:
+        out: list[int] = []
+        sub = sup = x.support
+        while sub:
+            sub = (sub - 1) & sup
+            idx = index.get((x.pos & sub, x.neg & sub))
+            if idx is not None:
+                out.append(idx)
+        below.append(out)
+    heights = [0] * len(covectors)
+    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
+        heights[i] = 1 + max((heights[j] for j in below[i]), default=-1)
+    return below, heights
 
 
 def _masks(vectors: Sequence[SignVector]) -> tuple[np.ndarray, np.ndarray]:
@@ -266,28 +263,15 @@ def covectors_from_topes(
     if maximal != tope_list:
         raise RuntimeError("derived topes differ from input")
 
-    heights = _heights(covectors)
-    rank = max(heights)
-    cocircuits = _minimal_nonzero(covectors)
+    # the cocircuits are the atoms: only the zero vector lies below them
+    _, heights = _face_order(covectors)
     return OrientedMatroidData(
         ground_size=n,
         covectors=tuple(covectors),
         topes=tuple(tope_list),
-        cocircuits=tuple(cocircuits),
-        rank=rank,
+        cocircuits=tuple(x for x, h in zip(covectors, heights) if h == 1),
+        rank=max(heights),
     )
-
-
-def _minimal_nonzero(covectors: Sequence[SignVector]) -> list[SignVector]:
-    nonzero = sorted(
-        (x for x in covectors if not x.is_zero),
-        key=lambda x: (x.support_size, x.key),
-    )
-    mins: list[SignVector] = []
-    for x in nonzero:
-        if not any(c.conforms(x) for c in mins):
-            mins.append(x)
-    return _canonical(mins)
 
 
 @dataclass(frozen=True)
@@ -460,38 +444,26 @@ def face_lattice(om: OrientedMatroidData) -> FaceLattice:
     covectors = list(om.covectors)
     if not any(x.is_zero for x in covectors):
         raise ValueError("not a valid OM lattice")
-    cov_index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
-    below = [_strictly_below(cov_index, x) for x in covectors]
-    heights = _heights(covectors)
+    below, heights = _face_order(covectors)
     rank = max(heights)
 
+    # i covers each j in below(i) that lies below no other z in below(i)
     covers: list[tuple[int, int]] = []
     for i, bel in enumerate(below):
-        for j in bel:
-            # j is covered by i when nothing in the open interval remains
-            if not any(
-                z != j and covectors[j].conforms(covectors[z]) for z in bel
-            ):
-                covers.append((j, i))
+        inner = set().union(*(below[z] for z in bel))
+        covers.extend((j, i) for j in bel if j not in inner)
     top = len(covectors)
-    for i, h in enumerate(heights):
-        if covectors[i].support_size == om.ground_size:
-            covers.append((i, top))
+    covers.extend(
+        (i, top) for i, x in enumerate(covectors) if x.support_size == om.ground_size
+    )
 
-    jump = {(lo, hi): (rank + 1 if hi == top else heights[hi]) - heights[lo]
-            for lo, hi in covers}
-    if any(v != 1 for v in jump.values()):
-        raise ValueError("not a valid OM lattice")
+    # graded with the top at rank + 1: every cover steps up one height and
+    # every covector lies under some cover, so each chain ends at the top
     full_heights = heights + [rank + 1]
-    depth = [0] * (top + 1)
-    ups: list[list[int]] = [[] for _ in range(top + 1)]
-    for lo, hi in covers:
-        ups[lo].append(hi)
-    for i in sorted(range(top + 1), key=lambda i: -full_heights[i]):
-        depth[i] = 1 + max((depth[j] for j in ups[i]), default=-1)
-    for i in range(top + 1):
-        if full_heights[i] + depth[i] != rank + 1:
-            raise ValueError("not a valid OM lattice")
+    if len({lo for lo, _ in covers}) != top or any(
+        full_heights[hi] != full_heights[lo] + 1 for lo, hi in covers
+    ):
+        raise ValueError("not a valid OM lattice")
 
     return FaceLattice(
         covectors=tuple(covectors),
@@ -511,8 +483,7 @@ def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
         return False, None
     s = sizes.pop()
     supports = {c.support for c in om.cocircuits}
-    want = len(list(combinations(range(om.ground_size), s)))
-    if len(supports) != want:
+    if len(supports) != comb(om.ground_size, s):
         return False, None
     return True, s
 
@@ -555,7 +526,8 @@ def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> Oriente
 
 
 def tope_graph(om: OrientedMatroidData):
-    """Graph on topes with edges at separation exactly one."""
+    """Graph on topes with edges at separation exactly one; topes have full
+    support, so they are separated exactly where their positive masks differ."""
     from .graphs import SimpleGraph
 
     topes = om.topes
@@ -563,6 +535,6 @@ def tope_graph(om: OrientedMatroidData):
         (i, j)
         for i in range(len(topes))
         for j in range(i + 1, len(topes))
-        if len(topes[i].separation(topes[j])) == 1
+        if (topes[i].pos ^ topes[j].pos).bit_count() == 1
     ]
     return SimpleGraph(topes, edges)

@@ -158,19 +158,13 @@ def _largest_full_projection(masks: list[int], n: int) -> int:
     if not masks:
         return -1
     distinct = set(masks)
+    bits = [1 << b for b in range(n)]
     best = 0
     for t in range(1, n + 1):
-        if len(distinct) < 1 << t:
-            break
-        found = False
-        for positions in combinations(range(n), t):
-            seen = set()
-            for m in distinct:
-                seen.add(tuple((m >> (n - 1 - p)) & 1 for p in positions))
-            if len(seen) == 1 << t:
-                found = True
-                break
-        if not found:
+        if len(distinct) < 1 << t or not any(
+            len({m & keep for m in distinct}) == 1 << t
+            for keep in map(sum, combinations(bits, t))
+        ):
             break
         best = t
     return best

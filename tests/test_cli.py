@@ -160,6 +160,15 @@ class TestMain:
         assert text.startswith("digraph face_lattice")
         assert '"1^"' in text
 
+    def test_lattice_dot_golden_bytes(self, tmp_path, capsys):
+        # kept out of GOLDEN: that list renders stdout documents only
+        target = tmp_path / "lat.dot"
+        assert cli.main(["om", "-k", "2", "-n", "4",
+                         "--lattice", str(target)]) == 0
+        capsys.readouterr()
+        golden = GOLDEN_DIR / "om_k2_n4_lattice.dot"
+        assert target.read_bytes() == golden.read_bytes()
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "doc.json"
         assert cli.main(["rset", "-k", "1", "-x", "00", "-y", "11",

@@ -7,6 +7,7 @@ enumerated value is the arbiter and the test pins it.
 """
 
 import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -97,6 +98,107 @@ def literal_covectors(topes):
     n = next(iter(tope_set)).n
     grid = (sv("".join(c)) for c in itertools.product("-0+", repeat=n))
     return tuple(x for x in grid if all(x.compose(t) in tope_set for t in tope_set))
+
+
+# Literal face-order oracles: the pairwise conforms scans that the library's
+# one submask pass replaced.  They must agree with it exactly.
+
+
+def literal_minimal_nonzero(covectors):
+    """Minimal nonzero covectors by pairwise conforms, canonically."""
+    nonzero = sorted(
+        (x for x in covectors if not x.is_zero),
+        key=lambda x: (x.support_size, x.key),
+    )
+    mins = []
+    for x in nonzero:
+        if not any(c.conforms(x) for c in mins):
+            mins.append(x)
+    return tuple(sorted(mins, key=lambda x: x.key))
+
+
+def literal_face_lattice(om):
+    """(covers, heights, rank) of the face order with a synthetic top, or
+    None where face_lattice must reject it.
+
+    Strictly-below sets come from pairwise conforms, heights from longest
+    chains, covers are the maximal elements of each strictly-below set, and
+    gradedness is checked by walking every chain up to a maximal element.
+    The covectors must be distinct.
+    """
+    cov = list(om.covectors)
+    if not any(x.is_zero for x in cov):
+        return None
+    m = len(cov)
+    below = [[j for j in range(m) if j != i and cov[j].conforms(cov[i])]
+             for i in range(m)]
+    heights = [0] * m
+    for i in sorted(range(m), key=lambda i: cov[i].support_size):
+        heights[i] = 1 + max((heights[j] for j in below[i]), default=-1)
+    rank = max(heights)
+    covers = [
+        (j, i)
+        for i, bel in enumerate(below)
+        for j in bel
+        if not any(z != j and cov[j].conforms(cov[z]) for z in bel)
+    ]
+    top = m
+    covers += [(i, top) for i in range(m) if cov[i].support_size == om.ground_size]
+    full = heights + [rank + 1]
+    if any(full[hi] - full[lo] != 1 for lo, hi in covers):
+        return None
+    ups = [[] for _ in range(top + 1)]
+    for lo, hi in covers:
+        ups[lo].append(hi)
+    depth = [0] * (top + 1)
+    for i in sorted(range(top + 1), key=lambda i: -full[i]):
+        depth[i] = 1 + max((depth[j] for j in ups[i]), default=-1)
+    if any(full[i] + depth[i] != rank + 1 for i in range(top + 1)):
+        return None
+    return tuple(sorted(covers)), tuple(heights), rank
+
+
+def assert_lattice_matches_literal(om):
+    """face_lattice agrees with the literal oracle; True when it is a lattice."""
+    want = literal_face_lattice(om)
+    if want is None:
+        with pytest.raises(ValueError, match="not a valid OM lattice"):
+            face_lattice(om)
+        return False
+    lat = face_lattice(om)
+    assert (lat.covers, lat.heights, lat.rank) == want
+    return True
+
+
+def hand_built_oms(seed, count):
+    """Seeded families of distinct sign vectors over n <= 4, in canonical
+    order: raw random sets, and sets closed downward under restriction, each
+    with the zero vector added or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        grid = [sv("".join(c)) for c in itertools.product("-0+", repeat=n)]
+        family = set(rng.sample(grid, rng.randint(1, min(12, len(grid)))))
+        if rng.random() < 0.5:  # every restriction, so the order is a poset
+            family = {
+                SignVector(n, x.pos & sub, x.neg & sub)
+                for x in family
+                for sub in range(1 << n)
+                if sub & x.support == sub
+            }
+        if rng.random() < 0.8:
+            family.add(SignVector.zero(n))
+        yield hand_built_om(n, family)
+
+
+def hand_built_om(n, family):
+    """OM data around any family; face_lattice reads only its ground size
+    and covectors."""
+    covectors = tuple(sorted(family, key=lambda x: x.key))
+    return OrientedMatroidData(
+        n, covectors, tuple(x for x in covectors if x.support_size == n),
+        literal_minimal_nonzero(covectors), 0,
+    )
 
 
 signs_st = st.integers(min_value=1, max_value=5).flatmap(
@@ -452,6 +554,39 @@ class TestFaceLattice:
             "  n2 -> n3;",
             "}",
         ])
+
+
+class TestFaceOrderAgainstLiteral:
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 7) for k in range(1, n)])
+    def test_crossover_oms(self, k, n):
+        om = om_from_rset(k, n)
+        assert om.cocircuits == literal_minimal_nonzero(om.covectors)
+        assert assert_lattice_matches_literal(om)
+
+    @given(tope_sets_st())
+    @settings(deadline=None)
+    def test_symmetric_tope_sets(self, topes):
+        # most such sets are not OMs, so the lattice may rightly be rejected
+        om = covectors_from_topes(topes)
+        assert om.cocircuits == literal_minimal_nonzero(om.covectors)
+        assert_lattice_matches_literal(om)
+
+    def test_hand_built_families(self):
+        outcomes = Counter(
+            assert_lattice_matches_literal(om) for om in hand_built_oms(808, 400)
+        )
+        # both branches are exercised: accepted lattices and rejections
+        assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+    @pytest.mark.parametrize("texts", [
+        ("00", "+0", "++", "--"),  # a cover that skips a height
+        ("00", "+0"),  # a maximal element below the top
+        ("000", "+00", "++0", "+++", "---"),  # a tope of height 1
+        ("000", "+00", "++0", "+++", "0-0"),  # steps of one, one dangles
+    ])
+    def test_non_graded_and_dangling_families(self, texts):
+        om = hand_built_om(len(texts[0]), svs(*texts))
+        assert not assert_lattice_matches_literal(om)
 
 
 class TestRank:

@@ -5,7 +5,8 @@ histograms, VC dimensions) were computed independently by brute force before
 being frozen here.
 """
 
-from collections import deque
+import random
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -466,6 +467,35 @@ class TestVcDimension:
                 for k in range(1, 5):
                     got = vc_dimension(rset(k, zero, y).members)
                     assert got == min(k + 1, d), (n, d, k)
+
+
+def literal_vc_dimension(words):
+    """Largest t with some t-set of positions whose tuple projections of
+    the words take all 2^t values, trying every size; -1 when empty."""
+    words = [str(w) for w in words]
+    if not words:
+        return -1
+    n = len(words[0])
+    return max(
+        t
+        for t in range(n + 1)
+        for positions in combinations(range(n), t)
+        if len({tuple(w[p] for p in positions) for w in words}) == 1 << t
+    )
+
+
+class TestVcDimensionAgainstLiteral:
+    def test_random_binary_families(self):
+        rng = random.Random(2024)
+        dims = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            size = rng.randint(1, min(1 << n, rng.choice((4, 16, 64, 256))))
+            family = [format(m, f"0{n}b") for m in rng.sample(range(1 << n), size)]
+            want = literal_vc_dimension(family)
+            assert vc_dimension(family) == want, family
+            dims[want] += 1
+        assert len(dims) >= 5  # the sample spans many dimensions
 
 
 class TestCubeMinor:
