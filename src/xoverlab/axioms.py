@@ -9,10 +9,13 @@ which cannot change the first witness; the tests hold the literal axiom
 bodies and compare the finders against a full scan of them.
 
 Entry sets are stored as integer bitmasks over carrier indices; subset,
-intersection and membership tests are single integer operations.  The
-costliest finders go one step further and precompute bitset rows, so that
-an inner variable scan becomes a few row operations plus a lowest-set-bit
-lookup:
+intersection and membership tests are single integer operations.  The table
+owns these mask rows and every row derived from them (entry sizes,
+two-member adjacency, cols, the value set, the closed table, the interval
+rows of its underlying graph), each built on first use and kept, so every
+check on one table shares them.  The costliest finders read bitset rows, so
+that an inner variable scan becomes a few row operations plus a
+lowest-set-bit lookup:
 
 - cols[a][m], the set of z whose entry with a contains m, serves Pa, CG and
   (on the closure) CGp;
@@ -37,7 +40,7 @@ caller raises the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -92,9 +95,11 @@ def _transpose(rows: Sequence[int], v: int) -> list[int]:
 
 
 class TransitTable:
-    """Total symmetric map from unordered carrier pairs to carrier subsets."""
+    """Total symmetric map from unordered carrier pairs to carrier subsets.
 
-    __slots__ = ("_carrier", "_entry", "_size", "_name")
+    The table owns its mask rows and every row derived from them; each
+    derived row is built on first use and kept.
+    """
 
     def __init__(
         self,
@@ -102,8 +107,8 @@ class TransitTable:
         entries: Mapping[tuple[int, int], Iterable[int]],
         name: str = "R",
     ):
-        self._carrier = tuple(carrier)
-        v = len(self._carrier)
+        carrier = tuple(carrier)
+        v = len(carrier)
         if v == 0:
             raise ValueError("empty carrier")
         entry = [[0] * v for _ in range(v)]
@@ -120,9 +125,15 @@ class TransitTable:
             seen += 1
         if seen != v * (v + 1) // 2:
             raise ValueError("table must define every unordered pair")
-        self._entry = entry
-        self._size = [[m.bit_count() for m in row] for row in entry]
-        self._name = name
+        self._carrier, self._entry, self._name = carrier, entry, name
+
+    @classmethod
+    def _from_rows(cls, carrier: tuple, entry: list[list[int]], name: str) -> TransitTable:
+        """Table on trusted mask rows: a symmetric v-by-v matrix of masks
+        over a nonempty carrier of v elements."""
+        table = cls.__new__(cls)
+        table._carrier, table._entry, table._name = carrier, entry, name
+        return table
 
     @property
     def carrier(self) -> tuple:
@@ -159,12 +170,38 @@ class TransitTable:
         return SimpleGraph(self._carrier, edges)
 
     def renamed(self, name: str) -> "TransitTable":
-        t = TransitTable.__new__(TransitTable)
-        t._carrier = self._carrier
-        t._entry = self._entry
-        t._size = self._size
-        t._name = name
-        return t
+        return TransitTable._from_rows(self._carrier, self._entry, name)
+
+    @cached_property
+    def _size(self) -> list[list[int]]:
+        return [[m.bit_count() for m in row] for row in self._entry]
+
+    @cached_property
+    def _adj(self) -> list[int]:
+        """Adjacency in the sense of two-member entries."""
+        return [sum(1 << j for j, s in enumerate(row) if s == 2) for row in self._size]
+
+    @cached_property
+    def _cols(self) -> list[list[int]]:
+        """_cols[a][m] is the set of z whose entry with a contains m."""
+        return [_transpose(row, len(self)) for row in self._entry]
+
+    @cached_property
+    def _value_set(self) -> frozenset[int]:
+        return frozenset().union(*self._entry)
+
+    @cached_property
+    def _closure(self) -> "TransitTable":
+        return table_closure(self)
+
+    @cached_property
+    def _intervals(self) -> list[list[int]]:
+        """Geodesic-interval masks of the underlying graph, unreachable -> 0."""
+        return table_from_interval(self.underlying_graph())._entry
+
+    @cached_property
+    def _delta(self) -> int:
+        return max(m.bit_count() for m in self._adj)
 
 
 def _pair_table(
@@ -174,16 +211,20 @@ def _pair_table(
     """Entries pair_indices(x, y) for every pair of words over the alphabet.
 
     ``iter_words`` yields words in index order, so a carrier index is a
-    packed index, and packed indices from the crossover kernel are entries.
+    packed index, and packed indices from the crossover kernel are members.
     """
     spec.check_budget(budget)
-    words = list(spec.iter_words())
-    entries = {}
+    words = tuple(spec.iter_words())
+    v = len(words)
+    entry = [[0] * v for _ in range(v)]
     for i, x in enumerate(words):
-        entries[(i, i)] = (i,)
-        for j in range(i + 1, len(words)):
-            entries[(i, j)] = pair_indices(x, words[j])
-    return TransitTable(words, entries, name=f"{name} on {spec}")
+        entry[i][i] = 1 << i
+        for j in range(i + 1, v):
+            mask = 0
+            for m in pair_indices(x, words[j]):
+                mask |= 1 << m
+            entry[i][j] = entry[j][i] = mask
+    return TransitTable._from_rows(words, entry, f"{name} on {spec}")
 
 
 def table_from_rset(
@@ -203,45 +244,53 @@ def table_from_closure(
 
 
 def table_from_interval(graph: SimpleGraph) -> TransitTable:
-    """Geodesic intervals of a graph; empty entries for unreachable pairs."""
+    """Geodesic intervals of a graph; empty entries for unreachable pairs.
+
+    z lies on a geodesic between i and j at distance d exactly when it is
+    at some distance r from i and d - r from j, so an entry is a union of
+    sphere intersections.
+    """
+    if not graph.n:
+        raise ValueError("empty carrier")
     dist = graph.distances()
-    v = graph.n
-    entries = {}
-    for i in range(v):
-        entries[(i, i)] = (i,)
-        for j in range(i + 1, v):
-            d = dist[i][j]
-            if d < 0:
-                entries[(i, j)] = ()
-            else:
-                entries[(i, j)] = tuple(
-                    z for z in range(v)
-                    if dist[i][z] >= 0 and dist[z][j] >= 0
-                    and dist[i][z] + dist[z][j] == d
-                )
-    return TransitTable(graph.vertices, entries, name="interval")
+    spheres = []
+    for row in dist:
+        sphere = [0] * (max(row) + 1)
+        for z, r in enumerate(row):
+            if r >= 0:
+                sphere[r] |= 1 << z
+        spheres.append(sphere)
+    entry = [[0] * graph.n for _ in dist]
+    for i, si in enumerate(spheres):
+        for j in range(i, graph.n):
+            d, sj = dist[i][j], spheres[j]
+            entry[i][j] = entry[j][i] = reduce(
+                or_, (si[r] & sj[d - r] for r in range(d + 1)), 0
+            )
+    return TransitTable._from_rows(graph.vertices, entry, "interval")
 
 
 def table_closure(table: TransitTable, name: str | None = None) -> TransitTable:
     """Least fixed point closing every entry under the table itself."""
-    v = len(table)
-    entries = {}
+    rows = table._entry
+    v = len(rows)
+    entry = [[0] * v for _ in range(v)]
     for i in range(v):
         for j in range(i, v):
-            current = table.entry_mask(i, j)
+            current = rows[i][j]
             while True:
                 grown = current
                 live = list(_bits(current))
                 for a_pos, a in enumerate(live):
-                    row = table._entry[a]
+                    row = rows[a]
                     for b in live[a_pos:]:
                         grown |= row[b]
                 if grown == current:
                     break
                 current = grown
-            entries[(i, j)] = tuple(_bits(current))
-    return TransitTable(
-        table.carrier, entries, name=name or f"closure of {table.name}"
+            entry[i][j] = entry[j][i] = current
+    return TransitTable._from_rows(
+        table.carrier, entry, name or f"closure of {table.name}"
     )
 
 
@@ -261,73 +310,12 @@ class AxiomReport:
     function: str
 
 
-class _Ctx:
-    """Shared precomputation for the axiom finders."""
-
-    def __init__(self, table: TransitTable, n=None, a=None, sizes=None):
-        self.table = table
-        self.v = len(table)
-        self.entry = table._entry
-        self.size = table._size
-        self.n = n
-        self.a = a
-        self.sizes = sizes
-        v = self.v
-        size = self.size
-        # adjacency in the sense of two-element entries
-        self.adj = [0] * v
-        for i in range(v):
-            row = size[i]
-            m = 0
-            for j in range(v):
-                if row[j] == 2:
-                    m |= 1 << j
-            self.adj[i] = m
-        self._value_set: frozenset[int] | None = None
-        self._closure: _Ctx | None = None
-        self._intervals: list[list[int]] | None = None
-        self._cols: list[list[int]] | None = None
-
-    @property
-    def cols(self) -> list[list[int]]:
-        """cols[a][m] is the set of z whose entry with a contains m."""
-        if self._cols is None:
-            self._cols = [_transpose(row, self.v) for row in self.entry]
-        return self._cols
-
-    @property
-    def value_set(self) -> frozenset[int]:
-        if self._value_set is None:
-            v = self.v
-            self._value_set = frozenset(
-                self.entry[i][j] for i in range(v) for j in range(i, v)
-            )
-        return self._value_set
-
-    @property
-    def closure(self) -> "_Ctx":
-        if self._closure is None:
-            self._closure = _Ctx(table_closure(self.table))
-        return self._closure
-
-    @property
-    def intervals(self) -> list[list[int]]:
-        """Geodesic-interval masks of the underlying graph, unreachable -> 0."""
-        if self._intervals is None:
-            self._intervals = table_from_interval(self.table.underlying_graph())._entry
-        return self._intervals
-
-    def delta(self) -> int:
-        return max(m.bit_count() for m in self.adj)
-
-
-def _resolve_sizes(c: _Ctx) -> tuple[int, ...] | None:
+def _resolve_sizes(t: TransitTable, n, a, sizes) -> tuple[int, ...] | None:
     """Alphabet sizes consistent with carrier size and degree, if any."""
-    if c.sizes is not None:
-        return tuple(c.sizes)
-    if c.n is not None and c.a is not None:
-        return (c.a,) * c.n
-    target_count, target_delta = c.v, c.delta()
+    if sizes is not None:
+        return tuple(sizes)
+    if n is not None and a is not None:
+        return (a,) * n
 
     def search(remaining: int, smallest: int, budget: int) -> tuple[int, ...] | None:
         if remaining == 1:
@@ -341,7 +329,7 @@ def _resolve_sizes(c: _Ctx) -> tuple[int, ...] | None:
             f += 1
         return None
 
-    return search(target_count, 2, target_delta)
+    return search(len(t), 2, t._delta)
 
 
 # ---------------------------------------------------------------------------
@@ -349,100 +337,96 @@ def _resolve_sizes(c: _Ctx) -> tuple[int, ...] | None:
 # Loops skip premise-false tuples only, so the first witness matches a full
 # scan of the axiom's body; the tests keep the bodies and check this.
 
-def _find_T1(c: _Ctx):
-    for x in range(c.v):
-        row = c.entry[x]
-        for y in range(c.v):
-            e = row[y]
+def _find_T1(t: TransitTable):
+    for x, row in enumerate(t._entry):
+        for y, e in enumerate(row):
             if not (e >> x & 1 and e >> y & 1):
                 return (x, y)
     return None
 
 
-def _find_T2(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            if c.entry[x][y] != c.entry[y][x]:
+def _find_T2(t: TransitTable):
+    entry = t._entry
+    for x, row in enumerate(entry):
+        for y, e in enumerate(row):
+            if e != entry[y][x]:
                 return (x, y)
     return None
 
 
-def _find_T3(c: _Ctx):
-    for x in range(c.v):
-        if c.entry[x][x] != 1 << x:
+def _find_T3(t: TransitTable):
+    for x, row in enumerate(t._entry):
+        if row[x] != 1 << x:
             return (x,)
     return None
 
 
-def _find_GW4(c: _Ctx):
-    for x in range(c.v):
-        sx = c.size[x]
-        for y in range(c.v):
-            bound = sx[y]
-            for z in _bits(c.entry[x][y]):
+def _find_GW4(t: TransitTable):
+    for x, (ex, sx) in enumerate(zip(t._entry, t._size)):
+        for y, bound in enumerate(sx):
+            for z in _bits(ex[y]):
                 if sx[z] > bound:
                     return (x, y, z)
     return None
 
 
-def _find_GW3(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            e = c.entry[x][y]
-            bound = c.size[x][y]
+def _find_GW3(t: TransitTable):
+    size = t._size
+    for x, (ex, sx) in enumerate(zip(t._entry, size)):
+        for y, e in enumerate(ex):
+            bound = sx[y]
             members = list(_bits(e))
             for u in members:
-                su = c.size[u]
+                su = size[u]
                 for v in members:
                     if su[v] > bound:
                         return (x, y, u, v)
     return None
 
 
-def _find_B1(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            for z in _bits(c.entry[x][y]):
-                if z != y and c.entry[x][z] >> y & 1:
-                    return (x, y, z)
-    return None
-
-
-def _find_B2(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            e = c.entry[x][y]
+def _find_B1(t: TransitTable):
+    for x, ex in enumerate(t._entry):
+        for y, e in enumerate(ex):
             for z in _bits(e):
-                if c.entry[x][z] & ~e:
+                if z != y and ex[z] >> y & 1:
                     return (x, y, z)
     return None
 
 
-def _find_B3(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            for z in _bits(c.entry[x][y]):
-                exz = c.entry[x][z]
-                for w in _bits(exz):
-                    if not c.entry[w][y] >> z & 1:
+def _find_B2(t: TransitTable):
+    for x, ex in enumerate(t._entry):
+        for y, e in enumerate(ex):
+            for z in _bits(e):
+                if ex[z] & ~e:
+                    return (x, y, z)
+    return None
+
+
+def _find_B3(t: TransitTable):
+    entry = t._entry
+    for x, ex in enumerate(entry):
+        for y, e in enumerate(ex):
+            for z in _bits(e):
+                for w in _bits(ex[z]):
+                    if not entry[w][y] >> z & 1:
                         return (x, y, z, w)
     return None
 
 
-def _find_M(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            e = c.entry[x][y]
+def _find_M(t: TransitTable):
+    entry = t._entry
+    for x, ex in enumerate(entry):
+        for y, e in enumerate(ex):
             members = list(_bits(e))
             for u in members:
-                eu = c.entry[u]
+                eu = entry[u]
                 for v in members:
                     if eu[v] & ~e:
                         return (x, y, u, v)
     return None
 
 
-def _find_MM(c: _Ctx):
+def _find_MM(t: TransitTable):
     # The verdict depends only on the two entry masks, and a tuple can be
     # reordered within each pair, so the first witness is the least pair
     # whose mask has a failing partner, followed by that partner's least
@@ -450,12 +434,11 @@ def _find_MM(c: _Ctx):
     # met before mask i would already have been reported, so mask i is
     # tested against the later masks only.
     first: dict[int, tuple[int, int]] = {}
-    for i in range(c.v):
-        row = c.entry[i]
-        for j in range(i, c.v):
+    for i, row in enumerate(t._entry):
+        for j in range(i, len(row)):
             first.setdefault(row[j], (i, j))
     masks = list(first)
-    allowed = c.value_set | {0}
+    allowed = t._value_set | {0}
     for i, m in enumerate(masks):
         later = masks[i + 1:]
         if all(map(allowed.__contains__, map(m.__and__, later))):
@@ -465,25 +448,23 @@ def _find_MM(c: _Ctx):
     return None
 
 
-def _find_MG(c: _Ctx):
-    iv = c.intervals
-    for x in range(c.v):
-        for y in range(c.v):
-            if c.entry[x][y] & ~iv[x][y]:
+def _find_MG(t: TransitTable):
+    iv = t._intervals
+    for x, ex in enumerate(t._entry):
+        for y, e in enumerate(ex):
+            if e & ~iv[x][y]:
                 return (x, y)
     return None
 
 
-def _find_CG(c: _Ctx):
+def _find_CG(t: TransitTable):
     # Per a, S[x] = {z : E(a,x) <= E(a,z)} is the meet of cols[a] over
     # E(a,x), and T[y] = {z : E(a,z) <= E(a,y)} is its transpose.  The
     # premise is y in S[x]; the first failing z is the lowest bit of the
     # chain set S[x] & T[y] that disagrees with E(x,y).
-    v = c.v
+    v = len(t)
     full = (1 << v) - 1
-    for a in range(v):
-        ea = c.entry[a]
-        col = c.cols[a]
+    for a, (ea, col) in enumerate(zip(t._entry, t._cols)):
         S = []
         for mask in ea:
             meet = full
@@ -491,9 +472,7 @@ def _find_CG(c: _Ctx):
                 meet &= col[m]
             S.append(meet)
         T = _transpose(S, v)
-        for x in range(v):
-            sx = S[x]
-            ex = c.entry[x]
+        for x, (sx, ex) in enumerate(zip(S, t._entry)):
             for y in _bits(sx):
                 bad = (sx & T[y]) ^ ex[y]
                 if bad:
@@ -501,17 +480,13 @@ def _find_CG(c: _Ctx):
     return None
 
 
-def _find_CGp(c: _Ctx):
+def _find_CGp(t: TransitTable):
     # On the closure, with col = cols[a]: the premise x in E'(a,y) is
     # y in col[x], and the first failing z is the lowest bit where
     # col[x] & E'(a,y) and E'(x,y) disagree.
-    cc = c.closure
-    for a in range(cc.v):
-        ea = cc.entry[a]
-        col = cc.cols[a]
-        for x in range(cc.v):
-            cx = col[x]
-            ex = cc.entry[x]
+    cc = t._closure
+    for a, (ea, col) in enumerate(zip(cc._entry, cc._cols)):
+        for x, (cx, ex) in enumerate(zip(col, cc._entry)):
             for y in _bits(cx):
                 bad = (cx & ea[y]) ^ ex[y]
                 if bad:
@@ -519,7 +494,7 @@ def _find_CGp(c: _Ctx):
     return None
 
 
-def _find_Pa(c: _Ctx):
+def _find_Pa(t: TransitTable):
     # Pa fails at (p, a, b, a1, b1) when a1 is in E(p, a), b1 in E(p, b) and
     # E(a1, b) & E(b1, a) is empty.  For each a, good[a1] packs, block b,
     # the set of b1 meeting E(a1, b): the union of cols[a] over that mask,
@@ -528,8 +503,8 @@ def _find_Pa(c: _Ctx):
     # E(p, a), and the lowest such bit names the first failing b.  Each a
     # is scanned only over the p below the least failing p found so far,
     # which keeps the canonical first witness.
-    v = c.v
-    entry = c.entry
+    v = len(t)
+    entry = t._entry
     width = (v + 7) // 8
     stride = 8 * width
 
@@ -542,7 +517,7 @@ def _find_Pa(c: _Ctx):
     best = None
     limit = v
     for a in range(v):
-        cola = c.cols[a]
+        cola = t._cols[a]
         meets = {
             m: reduce(or_, map(cola.__getitem__, bits), 0).to_bytes(width, "little")
             for m, bits in members.items()
@@ -564,96 +539,96 @@ def _find_Pa(c: _Ctx):
     return (p, a, b, a1, _low(epb & ~(good[a1] >> block)))
 
 
-def _find_C4(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            for z in _bits(c.entry[x][y]):
-                if c.entry[x][z] & c.entry[z][y] != 1 << z:
+def _find_C4(t: TransitTable):
+    entry = t._entry
+    for x, ex in enumerate(entry):
+        for y, e in enumerate(ex):
+            for z in _bits(e):
+                if ex[z] & entry[z][y] != 1 << z:
                     return (x, y, z)
     return None
 
 
-def _find_MO(c: _Ctx):
-    for x in range(c.v):
-        for y in range(c.v):
-            exy = c.entry[x][y]
-            ey = c.entry[y]
-            ex = c.entry[x]
-            for z in range(c.v):
-                if not exy & ey[z] & ex[z]:
+def _find_MO(t: TransitTable):
+    entry = t._entry
+    for x, ex in enumerate(entry):
+        for y, exy in enumerate(ex):
+            ey = entry[y]
+            for z, exz in enumerate(ex):
+                if not exy & ey[z] & exz:
                     return (x, y, z)
     return None
 
 
-def _find_S1(c: _Ctx):
-    for x in range(c.v):
-        for y in _bits(c.adj[x]):
-            eyw_row = c.entry[y]
-            for z in range(c.v):
-                exz = c.entry[x][z]
+def _find_S1(t: TransitTable):
+    entry, adj = t._entry, t._adj
+    for x, ex in enumerate(entry):
+        for y in _bits(adj[x]):
+            ey = entry[y]
+            for z, exz in enumerate(ex):
                 if not (exz >> y & 1):
                     continue
-                for w in _bits(c.adj[z]):
+                for w in _bits(adj[z]):
                     if not (exz >> w & 1):
                         continue
-                    eyw = eyw_row[w]
+                    eyw = ey[w]
                     if eyw >> x & 1 and not eyw >> z & 1:
                         return (x, y, z, w)
     return None
 
 
-def _find_S2(c: _Ctx):
-    for x in range(c.v):
-        for y in _bits(c.adj[x]):
-            if not c.entry[x][y] >> y & 1:
+def _find_S2(t: TransitTable):
+    entry, adj = t._entry, t._adj
+    for x, ex in enumerate(entry):
+        for y in _bits(adj[x]):
+            if not ex[y] >> y & 1:
                 continue
-            ey = c.entry[y]
-            for z in range(c.v):
-                exz = c.entry[x][z]
-                for w in _bits(c.adj[y]):
+            ey = entry[y]
+            for z, exz in enumerate(ex):
+                for w in _bits(adj[y]):
                     if exz >> w & 1 or ey[w] >> z & 1:
                         continue
-                    if not c.entry[x][w] >> y & 1:
+                    if not ex[w] >> y & 1:
                         return (x, y, z, w)
     return None
 
 
-def _find_A1(c: _Ctx):
-    for x in range(c.v):
-        nx = list(_bits(c.adj[x]))
+def _find_A1(t: TransitTable):
+    adj, size = t._adj, t._size
+    for x, ax in enumerate(adj):
+        nx = list(_bits(ax))
         for u in nx:
-            au = c.adj[u]
+            au = adj[u]
             for v in nx:
-                if u == v or c.size[u][v] == 2:
+                if u == v or size[u][v] == 2:
                     continue
-                others = au & c.adj[v] & ~(1 << x)
+                others = au & adj[v] & ~(1 << x)
                 if others.bit_count() != 1:
                     return (x, u, v)
     return None
 
 
-def _find_A2(c: _Ctx):
-    n = c.n if c.n is not None else c.delta()
-    return None if c.delta() == n and c.v == 2 ** n else ()
+def _find_A2(t: TransitTable, n, a, sizes):
+    n = n if n is not None else t._delta
+    return None if t._delta == n and len(t) == 2 ** n else ()
 
 
-def _find_A2p(c: _Ctx):
-    sizes = _resolve_sizes(c)
+def _find_A2p(t: TransitTable, n, a, sizes):
+    sizes = _resolve_sizes(t, n, a, sizes)
     if (
         sizes is not None
-        and c.v == prod(sizes)
-        and c.delta() == sum(s - 1 for s in sizes)
+        and len(t) == prod(sizes)
+        and t._delta == sum(s - 1 for s in sizes)
     ):
         return None
     return ()
 
 
-def _find_A3(c: _Ctx):
-    s = c.size
-    for x in range(c.v):
-        ax = c.adj[x]
+def _find_A3(t: TransitTable):
+    s, adj = t._size, t._adj
+    for x, ax in enumerate(adj):
         for y in _bits(ax):
-            common = ax & c.adj[y]
+            common = ax & adj[y]
             members = list(_bits(common))
             for u in members:
                 su = s[u]
@@ -663,14 +638,11 @@ def _find_A3(c: _Ctx):
     return None
 
 
-def _find_A4(c: _Ctx):
-    s = c.size
-    adj = c.adj
-    for x in range(c.v):
-        ax = adj[x]
-        sx = s[x]
-        for y in range(c.v):
-            if sx[y] <= 2:
+def _find_A4(t: TransitTable):
+    s, adj = t._size, t._adj
+    for x, (ax, sx) in enumerate(zip(adj, s)):
+        for y, sxy in enumerate(sx):
+            if sxy <= 2:
                 continue
             common_xy = ax & adj[y]
             sy = s[y]
@@ -682,24 +654,23 @@ def _find_A4(c: _Ctx):
                     for w in _bits(ax & adj[v]):
                         if su[w] <= 2 or sy[w] <= 2:
                             continue
-                        sw = s[w]
                         for z in _bits(adj[y] & adj[w]):
                             if su[z] > 2 and sx[z] > 2 and s[v][z] > 2:
                                 return (x, y, u, v, w, z)
     return None
 
 
-def _find_AX(c: _Ctx):
+def _find_AX(t: TransitTable):
     # par(a, b, c, d) says b, c lie in E(a, d) and a, d lie in E(b, c).  For
     # an edge ab and a d with b in E(a, d), the c completing it are
     # cols[b][a] & cols[b][d] & E(a, d), cut to the neighbours of d.  rows[i]
     # is the set of edge numbers cd parallel to edge i; whether every cd in
     # a row has its own row inside it depends on the row alone, so a row
     # found closed is not scanned again.
-    v = c.v
-    adj = c.adj
-    entry = c.entry
-    cols = c.cols
+    v = len(t)
+    adj = t._adj
+    entry = t._entry
+    cols = t._cols
     edges = [(a, b) for a in range(v) for b in _bits(adj[a])]
     number = {e: i for i, e in enumerate(edges)}
     rows = []
@@ -727,20 +698,15 @@ def _find_AX(c: _Ctx):
     return None
 
 
-def _find_H3(c: _Ctx):
-    for x in range(c.v):
-        sx = c.size[x]
-        for y in range(c.v):
+def _find_H3(t: TransitTable):
+    entry = t._entry
+    for x, (ex, sx) in enumerate(zip(entry, t._size)):
+        for y, exy in enumerate(ex):
             if x == y or sx[y] <= 4:
                 continue
-            exy = c.entry[x][y]
-            for u in range(c.v):
-                eu = c.entry[u]
-                for v in range(c.v):
-                    if u == v:
-                        continue
-                    euv = eu[v]
-                    if euv & ~exy:
+            for u, eu in enumerate(entry):
+                for v, euv in enumerate(eu):
+                    if u == v or euv & ~exy:
                         continue
                     if euv == (1 << u) | (1 << v) or {u, v} == {x, y}:
                         continue
@@ -748,7 +714,7 @@ def _find_H3(c: _Ctx):
     return None
 
 
-_FINDERS: dict[str, Callable[[_Ctx], tuple | None]] = {
+_FINDERS: dict[str, Callable[..., tuple | None]] = {
     "T1": _find_T1, "T2": _find_T2, "T3": _find_T3,
     "GW3": _find_GW3, "GW4": _find_GW4,
     "B1": _find_B1, "B2": _find_B2, "B3": _find_B3,
@@ -786,8 +752,8 @@ def check_axiom(
             f"{axiom} on a carrier of {len(table)} exceeds the six-variable "
             f"limit {six_var_limit}; pass six_var_limit to override"
         )
-    ctx = _Ctx(table, n=n, a=a, sizes=sizes)
-    witness_idx = _FINDERS[axiom](ctx)
+    counts = (n, a, sizes) if axiom in ("A2", "A2p") else ()
+    witness_idx = _FINDERS[axiom](table, *counts)
     function = f"closure of {table.name}" if axiom == "CGp" else table.name
     if witness_idx is None:
         return AxiomReport(axiom, True, None, len(table), function)
@@ -840,7 +806,7 @@ def _connectivity_gate(table: TransitTable) -> None:
     # functions.
     if is_connected(table.underlying_graph()):
         return
-    closed = table_closure(table)
+    closed = table._closure
     if not (check_axiom(closed, "T1").holds and check_axiom(closed, "Pa").holds):
         raise ValueError("connectivity precondition unmet")
 
@@ -852,7 +818,7 @@ def recognize_hypercube(table: TransitTable, n: int | None = None) -> bool:
     """
     _connectivity_gate(table)
     if n is None:
-        n = _Ctx(table).delta()
+        n = table._delta
     return (
         check_axiom(table, "A1").holds
         and check_axiom(table, "A2", n=n).holds

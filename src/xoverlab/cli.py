@@ -29,7 +29,7 @@ from .axioms import (
     table_from_rset,
 )
 from .crossover import closure, is_closed, rset, transit_graph
-from .graphs import word_graph
+from .graphs import hamming_graph
 from .matroid import face_lattice, is_uniform, om_from_rset, uniform_tope_check
 from .partialcube import (
     cut_sizes,
@@ -40,7 +40,7 @@ from .partialcube import (
     largest_cube_minor_dim,
     vc_dimension,
 )
-from .words import DEFAULT_BUDGET, AlphabetSpec, Word, WordSet, hamming_distance
+from .words import DEFAULT_BUDGET, AlphabetSpec, Word, hamming_distance
 
 # colorbrewer Dark2 + Set1, fixed order; cut class c gets entry c mod 12
 PALETTE = (
@@ -158,8 +158,7 @@ def cmd_closure(args) -> tuple[int, str]:
 def _build_table(source: str, spec: AlphabetSpec, budget: int):
     kind, _, rest = source.partition(":")
     if kind == "interval" and not rest:
-        spec.check_budget(budget)
-        g = word_graph(WordSet(spec.iter_words(), spec))
+        g = hamming_graph(spec, budget)
         return table_from_interval(g).renamed(f"interval on {spec}")
     if kind in ("rset", "closure") and rest.isdigit():
         k = int(rest)

@@ -369,31 +369,19 @@ def median(x: Word, y: Word, z: Word) -> Word:
     return Word(letters, spec)
 
 
-def _greedy_lex_path(start: Word, goal: Word, pick_max: bool) -> list[Word]:
-    """Shortest start-goal path, greedily extreme in the start-based labels.
+def _greedy_lex_path(start: int, goal: int, pick_max: bool) -> list[int]:
+    """Shortest start-goal path of packed binary indices, greedily extreme
+    in the start-based labels ``index ^ start``.
 
-    Vertices are compared after XOR-relabeling by the start word, so the walk
-    begins at the all-zero label and every step sets one more bit.
+    Each step flips one bit of ``cur ^ goal``.  Those bits are all clear in
+    ``cur ^ start``, so the least (greatest) next label flips the lowest
+    (highest) of them.
     """
-    spec = start.spec
-    base = start.index
     path = [start]
-    current = start
-    while current != goal:
-        best: Word | None = None
-        best_key = -1
-        for pos, (a, b) in enumerate(zip(current.letters, goal.letters)):
-            if a != b:
-                letters = list(current.letters)
-                letters[pos] = b
-                cand = Word(tuple(letters), spec)
-                key = cand.index ^ base
-                if best is None or (key > best_key if pick_max else key < best_key):
-                    best, best_key = cand, key
-        if best is None:
-            raise RuntimeError(f"no step from {current} toward {goal}")
-        path.append(best)
-        current = best
+    while path[-1] != goal:
+        rest = path[-1] ^ goal
+        step = 1 << rest.bit_length() - 1 if pick_max else rest & -rest
+        path.append(path[-1] ^ step)
     return path
 
 
@@ -409,12 +397,10 @@ def lex_extreme_path_vertices(x: Word, y: Word) -> WordSet:
     spec = require_same_spec(x, y)
     if not spec.is_binary:
         raise ValueError("lexicographic extreme paths are defined for binary words")
-    if x == y:
-        return WordSet([x], spec)
-    start, goal = (x, y) if x < y else (y, x)
+    start, goal = sorted((x.index, y.index))
     lo = _greedy_lex_path(start, goal, pick_max=False)
     hi = _greedy_lex_path(start, goal, pick_max=True)
-    return WordSet(lo + hi, spec)
+    return WordSet.from_indices(lo + hi, spec)
 
 
 def block_count(w: Word, reference: Word) -> int:

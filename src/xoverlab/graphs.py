@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Iterable, Sequence
 
-from .words import AlphabetSpec, DEFAULT_BUDGET, Word, WordSet
+from .words import AlphabetSpec, DEFAULT_BUDGET, WordSet
 
 
 class SimpleGraph:
@@ -132,15 +132,7 @@ def geodesic_interval(g: SimpleGraph, x: Hashable, y: Hashable) -> set[Hashable]
 def hamming_graph(spec: AlphabetSpec, budget: int = DEFAULT_BUDGET) -> SimpleGraph:
     """Graph on all words of the alphabet, edges between words at distance 1."""
     spec.check_budget(budget)
-    vertices = list(spec.iter_words())
-    edges: list[tuple[int, int]] = []
-    strides = spec._strides
-    for idx, w in enumerate(vertices):
-        for pos, (letter, a) in enumerate(zip(w.letters, spec.sizes)):
-            stride = strides[pos]
-            for other in range(letter + 1, a):
-                edges.append((idx, idx + (other - letter) * stride))
-    return SimpleGraph(vertices, edges)
+    return word_graph(WordSet.from_indices(range(spec.size), spec))
 
 
 def induced_subgraph(g: SimpleGraph, words: WordSet | Iterable[Hashable]) -> SimpleGraph:

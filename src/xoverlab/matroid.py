@@ -20,11 +20,11 @@ family size.
 The order on sign vectors is the face order: X <= Y when X agrees with Y on
 the support of X.  Canonical sorting is lexicographic per coordinate with
 - < 0 < +, so every serialization is reproducible.  One face-order pass
-walks the submasks of each covector's support to list the covectors
-strictly below it, and gives each covector its longest-chain height.  The
-rank is the largest height, the cocircuits are the covectors of height 1
-(the atoms of the face lattice), and the lattice covers follow from the
-same below lists.
+walks the submasks of each covector's support, in order of support size,
+to list the covectors strictly below it and give it its longest-chain
+height.  The rank is the largest height, the cocircuits are the covectors
+of height 1 (the atoms of the face lattice), and the lattice covers follow
+from the same below lists, which only the lattice keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .partialcube import vc_dimension
+# vc_dimension stays bound here: perfbench's spans rebind it in this namespace
+from .partialcube import _largest_full_projection, vc_dimension  # noqa: F401
 from .words import AlphabetSpec, BudgetExceededError, Word, phi
 
 DEFAULT_GROUND_BUDGET = 10
@@ -180,28 +181,28 @@ def _canonical(vectors: Iterable[SignVector]) -> list[SignVector]:
     return sorted(vectors, key=lambda x: x.key)
 
 
-def _face_order(covectors: Sequence[SignVector]) -> tuple[list[list[int]], list[int]]:
-    """Indices strictly below each covector in the face order, and each
-    covector's longest-chain height above the zero vector.
+def _face_order(covectors: Sequence[SignVector]) -> Iterator[tuple[int, list[int], int]]:
+    """Each covector's index, the indices strictly below it in the face
+    order, and its longest-chain height above the zero vector, in order of
+    support size.
 
     The candidates below x are exactly the restrictions of x to proper
-    subsets of its support, so submask enumeration is complete.
+    subsets of its support, so submask enumeration is complete; they have
+    smaller supports, so their heights are known when x is reached.
     """
     index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
-    below: list[list[int]] = []
-    for x in covectors:
-        out: list[int] = []
+    heights = [0] * len(covectors)
+    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
+        x = covectors[i]
+        below: list[int] = []
         sub = sup = x.support
         while sub:
             sub = (sub - 1) & sup
             idx = index.get((x.pos & sub, x.neg & sub))
             if idx is not None:
-                out.append(idx)
-        below.append(out)
-    heights = [0] * len(covectors)
-    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
-        heights[i] = 1 + max((heights[j] for j in below[i]), default=-1)
-    return below, heights
+                below.append(idx)
+        heights[i] = 1 + max((heights[j] for j in below), default=-1)
+        yield i, below, heights[i]
 
 
 def _masks(vectors: Sequence[SignVector]) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +265,9 @@ def covectors_from_topes(
         raise RuntimeError("derived topes differ from input")
 
     # the cocircuits are the atoms: only the zero vector lies below them
-    _, heights = _face_order(covectors)
+    heights = [0] * len(covectors)
+    for i, _, h in _face_order(covectors):
+        heights[i] = h
     return OrientedMatroidData(
         ground_size=n,
         covectors=tuple(covectors),
@@ -444,14 +447,15 @@ def face_lattice(om: OrientedMatroidData) -> FaceLattice:
     covectors = list(om.covectors)
     if not any(x.is_zero for x in covectors):
         raise ValueError("not a valid OM lattice")
-    below, heights = _face_order(covectors)
-    rank = max(heights)
-
     # i covers each j in below(i) that lies below no other z in below(i)
+    below: dict[int, list[int]] = {}
+    heights = [0] * len(covectors)
     covers: list[tuple[int, int]] = []
-    for i, bel in enumerate(below):
+    for i, bel, h in _face_order(covectors):
         inner = set().union(*(below[z] for z in bel))
         covers.extend((j, i) for j in bel if j not in inner)
+        below[i], heights[i] = bel, h
+    rank = max(heights)
     top = len(covectors)
     covers.extend(
         (i, top) for i, x in enumerate(covectors) if x.support_size == om.ground_size
@@ -501,7 +505,7 @@ def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
     keys = {(t.pos, t.neg) for t in tope_list}
     if any((t.neg, t.pos) not in keys for t in tope_list):
         return False
-    d = vc_dimension([sign_to_word(t) for t in tope_list])
+    d = _largest_full_projection([t.pos for t in tope_list], n)
     if d < 1:
         return False
     return len(tope_list) == 2 * phi(d - 1, n - 1)

@@ -21,7 +21,6 @@ from xoverlab.axioms import (
     SIX_VAR_AXIOMS,
     SixVarLimitError,
     TransitTable,
-    _Ctx,
     _resolve_sizes,
     check_all,
     check_axiom,
@@ -32,6 +31,7 @@ from xoverlab.axioms import (
     table_from_interval,
     table_from_rset,
 )
+from xoverlab.crossover import closure, rset
 from xoverlab.graphs import SimpleGraph, hamming_graph
 
 B2X2 = AlphabetSpec.parse("2^2")
@@ -110,173 +110,172 @@ class TestTableBasics:
 # scans them over every tuple in canonical order and witness_refails
 # re-evaluates them on reported witnesses; the library's finders must agree.
 
-def par(c: _Ctx, u: int, v: int, x: int, y: int) -> bool:
+def par(c: TransitTable, u: int, v: int, x: int, y: int) -> bool:
     """Edge-parallelism witness pattern: v,x between u,y and u,y between v,x."""
-    euy = c.entry[u][y]
-    evx = c.entry[v][x]
+    euy = c._entry[u][y]
+    evx = c._entry[v][x]
     return bool(
         euy >> v & 1 and euy >> x & 1 and evx >> u & 1 and evx >> y & 1
     )
 
 
-def _body_T1(c: _Ctx, t) -> bool:
+def _body_T1(c: TransitTable, t) -> bool:
     x, y = t
-    e = c.entry[x][y]
+    e = c._entry[x][y]
     return bool(e >> x & 1 and e >> y & 1)
 
 
-def _body_T2(c: _Ctx, t) -> bool:
+def _body_T2(c: TransitTable, t) -> bool:
     x, y = t
-    return c.entry[x][y] == c.entry[y][x]
+    return c._entry[x][y] == c._entry[y][x]
 
 
-def _body_T3(c: _Ctx, t) -> bool:
+def _body_T3(c: TransitTable, t) -> bool:
     (x,) = t
-    return c.entry[x][x] == 1 << x
+    return c._entry[x][x] == 1 << x
 
 
-def _body_GW4(c: _Ctx, t) -> bool:
+def _body_GW4(c: TransitTable, t) -> bool:
     x, y, z = t
-    if not c.entry[x][y] >> z & 1:
+    if not c._entry[x][y] >> z & 1:
         return True
-    return c.size[x][z] <= c.size[x][y]
+    return c._size[x][z] <= c._size[x][y]
 
 
-def _body_GW3(c: _Ctx, t) -> bool:
+def _body_GW3(c: TransitTable, t) -> bool:
     x, y, u, v = t
-    e = c.entry[x][y]
+    e = c._entry[x][y]
     if not (e >> u & 1 and e >> v & 1):
         return True
-    return c.size[u][v] <= c.size[x][y]
+    return c._size[u][v] <= c._size[x][y]
 
 
-def _body_B1(c: _Ctx, t) -> bool:
+def _body_B1(c: TransitTable, t) -> bool:
     x, y, z = t
-    if not (c.entry[x][y] >> z & 1 and z != y):
+    if not (c._entry[x][y] >> z & 1 and z != y):
         return True
-    return not c.entry[x][z] >> y & 1
+    return not c._entry[x][z] >> y & 1
 
 
-def _body_B2(c: _Ctx, t) -> bool:
+def _body_B2(c: TransitTable, t) -> bool:
     x, y, z = t
-    if not c.entry[x][y] >> z & 1:
+    if not c._entry[x][y] >> z & 1:
         return True
-    return c.entry[x][z] & ~c.entry[x][y] == 0
+    return c._entry[x][z] & ~c._entry[x][y] == 0
 
 
-def _body_B3(c: _Ctx, t) -> bool:
+def _body_B3(c: TransitTable, t) -> bool:
     x, y, z, w = t
-    if not (c.entry[x][y] >> z & 1 and c.entry[x][z] >> w & 1):
+    if not (c._entry[x][y] >> z & 1 and c._entry[x][z] >> w & 1):
         return True
-    return bool(c.entry[w][y] >> z & 1)
+    return bool(c._entry[w][y] >> z & 1)
 
 
-def _body_M(c: _Ctx, t) -> bool:
+def _body_M(c: TransitTable, t) -> bool:
     x, y, u, v = t
-    e = c.entry[x][y]
+    e = c._entry[x][y]
     if not (e >> u & 1 and e >> v & 1):
         return True
-    return c.entry[u][v] & ~e == 0
+    return c._entry[u][v] & ~e == 0
 
 
-def _body_MM(c: _Ctx, t) -> bool:
+def _body_MM(c: TransitTable, t) -> bool:
     u, v, x, y = t
-    inter = c.entry[u][v] & c.entry[x][y]
-    return inter == 0 or inter in c.value_set
+    inter = c._entry[u][v] & c._entry[x][y]
+    return inter == 0 or inter in c._value_set
 
 
-def _body_MG(c: _Ctx, t) -> bool:
+def _body_MG(c: TransitTable, t) -> bool:
     x, y = t
-    return c.entry[x][y] & ~c.intervals[x][y] == 0
+    return c._entry[x][y] & ~c._intervals[x][y] == 0
 
 
-def _body_CG(c: _Ctx, t) -> bool:
+def _body_CG(c: TransitTable, t) -> bool:
     a, x, y, z = t
-    ea = c.entry[a]
+    ea = c._entry[a]
     if ea[x] & ~ea[y]:
         return True
     chain = ea[x] & ~ea[z] == 0 and ea[z] & ~ea[y] == 0
-    return chain == bool(c.entry[x][y] >> z & 1)
+    return chain == bool(c._entry[x][y] >> z & 1)
 
 
-def _body_CGp(c: _Ctx, t) -> bool:
+def _body_CGp(c: TransitTable, t) -> bool:
     # evaluated on the closure; gated on x lying between a and y there
     a, x, y, z = t
-    cc = c.closure
-    if not cc.entry[a][y] >> x & 1:
+    cc = c._closure
+    if not cc._entry[a][y] >> x & 1:
         return True
-    left = bool(cc.entry[a][z] >> x & 1 and cc.entry[a][y] >> z & 1)
-    return left == bool(cc.entry[x][y] >> z & 1)
+    left = bool(cc._entry[a][z] >> x & 1 and cc._entry[a][y] >> z & 1)
+    return left == bool(cc._entry[x][y] >> z & 1)
 
 
-def _body_Pa(c: _Ctx, t) -> bool:
+def _body_Pa(c: TransitTable, t) -> bool:
     p, a, b, a1, b1 = t
-    if not (c.entry[p][a] >> a1 & 1 and c.entry[p][b] >> b1 & 1):
+    if not (c._entry[p][a] >> a1 & 1 and c._entry[p][b] >> b1 & 1):
         return True
-    return c.entry[a1][b] & c.entry[b1][a] != 0
+    return c._entry[a1][b] & c._entry[b1][a] != 0
 
 
-def _body_C4(c: _Ctx, t) -> bool:
+def _body_C4(c: TransitTable, t) -> bool:
     x, y, z = t
-    if not c.entry[x][y] >> z & 1:
+    if not c._entry[x][y] >> z & 1:
         return True
-    return c.entry[x][z] & c.entry[z][y] == 1 << z
+    return c._entry[x][z] & c._entry[z][y] == 1 << z
 
 
-def _body_MO(c: _Ctx, t) -> bool:
+def _body_MO(c: TransitTable, t) -> bool:
     x, y, z = t
-    return c.entry[x][y] & c.entry[y][z] & c.entry[z][x] != 0
+    return c._entry[x][y] & c._entry[y][z] & c._entry[z][x] != 0
 
 
-def _body_S1(c: _Ctx, t) -> bool:
+def _body_S1(c: TransitTable, t) -> bool:
     x, y, z, w = t
-    if c.size[x][y] != 2 or c.size[z][w] != 2:
+    if c._size[x][y] != 2 or c._size[z][w] != 2:
         return True
-    exz = c.entry[x][z]
-    if not (c.entry[y][w] >> x & 1 and exz >> y & 1 and exz >> w & 1):
+    exz = c._entry[x][z]
+    if not (c._entry[y][w] >> x & 1 and exz >> y & 1 and exz >> w & 1):
         return True
-    return bool(c.entry[y][w] >> z & 1)
+    return bool(c._entry[y][w] >> z & 1)
 
 
-def _body_S2(c: _Ctx, t) -> bool:
+def _body_S2(c: TransitTable, t) -> bool:
     x, y, z, w = t
-    if c.size[x][y] != 2 or c.size[y][w] != 2:
+    if c._size[x][y] != 2 or c._size[y][w] != 2:
         return True
-    if not c.entry[x][y] >> y & 1:
+    if not c._entry[x][y] >> y & 1:
         return True
-    if c.entry[x][z] >> w & 1 or c.entry[y][w] >> z & 1:
+    if c._entry[x][z] >> w & 1 or c._entry[y][w] >> z & 1:
         return True
-    return bool(c.entry[x][w] >> y & 1)
+    return bool(c._entry[x][w] >> y & 1)
 
 
-def _body_A1(c: _Ctx, t) -> bool:
+def _body_A1(c: TransitTable, t) -> bool:
     x, u, v = t
-    if c.size[x][u] != 2 or c.size[x][v] != 2:
+    if c._size[x][u] != 2 or c._size[x][v] != 2:
         return True
-    if u == v or c.size[u][v] == 2:
+    if u == v or c._size[u][v] == 2:
         return True
-    others = c.adj[u] & c.adj[v] & ~(1 << x)
+    others = c._adj[u] & c._adj[v] & ~(1 << x)
     return others.bit_count() == 1
 
 
-def _body_A2(c: _Ctx, t) -> bool:
-    n = c.n if c.n is not None else c.delta()
-    return c.delta() == n and c.v == 2 ** n
+def _body_A2(c: TransitTable, t) -> bool:
+    return len(c) == 2 ** c._delta
 
 
-def _body_A2p(c: _Ctx, t) -> bool:
-    sizes = _resolve_sizes(c)
+def _body_A2p(c: TransitTable, t) -> bool:
+    sizes = _resolve_sizes(c, None, None, None)
     if sizes is None:
         return False
     prod = 1
     for s in sizes:
         prod *= s
-    return c.v == prod and c.delta() == sum(s - 1 for s in sizes)
+    return len(c) == prod and c._delta == sum(s - 1 for s in sizes)
 
 
-def _body_A3(c: _Ctx, t) -> bool:
+def _body_A3(c: TransitTable, t) -> bool:
     x, y, u, v = t
-    s = c.size
+    s = c._size
     pattern = (
         s[x][u] == 2 and s[x][v] == 2 and s[y][u] == 2 and s[y][v] == 2
         and s[x][y] == 2 and s[u][v] > 2
@@ -284,9 +283,9 @@ def _body_A3(c: _Ctx, t) -> bool:
     return not pattern
 
 
-def _body_A4(c: _Ctx, t) -> bool:
+def _body_A4(c: TransitTable, t) -> bool:
     x, y, u, v, w, z = t
-    s = c.size
+    s = c._size
     pattern = (
         s[x][u] == 2 and s[x][v] == 2 and s[y][u] == 2 and s[y][v] == 2
         and s[v][w] == 2 and s[y][z] == 2 and s[w][z] == 2 and s[x][w] == 2
@@ -296,9 +295,9 @@ def _body_A4(c: _Ctx, t) -> bool:
     return not pattern
 
 
-def _body_AX(c: _Ctx, t) -> bool:
+def _body_AX(c: TransitTable, t) -> bool:
     a, b, cc, d, e, f = t
-    s = c.size
+    s = c._size
     if s[a][b] != 2 or s[cc][d] != 2 or s[e][f] != 2:
         return True
     if not (par(c, a, b, cc, d) and par(c, cc, d, e, f)):
@@ -306,30 +305,30 @@ def _body_AX(c: _Ctx, t) -> bool:
     return par(c, a, b, e, f)
 
 
-def _body_AXp(c: _Ctx, t) -> bool:
+def _body_AXp(c: TransitTable, t) -> bool:
     a, b, cc, d, e, f = t
-    s = c.size
+    s = c._size
     if s[a][b] != 2 or s[cc][d] != 2 or s[e][f] != 2:
         return True
-    ead = c.entry[a][d]
-    ebc = c.entry[b][cc]
-    ecf = c.entry[cc][f]
-    ede = c.entry[d][e]
+    ead = c._entry[a][d]
+    ebc = c._entry[b][cc]
+    ecf = c._entry[cc][f]
+    ede = c._entry[d][e]
     if not (ead >> b & 1 and ead >> cc & 1 and ebc >> a & 1 and ebc >> d & 1):
         return True
     if not (ecf >> d & 1 and ecf >> e & 1 and ede >> cc & 1 and ede >> f & 1):
         return True
-    eaf = c.entry[a][f]
-    ebe = c.entry[b][e]
+    eaf = c._entry[a][f]
+    ebe = c._entry[b][e]
     return bool(eaf >> b & 1 and eaf >> e & 1 and ebe >> a & 1 and ebe >> f & 1)
 
 
-def _body_H3(c: _Ctx, t) -> bool:
+def _body_H3(c: TransitTable, t) -> bool:
     x, y, u, v = t
-    if u == v or x == y or c.size[x][y] <= 4:
+    if u == v or x == y or c._size[x][y] <= 4:
         return True
-    euv = c.entry[u][v]
-    if euv & ~c.entry[x][y]:
+    euv = c._entry[u][v]
+    if euv & ~c._entry[x][y]:
         return True
     if euv == (1 << u) | (1 << v):
         return True
@@ -353,12 +352,11 @@ AXIOM_BODIES = {
 
 def brute_force(table, axiom):
     """First witness by unpruned lexicographic scan of the full prefix."""
-    ctx = _Ctx(table)
     arity, body = AXIOM_BODIES[axiom]
     if axiom == "CGp":
-        ctx = _Ctx(table_closure(table))
+        table = table_closure(table)
     for tup in itertools.product(range(len(table.carrier)), repeat=arity):
-        if not body(ctx, tup):
+        if not body(table, tup):
             return tup
     return None
 
@@ -468,13 +466,14 @@ class TestFinderSoundness:
 
 def witness_refails(table, report):
     """Re-evaluate the axiom body on the reported witness."""
-    ctx = _Ctx(table_closure(table) if report.axiom == "CGp" else table)
+    if report.axiom == "CGp":
+        table = table_closure(table)
     arity, body = AXIOM_BODIES[report.axiom]
     if arity == 0:
-        return not body(ctx, ())
+        return not body(table, ())
     lookup = {w: i for i, w in enumerate(table.carrier)}
     tup = tuple(lookup[w] for w in report.witness)
-    return not body(ctx, tup)
+    return not body(table, tup)
 
 
 class TestBattery:
@@ -598,6 +597,93 @@ class TestBatteryBeyondBruteForce:
                 assert rep.holds, axiom
 
 
+def validated_copy(table, entry_of):
+    """The same table rebuilt through the validating public constructor."""
+    v = len(table)
+    entries = {(i, j): entry_of(i, j) for i in range(v) for j in range(i, v)}
+    return TransitTable(table.carrier, entries, table.name)
+
+
+def literal_interval(graph):
+    """Geodesic intervals straight from the distance matrix, per member."""
+    dist = graph.distances()
+
+    def entry_of(i, j):
+        d = dist[i][j]
+        return [] if d < 0 else [
+            z for z in range(graph.n)
+            if dist[i][z] >= 0 and dist[z][j] >= 0 and dist[i][z] + dist[z][j] == d
+        ]
+
+    return entry_of
+
+
+class TestTableRows:
+    """Tables built on trusted mask rows, and the rows they keep."""
+
+    def assert_same_table(self, got, want):
+        assert got.carrier == want.carrier and got.name == want.name
+        v = len(want)
+        for i in range(v):
+            for j in range(v):
+                assert got.entry_mask(i, j) == want.entry_mask(i, j), (i, j)
+                assert got.size_of(i, j) == want.size_of(i, j), (i, j)
+
+    @pytest.mark.parametrize("spec", ["2^4", "3,3", "2,3,3"])
+    @pytest.mark.parametrize(
+        "source", ["rset:1", "rset:2", "closure:1", "closure:2", "interval"]
+    )
+    def test_trusted_rows_equal_validated_tables(self, source, spec):
+        spec = AlphabetSpec.parse(spec)
+        table = table_of(source, spec)
+        words = table.carrier
+        kind, _, k = source.partition(":")
+        if kind == "rset":
+            def entry_of(i, j):
+                return [w.index for w in rset(int(k), words[i], words[j]).members]
+        elif kind == "closure":
+            def entry_of(i, j):
+                return [w.index for w in closure(int(k), words[i], words[j])]
+        else:
+            entry_of = literal_interval(hamming_graph(spec))
+        self.assert_same_table(table, validated_copy(table, entry_of))
+        closed = table_closure(table)
+        self.assert_same_table(closed, validated_copy(closed, closed.entry_indices))
+        renamed = table.renamed("other")
+        self.assert_same_table(renamed, validated_copy(renamed, table.entry_indices))
+
+    def test_interval_tables_equal_literal_intervals(self):
+        graphs = [cycle_graph(m) for m in (3, 4, 5, 6)] + [
+            SimpleGraph([0], []),
+            SimpleGraph([0, 1, 2, 3, 4], [(0, 1), (2, 3), (3, 4)]),
+            SimpleGraph(list(range(5)), [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        ]
+        for g in graphs:
+            table = table_from_interval(g)
+            self.assert_same_table(table, validated_copy(table, literal_interval(g)))
+
+    def test_catalog_rows_are_built_once(self, monkeypatch):
+        import xoverlab.axioms as ax
+
+        calls = {"transpose": 0, "closure": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ax, "_transpose", counted("transpose", ax._transpose))
+        monkeypatch.setattr(ax, "table_closure", counted("closure", ax.table_closure))
+        table = table_from_rset(1, AlphabetSpec.parse("2^5"))
+        check_all(table)
+        assert calls["closure"] == 1
+        before = dict(calls)
+        for axiom in ("Pa", "AX", "CGp"):
+            check_axiom(table, axiom)
+        assert calls == before
+
+
 class TestReportMechanics:
     def test_determinism(self):
         a = check_all(table_from_rset(2, B4))
@@ -653,7 +739,7 @@ class TestReportMechanics:
         import xoverlab.axioms as ax
 
         fake = dict(ax._FINDERS)
-        fake["GW3"] = lambda ctx: (0, 0, 0, 0)
+        fake["GW3"] = lambda table: (0, 0, 0, 0)
         monkeypatch.setattr(ax, "_FINDERS", fake)
         with pytest.raises(RuntimeError, match="internal error"):
             check_all(table_from_rset(3, B4))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import xoverlab.crossover as crossover_mod
 from xoverlab.crossover import (
     CutSet,
-    _greedy_lex_path,
     block_count,
     closure,
     find_parents,
@@ -29,6 +28,7 @@ from xoverlab.crossover import (
 from xoverlab.words import (
     AlphabetSpec,
     BudgetExceededError,
+    IncompatibleWordsError,
     Word,
     WordSet,
     hamming_distance,
@@ -576,14 +576,17 @@ class TestLexPaths:
             lo, hi = min(seqs, key=key), max(seqs, key=key)
             assert lex_extreme_path_vertices(x, y) == WordSet(set(lo) | set(hi), spec)
 
-    def test_greedy_walk_without_a_step_raises(self):
-        # equal letters under different alphabets: the words differ, yet no
-        # position does, so the walk has no step; this must raise a clear
-        # error even under python -O instead of putting None on the path
-        start = Word((0, 0), bspec(2))
-        goal = Word((0, 0), AlphabetSpec((3, 3)))
-        with pytest.raises(RuntimeError, match="no step"):
-            _greedy_lex_path(start, goal, pick_max=False)
+    def test_mixed_alphabets_raise(self):
+        # equal letters under different alphabets: the words share no spec
+        x = Word((0, 0), bspec(2))
+        y = Word((0, 0), AlphabetSpec((3, 3)))
+        with pytest.raises(IncompatibleWordsError):
+            lex_extreme_path_vertices(x, y)
+
+    def test_ternary_words_raise(self):
+        spec = AlphabetSpec((3, 3))
+        with pytest.raises(ValueError, match="binary"):
+            lex_extreme_path_vertices(Word((0, 1), spec), Word((2, 0), spec))
 
 
 def test_transit_graph_is_distance_one_graph():
