@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__, verify as verify_mod
 from .axioms import (
@@ -175,6 +175,12 @@ def cmd_axioms(args) -> tuple[int, str]:
         names = None
     else:
         names = [ax.strip() for ax in args.check.split(",") if ax.strip()]
+        if not names:
+            raise CliError(f"--check {args.check!r} names no axiom")
+        unknown = [ax for ax in names if ax not in AXIOM_IDS]
+        if unknown:
+            raise CliError(
+                f"unknown axiom {unknown[0]!r}; known: {', '.join(AXIOM_IDS)}")
     # refuse before building the table: a 2^9 table alone takes seconds
     spec.check_budget(args.budget)
     if spec.size > DEFAULT_SIX_VAR_LIMIT and (
@@ -347,30 +353,10 @@ def _parse_t_range(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    requested = {}
-    if args.max_n is not None:
-        requested["max_n"] = args.max_n
-    if args.max_k is not None:
-        requested["max_k"] = args.max_k
-    if args.t is not None:
-        requested["ts"] = _parse_t_range(args.t)
-    requested["seed"] = args.seed
-    names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
-    if args.suite not in list(verify_mod.SUITES) + ["all"]:
-        known = ", ".join(list(verify_mod.SUITES) + ["all"])
-        raise CliError(f"unknown suite {args.suite!r}; known suites: {known}")
-    calls = []
-    for name in names:
-        fn = verify_mod.SUITES[name]
-        accepted = inspect.signature(fn).parameters
-        kwargs = {k: v for k, v in requested.items() if k in accepted}
-        if "max_n" in accepted:
-            # a suite's sweeps enumerate binary spaces of up to max_n positions
-            max_n = kwargs.get("max_n", accepted["max_n"].default)
-            if max_n >= 1:
-                AlphabetSpec((2,) * max_n).check_budget(args.budget)
-        calls.append((fn, kwargs))
-    results = [fn(**kwargs) for fn, kwargs in calls]
+    given = {"seed": args.seed, "max_n": args.max_n, "max_k": args.max_k,
+             "ts": None if args.t is None else _parse_t_range(args.t)}
+    bounds = {k: v for k, v in given.items() if v is not None}
+    results = verify_mod.run_suite(args.suite, budget=args.budget, **bounds)
     doc = _doc(
         args, "verify",
         suite=args.suite,
@@ -388,6 +374,8 @@ def cmd_verify(args) -> tuple[int, str]:
     return code, _render(args, doc, rows, ("suite", "status"))
 
 
+# built once per process: every render_command parses with it
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", default=None,
@@ -458,8 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv) -> tuple[int, str, str | None]:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     code, text = args.fn(args)
     return code, text, args.out
 

@@ -4,26 +4,25 @@ Each suite recomputes one claim from scratch at desk scale and reports an
 exact pass/fail with detail lines; nothing is sampled where enumeration is
 affordable, and nothing carries a tolerance.
 
-Pair sweeps over binary spaces lean on one structural fact: the crossover
-kernel scatters patterns that depend only on k and the differing positions
-onto x, so rset(k, x, y) = x XOR rset(k, 0, x XOR y) and enumerating all 2^n
-difference masks covers every ordered pair.  Suites that collapse further,
-to one representative per (k, distance), first check that restricting each
-mask's member set to its differing positions reproduces the representative,
-so the collapse is verified rather than assumed.  Both checks read the
-packed indices of ``rset``'s kernel and so check its scatter; seeded random
-pair samples re-witness translation through ``rset`` itself.
+The crossover kernel builds R_k(x, y) from (k, t) patterns spread onto the
+t positions where x and y differ.  One check, ``_kernel_failures``, holds it
+to the literal definition: for every binary n <= max_n, every difference
+mask, one seeded x per mask and every k <= max_k, ``rset(k, x, x XOR mask)``
+must be x XOR the literal cut enumeration on 0^t and 1^t, spread onto the
+mask.  ``sizes``, ``partialcube``, ``vc`` and ``parents`` all run it, so the
+claims they derive from one canonical set per (k, t) hold for the sets the
+fast path returns.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .crossover import (
     closure,
     lex_extreme_path_vertices,
     rset,
+    rset_by_cut_enumeration,
     rset_recursive,
     rset_size_formula,
     transit_graph,
@@ -47,12 +47,10 @@ from .crossover import (
 from .graphs import SimpleGraph
 from .matroid import (
     check_face_axioms,
-    covectors_from_topes,
     face_lattice,
     is_uniform,
+    om_from_rset,
     tope_graph,
-    uniform_tope_check,
-    word_to_sign,
 )
 from .partialcube import (
     cut_sizes,
@@ -63,7 +61,7 @@ from .partialcube import (
     largest_cube_minor_dim,
     vc_dimension,
 )
-from .words import AlphabetSpec, Word, phi
+from .words import DEFAULT_BUDGET, AlphabetSpec, Word, phi
 
 
 @dataclass(frozen=True)
@@ -100,100 +98,74 @@ def _member_indices(k: int, xi: int, yi: int, spec: AlphabetSpec) -> frozenset[i
     return frozenset(_rset_packed(k, _w(xi, spec), _w(yi, spec)))
 
 
-def _restrict(index: int, mask: int, n: int) -> int:
-    """Bits of index at the positions of mask, order preserved."""
-    out = 0
-    for b in range(n - 1, -1, -1):
-        if mask >> b & 1:
-            out = out << 1 | (index >> b & 1)
+def _deposits(mask: int) -> list[int]:
+    """Entry p is pattern p spread onto the set bits of mask, bit j of p on
+    the j-th lowest set bit; together the 2**t entries are the geodesic
+    interval of 0 and mask."""
+    out = [0]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out += [d | low for d in out]
+        rest ^= low
     return out
 
 
-def _interval_indices(mask: int) -> frozenset[int]:
-    """All subsets of the difference mask: the geodesic interval from 0."""
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return frozenset(out)
-        sub = (sub - 1) & mask
+@lru_cache(maxsize=None)
+def _literal(k: int, t: int) -> frozenset[int]:
+    """Packed indices of rset_by_cut_enumeration(k, 0^t, 1^t); over 2^t a
+    word's packed index is its pattern."""
+    if t == 0:
+        return frozenset({0})
+    spec = _bspec(t)
+    return rset_by_cut_enumeration(
+        k, Word((0,) * t, spec), Word((1,) * t, spec)).indices
 
 
-def _translation_samples(
-    rng: random.Random, n: int, k: int, count: int
-) -> list[str]:
-    """Check rset(k, x, y) = x XOR rset(k, 0, x XOR y) on random pairs."""
-    spec = _bspec(n)
+def _kernel_failures(max_n: int, max_k: int,
+                     rng: random.Random) -> tuple[list[str], int]:
+    """Compare rset with the literal cut enumeration on every binary
+    difference mask, n <= max_n, k <= max_k, from one seeded x per mask;
+    returns the failures and the number of comparisons."""
     failures = []
-    for _ in range(count):
-        xi = rng.randrange(1 << n)
-        yi = rng.randrange(1 << n)
-        direct = rset(k, _w(xi, spec), _w(yi, spec)).members.indices
-        translated = frozenset(xi ^ z for z in _member_indices(k, 0, xi ^ yi, spec))
-        if direct != translated:
-            failures.append(
-                f"FAIL translation: n={n} k={k} x={xi:0{n}b} y={yi:0{n}b}"
-            )
-    return failures
-
-
-def _restriction_failures(max_n: int, max_k: int) -> list[str]:
-    """Check each mask's member set restricts to the all-ones representative."""
-    failures = []
-    rep_cache: dict[tuple[int, int], frozenset[int]] = {}
-    for n in range(1, max_n + 1):
-        spec = _bspec(n)
-        for mask in range(1 << n):
-            d = mask.bit_count()
-            for k in range(1, max_k + 1):
-                key = (k, d)
-                if key not in rep_cache:
-                    dspec = _bspec(d) if d else _bspec(1)
-                    rep_cache[key] = (
-                        _member_indices(k, 0, (1 << d) - 1, dspec)
-                        if d
-                        else frozenset({0})
-                    )
-                got = frozenset(
-                    _restrict(z, mask, n)
-                    for z in _member_indices(k, 0, mask, spec)
-                )
-                if got != rep_cache[key]:
-                    failures.append(
-                        f"FAIL restriction: n={n} k={k} mask={mask:0{n}b}"
-                    )
-    return failures
-
-
-def check_sizes(max_n: int = 10, max_k: int = 5, seed: int = 0,
-                samples: int = 20) -> CheckResult:
-    """Recombination set sizes match the closed form on every pair."""
-    failures: list[str] = []
     checked = 0
     for n in range(1, max_n + 1):
         spec = _bspec(n)
-        w0 = _w(0, spec)
         for mask in range(1 << n):
-            wm = _w(mask, spec)
+            xi = rng.randrange(1 << n)
+            deposits = _deposits(mask)
             t = mask.bit_count()
             for k in range(1, max_k + 1):
-                size = len(rset(k, w0, wm).members)
-                expect = 2**t if t <= k else 2 * phi(k, t - 1)
                 checked += 1
-                if size != expect or rset_size_formula(k, t) != expect:
+                got = rset(k, _w(xi, spec), _w(xi ^ mask, spec)).members.indices
+                if got != frozenset(xi ^ deposits[p] for p in _literal(k, t)):
                     failures.append(
-                        f"FAIL size: n={n} k={k} mask={mask:0{n}b} "
-                        f"got {size} want {expect}"
+                        f"FAIL kernel: n={n} k={k} x={xi:0{n}b} "
+                        f"y={xi ^ mask:0{n}b}"
                     )
-    rng = random.Random(seed)
-    for n in range(2, max_n + 1):
-        for k in range(1, max_k + 1):
-            failures.extend(_translation_samples(rng, n, k, samples))
+    return failures, checked
+
+
+def _kernel_note(max_n: int, max_k: int, checked: int) -> str:
+    return (f"rset equals the literal cut enumeration on {checked} "
+            f"(n, mask, k), one seeded x per mask, n<={max_n}, k<={max_k}")
+
+
+def check_sizes(max_n: int = 10, max_k: int = 5, seed: int = 0) -> CheckResult:
+    """Recombination set sizes match the closed form on every pair."""
+    failures, checked = _kernel_failures(max_n, max_k, random.Random(seed))
+    for k in range(1, max_k + 1):
+        for t in range(max_n + 1):
+            size = len(_literal(k, t))
+            expect = 2**t if t <= k else 2 * phi(k, t - 1)
+            if size != expect or rset_size_formula(k, t) != expect:
+                failures.append(
+                    f"FAIL size: k={k} t={t} got {size} want {expect}"
+                )
     notes = [
-        f"difference-mask sweep: {checked} (n, k, mask) size checks, "
-        f"n<={max_n}, k<={max_k}",
-        f"translation witnessed on {samples} random pairs per (n, k)",
+        _kernel_note(max_n, max_k, checked),
+        f"literal set sizes equal the closed form and rset_size_formula "
+        f"for every t<={max_n}, k<={max_k}",
     ]
     return _result("sizes", notes, failures, checked)
 
@@ -244,7 +216,7 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
         for mask in range(1 << n):
             wm = _w(mask, spec)
             d = mask.bit_count()
-            want = _interval_indices(mask)
+            want = frozenset(_deposits(mask))
             for k in range(1, max_k + 1):
                 checked += 1
                 closed = closure(k, w0, wm).indices
@@ -346,31 +318,28 @@ def check_hamming(max_n: int = 5) -> CheckResult:
     return _result("hamming", notes, failures, checked)
 
 
-def check_parents(max_n: int = 6, max_k: int = 4) -> CheckResult:
-    """Distinct distant parent pairs never share a recombination set."""
-    failures: list[str] = []
+def check_parents(max_n: int = 10, max_k: int = 4, seed: int = 0) -> CheckResult:
+    """Parents farther apart than k+1 are the only pair with their set."""
+    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
     examined = 0
-    for n in range(2, max_n + 1):
-        spec = _bspec(n)
-        for k in range(1, max_k + 1):
-            seen: dict[frozenset[int], tuple[int, int]] = {}
-            for xi in range(1 << n):
-                for yi in range(xi + 1, 1 << n):
-                    if (xi ^ yi).bit_count() <= k + 1:
-                        continue
-                    examined += 1
-                    key = _member_indices(k, xi, yi, spec)
-                    if key in seen:
-                        failures.append(
-                            f"FAIL parents: n={n} k={k} pairs "
-                            f"{seen[key]} and {(xi, yi)} share a set"
-                        )
-                    else:
-                        seen[key] = (xi, yi)
+    for k in range(1, max_k + 1):
+        for t in range(k + 2, max_n + 1):
+            spec = _bspec(t)
+            full = (1 << t) - 1
+            seen: dict[frozenset[int], int] = {}
+            for u in range(1 << t - 1):
+                examined += 1
+                first = seen.setdefault(_member_indices(k, u, u ^ full, spec), u)
+                if first != u:
+                    failures.append(f"FAIL parents: k={k} t={t} pairs "
+                                    f"{first:0{t}b} and {u:0{t}b} share a set")
     notes = [
-        f"exhaustive: {examined} pairs at distance > k+1 over all "
-        f"n<={max_n}, k<={max_k}; every recombination set determines "
-        "its parents",
+        "a recombination set contains its parents and lies in their box, so "
+        "pairs sharing a set are antipodal pairs of one box, which maps onto "
+        "the canonical t-bit box over any alphabet and length",
+        f"all {examined} antipodal pairs of the t-bit boxes, k+2<=t<={max_n}, "
+        f"k<={max_k}, have distinct sets",
+        _kernel_note(max_n, max_k, compared),
     ]
     return _result("parents", notes, failures, examined)
 
@@ -380,11 +349,9 @@ def _representative_graph(k: int, d: int) -> SimpleGraph:
     return transit_graph(k, _w(0, spec), _w((1 << d) - 1, spec))
 
 
-def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0,
-                      samples: int = 10) -> CheckResult:
+def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckResult:
     """Every recombination-set graph is an antipodal partial cube."""
-    failures: list[str] = []
-    failures.extend(_restriction_failures(max_n, max_k))
+    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
     reps = 0
     for d in range(1, max_n + 1):
         for k in range(1, max_k + 1):
@@ -409,43 +376,35 @@ def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0,
         failures.append("FAIL negative control: K_{2,3} accepted")
     if is_partial_cube(c5) is not None:
         failures.append("FAIL negative control: C_5 accepted")
-    rng = random.Random(seed)
-    for n in range(2, max_n + 1):
-        for k in range(1, max_k + 1):
-            failures.extend(_translation_samples(rng, n, k, samples))
     notes = [
         f"{reps} (k, distance) representative graphs embed as partial cubes "
         "with the complement antipodal map",
-        f"restriction to differing positions verified for every mask, "
-        f"n<={max_n}, k<={max_k}",
+        _kernel_note(max_n, max_k, compared),
         "K_{2,3} and C_5 are rejected",
     ]
     return _result("partialcube", notes, failures, reps)
 
 
-def check_vc(max_n: int = 7, max_k: int = 6) -> CheckResult:
+def check_vc(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckResult:
     """VC dimension is min(k+1, d) and matches the largest cube minor."""
-    failures: list[str] = []
-    failures.extend(_restriction_failures(max_n, max_k))
+    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
     reps = 0
     for d in range(1, max_n + 1):
-        spec = _bspec(d)
         for k in range(1, max_k + 1):
             reps += 1
-            members = rset(k, _w(0, spec), _w((1 << d) - 1, spec)).members
-            vc = vc_dimension(list(members))
+            g = _representative_graph(k, d)
+            vc = vc_dimension(list(g.vertices))
             if vc != min(k + 1, d):
                 failures.append(
                     f"FAIL vc: k={k} d={d} got {vc} want {min(k + 1, d)}"
                 )
-            emb = is_partial_cube(_representative_graph(k, d))
+            emb = is_partial_cube(g)
             if emb is None or largest_cube_minor_dim(emb) != vc:
                 failures.append(f"FAIL cube minor: k={k} d={d}")
     notes = [
         f"vc = min(k+1, d) = largest cube minor on every representative, "
         f"d<={max_n}, k<={max_k}",
-        f"restriction to differing positions verified for every mask, "
-        f"n<={max_n}, k<={max_k}",
+        _kernel_note(max_n, max_k, compared),
     ]
     return _result("vc", notes, failures, reps)
 
@@ -488,15 +447,15 @@ def check_om(max_n: int = 8) -> CheckResult:
     cases = 0
     mismatch_example = None
     for n in range(2, max_n + 1):
-        spec = _bspec(n)
         for k in range(1, n):
             cases += 1
-            members = rset(k, _w(0, spec), _w((1 << n) - 1, spec)).members
-            topes = [word_to_sign(w) for w in members]
-            if len(topes) != 2 * phi(k, n - 1) or not uniform_tope_check(topes):
-                failures.append(f"FAIL tope check: k={k} n={n}")
+            try:
+                om = om_from_rset(k, n)
+            except RuntimeError as err:
+                failures.append(f"FAIL tope check: k={k} n={n}: {err}")
                 continue
-            om = covectors_from_topes(topes)
+            if len(om.topes) != 2 * phi(k, n - 1):
+                failures.append(f"FAIL tope count: k={k} n={n}")
             if not check_face_axioms(om.covectors).holds:
                 failures.append(f"FAIL face axioms: k={k} n={n}")
             rank = om.rank
@@ -521,10 +480,7 @@ def check_om(max_n: int = 8) -> CheckResult:
                     failures.append(f"FAIL quad count: n={n}")
                 if faces != n * n - n:
                     failures.append(f"FAIL quad formula: n={n} faces={faces}")
-    lat = face_lattice(covectors_from_topes(
-        [word_to_sign(w)
-         for w in rset(2, _w(0, _bspec(4)), _w(15, _bspec(4))).members]
-    ))
+    lat = face_lattice(om_from_rset(2, 4))
     if lat.level_sizes() != (1, 12, 24, 14, 1):
         failures.append(f"FAIL lattice levels: {lat.level_sizes()}")
     notes = [
@@ -656,11 +612,24 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[CheckResult]:
-    """Run one suite by name, or all of them."""
-    if name == "all":
-        return [fn() for fn in SUITES.values()]
-    if name not in SUITES:
+def run_suite(name: str, budget: int = DEFAULT_BUDGET,
+              **bounds) -> list[CheckResult]:
+    """Run one suite by name, or all of them, each with the bounds it takes.
+
+    A suite's sweeps enumerate binary spaces of up to max_n positions, so
+    every selected suite's max_n, requested or default, is checked against
+    the budget before any suite runs; ``BudgetExceededError`` otherwise.
+    """
+    if name != "all" and name not in SUITES:
         known = ", ".join(list(SUITES) + ["all"])
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
-    return [SUITES[name](**kwargs)]
+    calls = []
+    for fn in SUITES.values() if name == "all" else [SUITES[name]]:
+        accepted = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in bounds.items() if k in accepted}
+        if "max_n" in accepted:
+            max_n = kwargs.get("max_n", accepted["max_n"].default)
+            if max_n >= 1:
+                _bspec(max_n).check_budget(budget)
+        calls.append((fn, kwargs))
+    return [fn(**kwargs) for fn, kwargs in calls]

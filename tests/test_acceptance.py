@@ -40,8 +40,8 @@ def test_05_hypercube_and_hamming_recognition():
     _passed(verify.check_hamming(max_n=5))
 
 
-def test_06_distant_parents_are_unique_n6():
-    _passed(verify.check_parents(max_n=6, max_k=4))
+def test_06_distant_parents_are_unique_t10():
+    _passed(verify.check_parents(max_n=10, max_k=4))
 
 
 def test_07_antipodal_partial_cubes_n7():

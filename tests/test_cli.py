@@ -115,6 +115,24 @@ class TestErrors:
         for axiom in ("T1", "MO", "GW4", "A2p"):
             assert axiom in err
 
+    @pytest.mark.parametrize("check", [",", "", " , "])
+    def test_check_naming_no_axiom_exits_2(self, check, capsys):
+        assert cli.main(["axioms", "--source", "rset:1", "--spec", "2^2",
+                         "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert "names no axiom" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_axiom_refused_before_the_table(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the table was built before the name check")
+
+        monkeypatch.setattr(cli, "_build_table", no_table)
+        assert cli.main(["axioms", "--source", "rset:1", "--spec", "2^2",
+                         "--check", "T1,QQ"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown axiom 'QQ'; known: A1, A2, ")
+
     def test_six_variable_limit_names_the_cli_way_out(self, capsys, monkeypatch):
         argv = ["axioms", "--source", "rset:1", "--spec", "2^9"]
 
@@ -134,6 +152,14 @@ class TestErrors:
         assert cli.main([*argv, "--check", "T1,A1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [r["axiom"] for r in doc["reports"]] == ["T1", "A1"]
+
+
+def test_parser_is_built_once():
+    parser = cli._build_parser()
+    hits = cli._build_parser.cache_info().hits
+    cli.render_command(["rset", "-k", "1", "-x", "00", "-y", "11"])
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().hits == hits + 2
 
 
 class TestMain:
@@ -274,6 +300,10 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: space too large")
         assert captured.out == ""
+
+    def test_parents_default_bound_needs_2_to_the_10(self, capsys):
+        assert cli.main(["verify", "parents", "--budget", "512"]) == 2
+        assert "exceeds budget 512" in capsys.readouterr().err
 
     def test_bounds_within_budget_pass(self):
         code, text, _ = cli._run(

@@ -7,13 +7,13 @@ from xoverlab.verify import CheckResult, run_suite
 
 
 REDUCED = [
-    ("sizes", {"max_n": 5, "max_k": 3, "samples": 5}),
+    ("sizes", {"max_n": 5, "max_k": 3}),
     ("recursion", {"max_n": 5, "max_k": 3, "samples": 5}),
     ("closure", {"max_n": 5, "max_k": 2}),
     ("axioms", {}),
     ("hamming", {"max_n": 3}),
     ("parents", {"max_n": 4, "max_k": 2}),
-    ("partialcube", {"max_n": 4, "max_k": 3, "samples": 3}),
+    ("partialcube", {"max_n": 4, "max_k": 3}),
     ("vc", {"max_n": 4, "max_k": 3}),
     ("r2", {"ts": (4,)}),
     ("om", {"max_n": 5}),
@@ -131,17 +131,114 @@ def test_om_flags_wrong_closed_form():
 
 
 class TestHelpers:
-    def test_restrict_compresses_masked_bits(self):
-        # mask 1101 keeps positions 1, 2, 4; word 1011 reads 1, 0, 1 there
-        assert verify._restrict(0b1011, 0b1101, 4) == 0b101
-        assert verify._restrict(0b1111, 0b0000, 4) == 0
-        assert verify._restrict(0b0101, 0b1111, 4) == 0b0101
+    def test_deposits_spread_patterns_onto_the_mask(self):
+        # bit j of the pattern lands on the j-th lowest set bit of the mask
+        assert verify._deposits(0b1010) == [0b0000, 0b0010, 0b1000, 0b1010]
+        assert verify._deposits(0b111) == list(range(8))
+        assert verify._deposits(0) == [0]
 
-    def test_interval_indices_are_submasks(self):
-        assert verify._interval_indices(0b101) == frozenset({0, 1, 4, 5})
-        assert verify._interval_indices(0) == frozenset({0})
+    def test_deposits_are_the_interval(self):
+        mask = 0b101101
+        assert sorted(verify._deposits(mask)) == [
+            z for z in range(1 << 6) if z & ~mask == 0]
 
-    def test_translation_samples_clean(self):
+    def test_literal_sets(self):
+        assert verify._literal(1, 0) == frozenset({0})
+        assert verify._literal(1, 3) == frozenset(
+            {0b000, 0b001, 0b011, 0b100, 0b110, 0b111})
+        assert verify._literal(2, 3) == frozenset(range(8))
+
+    def test_kernel_check_counts_every_comparison(self):
         import random
 
-        assert verify._translation_samples(random.Random(0), 5, 2, 20) == []
+        failures, checked = verify._kernel_failures(4, 3, random.Random(0))
+        assert failures == []
+        assert checked == (2 + 4 + 8 + 16) * 3
+
+
+def _swap_one_member(monkeypatch, k=2, t=5):
+    """Make verify's rset swap one member of every R_k at distance t for a
+    non-member of the parents' box, so the set keeps its size."""
+    from xoverlab.crossover import RSetResult
+    from xoverlab.words import WordSet
+
+    real = verify.rset
+
+    def fake(kk, x, y):
+        result = real(kk, x, y)
+        mask = x.index ^ y.index
+        if kk != k or mask.bit_count() != t:
+            return result
+        members = result.members.indices
+        outside = min(x.index ^ d for d in verify._deposits(mask)
+                      if x.index ^ d not in members)
+        inside = min(members - {x.index, y.index})
+        swapped = WordSet.from_indices(members - {inside} | {outside}, x.spec)
+        return RSetResult(swapped, (x, y), kk)
+
+    monkeypatch.setattr(verify, "rset", fake)
+
+
+@pytest.mark.parametrize("name", ["sizes", "partialcube", "vc", "parents"])
+def test_same_size_swap_fails_the_kernel_check(name, monkeypatch):
+    _swap_one_member(monkeypatch)
+    result = verify.SUITES[name](max_n=5, max_k=2)
+    assert not result.passed
+    assert any(line.startswith("FAIL kernel: n=5 k=2")
+               for line in result.details)
+
+
+def test_shared_set_fails_parents(monkeypatch):
+    monkeypatch.setattr(verify, "_member_indices",
+                        lambda k, xi, yi, spec: frozenset())
+    result = verify.check_parents(max_n=4, max_k=1)
+    assert not result.passed
+    assert "FAIL parents: k=1 t=3 pairs 000 and 001 share a set" in (
+        result.details)
+
+
+class TestRunSuite:
+    @staticmethod
+    def _stubs(monkeypatch, calls):
+        def wide(max_n=3, max_k=2, seed=0):
+            calls.append(("wide", max_n, max_k, seed))
+            return CheckResult("wide", True, ())
+
+        def narrow(ts=(4,)):
+            calls.append(("narrow", ts))
+            return CheckResult("narrow", True, ())
+
+        def big(max_n=10):
+            calls.append(("big", max_n))
+            return CheckResult("big", True, ())
+
+        monkeypatch.setattr(verify, "SUITES",
+                            {"wide": wide, "narrow": narrow, "big": big})
+
+    def test_each_suite_gets_the_bounds_it_takes(self, monkeypatch):
+        calls = []
+        self._stubs(monkeypatch, calls)
+        run_suite("all", max_n=4, seed=7, ts=(5,))
+        assert calls == [("wide", 4, 2, 7), ("narrow", (5,)), ("big", 4)]
+
+    def test_budget_is_checked_before_any_suite_runs(self, monkeypatch):
+        from xoverlab.words import BudgetExceededError
+
+        calls = []
+        self._stubs(monkeypatch, calls)
+        # big's default max_n = 10 needs 1024 words
+        with pytest.raises(BudgetExceededError, match="exceeds budget 512"):
+            run_suite("all", budget=512)
+        assert calls == []
+        run_suite("all", budget=1024)
+        assert [c[0] for c in calls] == ["wide", "narrow", "big"]
+
+    def test_requested_max_n_is_checked(self, monkeypatch):
+        from xoverlab.words import BudgetExceededError
+
+        calls = []
+        self._stubs(monkeypatch, calls)
+        with pytest.raises(BudgetExceededError):
+            run_suite("wide", budget=16, max_n=5)
+        run_suite("wide", budget=16, max_n=4)
+        assert calls == [("wide", 4, 2, 0)]
