@@ -20,7 +20,6 @@ from .crossover import (
     block_count,
     closure,
     find_parents,
-    generate_convexity,
     is_closed,
     lex_extreme_path_vertices,
     median,
@@ -48,7 +47,6 @@ __all__ = [
     "block_count",
     "closure",
     "find_parents",
-    "generate_convexity",
     "is_closed",
     "lex_extreme_path_vertices",
     "median",

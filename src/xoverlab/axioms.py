@@ -28,6 +28,9 @@ lowest-set-bit lookup:
 - MM compares distinct entry masks, each keyed to the first pair carrying
   it, instead of all pairs of pairs.
 
+``table_closure`` and ``convex_sets`` share one hull: the least superset of
+a mask that holds the entry of every pair of its members.
+
 AX and AXp are the same predicate as written: AXp spells out the three
 parallelism tests of AX entry by entry, so both catalog entries share one
 finder and always give the same verdict and witness.
@@ -152,9 +155,6 @@ class TransitTable:
     def entry_indices(self, i: int, j: int) -> frozenset[int]:
         return frozenset(_bits(self._entry[i][j]))
 
-    def entry_elements(self, i: int, j: int) -> tuple:
-        return tuple(self._carrier[b] for b in _bits(self._entry[i][j]))
-
     def size_of(self, i: int, j: int) -> int:
         return self._size[i][j]
 
@@ -270,28 +270,56 @@ def table_from_interval(graph: SimpleGraph) -> TransitTable:
     return TransitTable._from_rows(graph.vertices, entry, "interval")
 
 
-def table_closure(table: TransitTable, name: str | None = None) -> TransitTable:
+def _hull(rows: Sequence[Sequence[int]], mask: int) -> int:
+    """Least superset of mask that holds the entry of every pair of its members."""
+    while True:
+        grown = mask
+        live = list(_bits(mask))
+        for a_pos, a in enumerate(live):
+            row = rows[a]
+            for b in live[a_pos:]:
+                grown |= row[b]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def table_closure(table: TransitTable) -> TransitTable:
     """Least fixed point closing every entry under the table itself."""
     rows = table._entry
     v = len(rows)
     entry = [[0] * v for _ in range(v)]
     for i in range(v):
         for j in range(i, v):
-            current = rows[i][j]
-            while True:
-                grown = current
-                live = list(_bits(current))
-                for a_pos, a in enumerate(live):
-                    row = rows[a]
-                    for b in live[a_pos:]:
-                        grown |= row[b]
-                if grown == current:
-                    break
+            entry[i][j] = entry[j][i] = _hull(rows, rows[i][j])
+    return TransitTable._from_rows(table.carrier, entry, f"closure of {table.name}")
+
+
+def convex_sets(table: TransitTable) -> tuple[int, ...]:
+    """Every convex set of the table as a carrier-index mask, in lectic order.
+
+    A set is convex when it holds the entry of every pair of its members.
+    Ganter's NextClosure (*Two basic algorithms in concept analysis*, 1984)
+    steps from one hull to the next: the first index i from the top that is
+    not in the current set, whose hull with the current members below i
+    adds no index below i, gives the successor.
+    """
+    rows = table._entry
+    full = (1 << len(rows)) - 1
+    current = _hull(rows, 0)
+    out = [current]
+    while current != full:
+        for i in reversed(range(len(rows))):
+            bit = 1 << i
+            if current & bit:
+                continue
+            below = current & (bit - 1)
+            grown = _hull(rows, below | bit)
+            if grown & (bit - 1) == below:
                 current = grown
-            entry[i][j] = entry[j][i] = current
-    return TransitTable._from_rows(
-        table.carrier, entry, name or f"closure of {table.name}"
-    )
+                out.append(current)
+                break
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .words import (
     AlphabetSpec,
     BudgetExceededError,
     DEFAULT_BUDGET,
-    SMALL_SPACE_BUDGET,
     Word,
     WordSet,
     hamming_distance,
@@ -304,32 +303,6 @@ def is_closed(k: int, x: Word, y: Word) -> bool:
     mset = set(members)
     return all(u ^ m in mset for u, v in combinations(members, 2)
                for m in _ymask_patterns(k, u ^ v, t))
-
-
-def generate_convexity(
-    k: int, spec: AlphabetSpec, budget: int = SMALL_SPACE_BUDGET
-) -> tuple[WordSet, ...]:
-    """All intersections of recombination closures over a small space."""
-    k = _validate_k(k)
-    spec.check_budget(budget)
-    words = list(spec.iter_words())
-    family: set[frozenset[int]] = set()
-    for i, x in enumerate(words):
-        for y in words[i:]:
-            family.add(frozenset(closure(k, x, y, budget=spec.size).indices))
-    worklist = list(family)
-    while worklist:
-        nxt: list[frozenset[int]] = []
-        for a in worklist:
-            for b in family:
-                c = a & b
-                if c not in family and c not in nxt:
-                    nxt.append(c)
-        for c in nxt:
-            family.add(c)
-        worklist = nxt
-    sets = [WordSet.from_indices(idxs, spec) for idxs in family]
-    return tuple(sorted(sets, key=lambda s: (len(s), tuple(w.letters for w in s))))
 
 
 def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]:

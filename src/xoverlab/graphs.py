@@ -1,7 +1,7 @@
 """Simple undirected graphs with payload vertices, plus Hamming graph helpers.
 
 Vertices are stored in a fixed canonical order; every derived quantity
-(adjacency, distances, intervals) refers to vertex indices so that outputs
+(adjacency, distances) refers to vertex indices so that outputs
 are deterministic.
 """
 
@@ -86,17 +86,6 @@ class SimpleGraph:
             self._dist = tuple(rows)
         return self._dist
 
-    def induced(self, indices: Iterable[int]) -> "SimpleGraph":
-        keep = sorted(set(indices))
-        remap = {old: new for new, old in enumerate(keep)}
-        verts = [self._vertices[i] for i in keep]
-        edges = [
-            (remap[i], remap[j])
-            for i, j in self._edges
-            if i in remap and j in remap
-        ]
-        return SimpleGraph(verts, edges)
-
 
 def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
@@ -115,30 +104,10 @@ def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted((g.degree(i) for i in range(g.n)), reverse=True))
 
 
-def geodesic_interval(g: SimpleGraph, x: Hashable, y: Hashable) -> set[Hashable]:
-    """Vertices on shortest x,y-paths.  Requires x and y to be connected."""
-    i, j = g.index_of(x), g.index_of(y)
-    dist = g.distances()
-    dij = dist[i][j]
-    if dij < 0:
-        raise ValueError(f"vertices {x!r} and {y!r} lie in different components")
-    return {
-        g.vertices[z]
-        for z in range(g.n)
-        if dist[i][z] >= 0 and dist[z][j] >= 0 and dist[i][z] + dist[z][j] == dij
-    }
-
-
 def hamming_graph(spec: AlphabetSpec, budget: int = DEFAULT_BUDGET) -> SimpleGraph:
     """Graph on all words of the alphabet, edges between words at distance 1."""
     spec.check_budget(budget)
     return word_graph(WordSet.from_indices(range(spec.size), spec))
-
-
-def induced_subgraph(g: SimpleGraph, words: WordSet | Iterable[Hashable]) -> SimpleGraph:
-    """Subgraph of g induced on the given vertex payloads."""
-    payloads = words.members if isinstance(words, WordSet) else tuple(words)
-    return g.induced(g.index_of(p) for p in payloads)
 
 
 def word_graph(words: WordSet) -> SimpleGraph:

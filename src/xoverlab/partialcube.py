@@ -53,9 +53,6 @@ class PartialCubeEmbedding:
     def word_length(self) -> int:
         return len(self.cuts)
 
-    def as_dict(self) -> dict[str, str]:
-        return {str(v): lbl for v, lbl in self.labels.items()}
-
 
 def is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
     """Embedding of g into a hypercube, or None when g is not a partial cube.
@@ -194,11 +191,6 @@ def degree_profile(g: SimpleGraph) -> dict[int, int]:
     for d in degree_sequence(g):
         out[d] = out.get(d, 0) + 1
     return dict(sorted(out.items()))
-
-
-def min_max_degree(g: SimpleGraph) -> tuple[int, int]:
-    seq = degree_sequence(g)
-    return min(seq), max(seq)
 
 
 def is_planar_quadrangulation(g: SimpleGraph) -> tuple[bool, int | None]:

@@ -23,11 +23,12 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 from .axioms import (
     check_axiom,
+    convex_sets,
     recognize_hamming,
     recognize_hypercube,
     table_from_closure,
@@ -44,7 +45,7 @@ from .crossover import (
     rset_size_formula,
     transit_graph,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, hamming_graph
 from .matroid import (
     check_face_axioms,
     face_lattice,
@@ -206,8 +207,15 @@ def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
     return _result("recursion", notes, failures, checked)
 
 
+_CONVEXITY_SPACES = tuple(
+    [_bspec(n) for n in range(1, 6)]
+    + [AlphabetSpec(sizes) for sizes in ((2, 3), (3, 3), (2, 3, 4), (3, 3, 3))]
+)
+
+
 def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
-    """Closures equal geodesic intervals; sets equal intervals iff d <= k+1."""
+    """Closures equal geodesic intervals; sets equal intervals iff d <= k+1;
+    R_k and the interval function generate the same convex sets."""
     failures: list[str] = []
     checked = 0
     for n in range(1, max_n + 1):
@@ -234,6 +242,22 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
         f"n<={max_n}, k<={max_k}",
         "interval equality holds exactly when the distance is at most k+1",
     ]
+    spaces = [spec for spec in _CONVEXITY_SPACES if spec.size <= 1 << max_n]
+    for spec in spaces:
+        family = convex_sets(table_from_interval(hamming_graph(spec)))
+        if len(family) != prod((1 << a) - 1 for a in spec.sizes) + 1:
+            failures.append(f"FAIL convexity count: {spec} has {len(family)}")
+        for k in range(1, max_k + 1):
+            checked += 1
+            if convex_sets(table_from_rset(k, spec)) != family:
+                failures.append(f"FAIL convexity: {spec} k={k}")
+    notes.append(
+        "convexity sweep: R_k and the interval function have the same "
+        "prod(2^a - 1) + 1 convex sets on "
+        f"{' '.join(f'({spec})' for spec in spaces)} for k<={max_k}, "
+        "although R_k != I past distance k+1: Mulder's question has a "
+        "negative answer"
+    )
     return _result("closure", notes, failures, checked)
 
 

@@ -28,7 +28,6 @@ from operator import add, ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_BUDGET = 2 ** 20
-SMALL_SPACE_BUDGET = 2 ** 8
 # Largest alphabet product of one decoder table; a position whose own
 # alphabet is larger decodes without a table.
 _TABLE_LIMIT = 2 ** 8

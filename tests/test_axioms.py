@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from xoverlab import AlphabetSpec, Word
+from xoverlab import AlphabetSpec, BudgetExceededError, Word
 from xoverlab.axioms import (
     AXIOM_IDS,
     DEFAULT_SIX_VAR_LIMIT,
@@ -24,6 +24,7 @@ from xoverlab.axioms import (
     _resolve_sizes,
     check_all,
     check_axiom,
+    convex_sets,
     recognize_hamming,
     recognize_hypercube,
     table_closure,
@@ -65,8 +66,8 @@ class TestTableBasics:
 
     def test_diagonal_entries_are_singletons_on_factories(self):
         table = table_from_rset(2, B3)
-        for i, w in enumerate(table.carrier):
-            assert table.entry_elements(i, i) == (w,)
+        for i in range(len(table)):
+            assert table.entry_indices(i, i) == {i}
 
     def test_rset_factory_matches_rset(self):
         table = table_from_rset(1, B3)
@@ -682,6 +683,76 @@ class TestTableRows:
         for axiom in ("Pa", "AX", "CGp"):
             check_axiom(table, axiom)
         assert calls == before
+
+
+def literal_convex_sets(table):
+    """Every carrier subset holding the entry of each pair of its members."""
+    v = len(table)
+    pairs = [(a, b) for a in range(v) for b in range(a, v)]
+    return [s for s in range(1 << v)
+            if all(table.entry_mask(a, b) & ~s == 0
+                   for a, b in pairs if s >> a & s >> b & 1)]
+
+
+def mask_texts(table, mask):
+    return tuple(str(table.carrier[i]) for i in range(len(table)) if mask >> i & 1)
+
+
+class TestConvexity:
+    """NextClosure over the table's hull against the literal subset filter."""
+
+    def assert_literal(self, table):
+        got = convex_sets(table)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(literal_convex_sets(table))
+        # lectic order: the lowest index where neighbours differ joins the later
+        for a, b in zip(got, got[1:]):
+            assert (a ^ b) & -(a ^ b) & b
+
+    @pytest.mark.parametrize("spec", ["2", "2^2", "2^3", "3", "2,3", "3,3"])
+    @pytest.mark.parametrize(
+        "source", ["rset:1", "rset:2", "rset:3", "closure:1", "interval"]
+    )
+    def test_equal_to_literal_filter(self, source, spec):
+        self.assert_literal(table_of(source, AlphabetSpec.parse(spec)))
+
+    def test_equal_to_literal_filter_on_random_tables(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            self.assert_literal(random_table(rng, rng.randint(1, 7)))
+
+    def test_small_space_family(self):
+        table = table_from_rset(1, B2X2)
+        fam = [mask_texts(table, m) for m in convex_sets(table)]
+        # empty set, singletons, edges, and the whole square
+        assert () in fam
+        assert ("00",) in fam
+        assert ("00", "01") in fam
+        assert ("00", "01", "10", "11") in fam
+        # diagonals close to the whole square, so they do not appear
+        assert ("00", "11") not in fam
+        # empty set, 4 singletons, 4 edges, the square
+        assert len(fam) == 10
+
+    def test_members_closed_under_intersection(self):
+        fam = set(convex_sets(table_from_rset(1, AlphabetSpec((2, 3)))))
+        for a in fam:
+            for b in fam:
+                assert a & b in fam
+
+    def test_budget_enforced(self):
+        with pytest.raises(BudgetExceededError):
+            convex_sets(table_from_rset(1, AlphabetSpec((2,) * 10), budget=100))
+
+    @pytest.mark.parametrize(
+        "spec,count", [("3", 8), ("3,3", 50), ("2,3,4", 316), ("3,3,3", 344)]
+    )
+    def test_counts_off_the_binary_alphabet(self, spec, count):
+        # prod(2^a - 1) + 1 for R_1, R_2 and the interval function alike
+        spec = AlphabetSpec.parse(spec)
+        for table in (table_from_rset(1, spec), table_from_rset(2, spec),
+                      table_from_interval(hamming_graph(spec))):
+            assert len(convex_sets(table)) == count, table.name
 
 
 class TestReportMechanics:

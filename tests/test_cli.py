@@ -6,6 +6,7 @@ library so a regenerated file cannot silently freeze a wrong answer.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -310,6 +311,15 @@ class TestVerifyCommand:
             ["verify", "sizes", "--max-n", "4", "--budget", "16"])
         assert code == 0
         assert json.loads(text)["passed"] is True
+
+    def test_closure_convexity_spaces_follow_max_n(self):
+        code, text, _ = cli._run(
+            ["verify", "closure", "--max-n", "3", "--budget", "8"])
+        assert code == 0
+        (result,) = json.loads(text)["results"]
+        (note,) = [line for line in result["details"]
+                   if line.startswith("convexity sweep")]
+        assert re.findall(r"\(([\d,]+)\)", note) == ["2", "2,2", "2,2,2", "2,3"]
 
     def test_table_format(self):
         code, text, _ = cli._run(["verify", "axioms", "--format", "table"])

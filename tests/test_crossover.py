@@ -14,7 +14,6 @@ from xoverlab.crossover import (
     block_count,
     closure,
     find_parents,
-    generate_convexity,
     is_closed,
     lex_extreme_path_vertices,
     median,
@@ -427,34 +426,6 @@ class TestClosureFixpoint:
                     with pytest.raises(BudgetExceededError):
                         crossover_mod._closure_patterns(k, t, len(expect) - 1)
         assert 0 < filled < 16
-
-
-class TestConvexity:
-    def test_small_space_family(self):
-        spec = bspec(2)
-        fam = generate_convexity(1, spec)
-        texts = [tuple(s.to_text()) for s in fam]
-        # empty set, singletons, edges, and the whole square
-        assert () in texts
-        assert ("00",) in texts
-        assert ("00", "01") in texts
-        assert ("00", "01", "10", "11") in texts
-        # diagonals close to the whole square, so they do not appear
-        assert ("00", "11") not in texts
-        # empty set, 4 singletons, 4 edges, the square
-        assert len(fam) == 10
-
-    def test_members_closed_under_intersection(self):
-        spec = AlphabetSpec((2, 3))
-        fam = generate_convexity(1, spec)
-        idx = {s.indices for s in fam}
-        for a in idx:
-            for b in idx:
-                assert a & b in idx
-
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            generate_convexity(1, bspec(10), budget=100)
 
 
 class TestParents:

@@ -4,12 +4,11 @@ from xoverlab.graphs import (
     SimpleGraph,
     diameter,
     degree_sequence,
-    geodesic_interval,
     hamming_graph,
-    induced_subgraph,
     is_connected,
     word_graph,
 )
+from xoverlab.axioms import table_from_interval
 from xoverlab.words import AlphabetSpec, Word, WordSet, hamming_distance
 
 
@@ -54,8 +53,9 @@ def test_degree_sequence():
 def test_geodesic_interval_on_cycle():
     # C_4: both shortest paths between opposite corners
     g = SimpleGraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert geodesic_interval(g, 0, 2) == {0, 1, 2, 3}
-    assert geodesic_interval(g, 0, 1) == {0, 1}
+    table = table_from_interval(g)
+    assert table.entry_indices(0, 2) == {0, 1, 2, 3}
+    assert table.entry_indices(0, 1) == {0, 1}
 
 
 def test_hamming_graph_cube():
@@ -74,11 +74,19 @@ def test_hamming_graph_mixed():
     assert degree_sequence(g) == (3,) * 6
 
 
+def induced(g, payloads):
+    """Subgraph of g induced on the given vertex payloads, in g's order."""
+    keep = sorted(g.index_of(p) for p in payloads)
+    new = {old: i for i, old in enumerate(keep)}
+    edges = [(new[i], new[j]) for i, j in g.edges if i in new and j in new]
+    return SimpleGraph([g.vertices[i] for i in keep], edges)
+
+
 def test_word_graph_matches_induced_subgraph():
     spec = AlphabetSpec((2, 2, 2))
     words = WordSet([Word.parse(t, spec) for t in ("000", "001", "011", "111")])
     direct = word_graph(words)
-    ambient = induced_subgraph(hamming_graph(spec), words)
+    ambient = induced(hamming_graph(spec), words.members)
     assert direct.vertices == ambient.vertices
     assert direct.edges == ambient.edges
     for u, v in direct.edges:

@@ -26,7 +26,6 @@ from xoverlab.partialcube import (
     is_partial_cube,
     is_planar_quadrangulation,
     largest_cube_minor_dim,
-    min_max_degree,
     vc_dimension,
 )
 
@@ -293,9 +292,9 @@ class TestIsPartialCube:
             emb = is_partial_cube(g)
             assert emb.labels[g.vertices[0]] == "0" * emb.word_length
 
-    def test_as_dict_serialization(self):
+    def test_c4_labels(self):
         emb = is_partial_cube(cyc(4))
-        assert emb.as_dict() == {"0": "00", "1": "10", "2": "11", "3": "01"}
+        assert emb.labels == {0: "00", 1: "10", 2: "11", 3: "01"}
 
 
 def assert_matches_oracle(g):
@@ -533,7 +532,8 @@ class TestDegrees:
         # min degree k+1 and max degree n for antipodal pairs with
         # k > 1 and n > k+1 (one-point graphs are 2-regular cycles)
         for k, n in ((2, 4), (2, 5), (3, 6), (4, 7)):
-            assert min_max_degree(rgraph(k, n)) == (k + 1, n), (k, n)
+            degrees = degree_profile(rgraph(k, n))
+            assert (min(degrees), max(degrees)) == (k + 1, n), (k, n)
 
 
 class TestPlanarQuadrangulation:

@@ -3,6 +3,7 @@
 import pytest
 
 from xoverlab import verify
+from xoverlab.axioms import TransitTable
 from xoverlab.verify import CheckResult, run_suite
 
 
@@ -54,6 +55,33 @@ def test_suite_that_checks_nothing_fails(name, kwargs):
     assert not result.passed
     assert result.details[-1] == (
         f"FAIL {name}: checked nothing within the requested bounds")
+
+
+class TestClosureConvexity:
+    def test_note_names_every_space(self):
+        result = verify.check_closure(max_n=8, max_k=1)
+        assert result.passed, "\n".join(result.details)
+        assert result.details[2] == (
+            "convexity sweep: R_k and the interval function have the same "
+            "prod(2^a - 1) + 1 convex sets on (2) (2,2) (2,2,2) (2,2,2,2) "
+            "(2,2,2,2,2) (2,3) (3,3) (2,3,4) (3,3,3) for k<=1, although "
+            "R_k != I past distance k+1: Mulder's question has a negative "
+            "answer")
+
+    def test_table_with_every_subset_convex_fails(self, monkeypatch):
+        def endpoints_only(k, spec):
+            v = spec.size
+            entries = {(i, j): {i, j} for i in range(v) for j in range(i, v)}
+            return TransitTable(tuple(spec.iter_words()), entries)
+
+        monkeypatch.setattr(verify, "table_from_rset", endpoints_only)
+        result = verify.check_closure(max_n=3, max_k=2)
+        assert not result.passed
+        # on the 2-word space every subset is an interval-convex set too
+        assert [line for line in result.details if line.startswith("FAIL")] == [
+            f"FAIL convexity: {spec} k={k}"
+            for spec in ("2,2", "2,2,2", "2,3") for k in (1, 2)
+        ]
 
 
 class TestDeterminism:
