@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import prod
 from operator import and_, or_
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,25 +248,19 @@ def table_from_interval(graph: SimpleGraph) -> TransitTable:
 
     z lies on a geodesic between i and j at distance d exactly when it is
     at some distance r from i and d - r from j, so an entry is a union of
-    sphere intersections.
+    intersections of the graph's distance spheres.
     """
     if not graph.n:
         raise ValueError("empty carrier")
-    dist = graph.distances()
-    spheres = []
-    for row in dist:
-        sphere = [0] * (max(row) + 1)
-        for z, r in enumerate(row):
-            if r >= 0:
-                sphere[r] |= 1 << z
-        spheres.append(sphere)
-    entry = [[0] * graph.n for _ in dist]
+    spheres = graph.distances()
+    entry = [[0] * graph.n for _ in spheres]
     for i, si in enumerate(spheres):
-        for j in range(i, graph.n):
-            d, sj = dist[i][j], spheres[j]
-            entry[i][j] = entry[j][i] = reduce(
-                or_, (si[r] & sj[d - r] for r in range(d + 1)), 0
-            )
+        for d, sphere in enumerate(si):
+            for j in _bits(sphere >> i << i):
+                sj = spheres[j]
+                entry[i][j] = entry[j][i] = reduce(
+                    or_, (si[r] & sj[d - r] for r in range(d + 1)), 0
+                )
     return TransitTable._from_rows(graph.vertices, entry, "interval")
 
 
@@ -295,19 +289,20 @@ def table_closure(table: TransitTable) -> TransitTable:
     return TransitTable._from_rows(table.carrier, entry, f"closure of {table.name}")
 
 
-def convex_sets(table: TransitTable) -> tuple[int, ...]:
+def convex_sets(table: TransitTable) -> Iterator[int]:
     """Every convex set of the table as a carrier-index mask, in lectic order.
 
     A set is convex when it holds the entry of every pair of its members.
     Ganter's NextClosure (*Two basic algorithms in concept analysis*, 1984)
     steps from one hull to the next: the first index i from the top that is
     not in the current set, whose hull with the current members below i
-    adds no index below i, gives the successor.
+    adds no index below i, gives the successor.  The sets are yielded one
+    at a time, so a caller can stop once it has seen enough of them.
     """
     rows = table._entry
     full = (1 << len(rows)) - 1
     current = _hull(rows, 0)
-    out = [current]
+    yield current
     while current != full:
         for i in reversed(range(len(rows))):
             bit = 1 << i
@@ -317,9 +312,8 @@ def convex_sets(table: TransitTable) -> tuple[int, ...]:
             grown = _hull(rows, below | bit)
             if grown & (bit - 1) == below:
                 current = grown
-                out.append(current)
+                yield current
                 break
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,17 @@
 Vertices are stored in a fixed canonical order; every derived quantity
 (adjacency, distances) refers to vertex indices so that outputs
 are deterministic.
+
+Distances have one encoding, the distance spheres: ``distances()[v][r]`` is
+the bitmask of the vertices at distance r from v.  They are grown for all
+sources at once, since the ball of radius r + 1 around v is the union of the
+radius-r balls of v and its neighbours: O(diam * E) big-integer ORs of V
+bits.  Connectivity, diameter, geodesic intervals, distance half-spaces and
+antipodes are all read off these spheres.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 from .words import AlphabetSpec, DEFAULT_BUDGET, WordSet
@@ -68,35 +74,38 @@ class SimpleGraph:
         return len(self._adj[i])
 
     def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distances by BFS; -1 for unreachable pairs."""
+        """Distance spheres: entry [v][r] is the bitmask of the vertices at
+        distance r from v.  A vertex unreachable from v lies in no sphere of
+        v, and v's row ends with its last nonempty sphere."""
         if self._dist is None:
-            rows = []
-            for s in range(self.n):
-                row = [-1] * self.n
-                row[s] = 0
-                q = deque([s])
-                while q:
-                    u = q.popleft()
-                    du = row[u]
-                    for v in self._adj[u]:
-                        if row[v] < 0:
-                            row[v] = du + 1
-                            q.append(v)
-                rows.append(tuple(row))
-            self._dist = tuple(rows)
+            ball = [1 << v for v in range(self.n)]
+            rows = [[b] for b in ball]
+            while True:
+                grown = []
+                for adj, b in zip(self._adj, ball):
+                    for w in adj:
+                        b |= ball[w]
+                    grown.append(b)
+                if grown == ball:
+                    break
+                for row, new, old in zip(rows, grown, ball):
+                    if new != old:
+                        row.append(new & ~old)
+                ball = grown
+            self._dist = tuple(map(tuple, rows))
         return self._dist
 
 
 def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return True
-    return all(d >= 0 for d in g.distances()[0])
+    return sum(s.bit_count() for s in g.distances()[0]) == g.n
 
 
 def diameter(g: SimpleGraph) -> int:
     if not is_connected(g):
         raise ValueError("diameter of a disconnected graph is undefined")
-    return max(max(row) for row in g.distances())
+    return max(map(len, g.distances())) - 1
 
 
 def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:

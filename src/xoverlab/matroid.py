@@ -46,6 +46,12 @@ _CHARS = {1: "+", 0: "0", -1: "-"}
 _VALUES = {"+": 1, "0": 0, "-": -1}
 
 
+def _check_ground(n: int, budget: int = DEFAULT_GROUND_BUDGET) -> None:
+    if n > budget:
+        raise BudgetExceededError(
+            f"space too large: ground set {n} exceeds budget {budget}")
+
+
 @dataclass(frozen=True)
 class SignVector:
     """Vector over {+, 0, -}; pos and neg are disjoint position bitmasks."""
@@ -240,10 +246,7 @@ def covectors_from_topes(
     for t in tope_list:
         if (t.neg, t.pos) not in tope_keys:
             raise ValueError("tope set not centrally symmetric")
-    if n > budget:
-        raise BudgetExceededError(
-            f"space too large: ground set {n} exceeds budget {budget}"
-        )
+    _check_ground(n, budget)
 
     # the 3^n grid in canonical order: each coordinate, most significant
     # first, splits every vector so far into its -, 0 and + extensions
@@ -353,10 +356,7 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     for x in family:
         if x.n != n:
             raise ValueError("length mismatch")
-    if n > DEFAULT_GROUND_BUDGET:
-        raise BudgetExceededError(
-            f"space too large: ground set {n} exceeds budget {DEFAULT_GROUND_BUDGET}"
-        )
+    _check_ground(n)
     pos, neg = _masks(family)
     table = _table(pos, neg, n)
     if not table[0]:
@@ -515,10 +515,7 @@ def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> Oriente
     """Oriented matroid of the k-point crossover set on an antipodal pair."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    if n > budget:
-        raise BudgetExceededError(
-            f"space too large: ground set {n} exceeds budget {budget}"
-        )
+    _check_ground(n, budget)
     from .crossover import rset
 
     spec = AlphabetSpec((2,) * n)

@@ -4,11 +4,11 @@ Recognition uses distance half-spaces (Djokovic 1973, Winkler 1984; see
 Eppstein, "Recognizing partial cubes in quadratic time", JGAA 2011, sec. 2).
 For an edge uv, W_uv is the set of vertices closer to u than to v; in a
 partial cube the edges crossing W_uv form one cut class, and the classes
-partition the edges.  Each class is read off two rows of the cached distance
-matrix, and the resulting side labeling is accepted only when it is an
-isometry into the hypercube: O(V*E) + O(V^2) in all.  Everything downstream
-(cut sizes, antipodal maps, VC dimension, cube minors, quadrangulation
-statistics) consumes either the graph or the returned embedding.
+partition the edges.  Each edge's half-space is a union of intersections of
+the graph's distance spheres, so recognition costs O(diam * E) bitmask
+operations plus O(V * E) for the cuts, with no scan over vertex pairs.
+Everything downstream (cut sizes, antipodal maps, VC dimension, cube minors,
+quadrangulation statistics) consumes the graph or the returned embedding.
 
 Vertex labels are plain 0/1 strings, one coordinate per cut class, so empty
 labelings (single-vertex graphs) stay representable.  Class order, and hence
@@ -19,9 +19,10 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 import networkx as nx
@@ -57,46 +58,43 @@ class PartialCubeEmbedding:
 def is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
     """Embedding of g into a hypercube, or None when g is not a partial cube.
 
-    Half-space method (Djokovic 1973, Winkler 1984): the first edge uv with
-    no class yet, in sorted edge order, cuts the vertices into
-    W_uv = {w : d(w,u) < d(w,v)} and the rest; its class is every edge
-    crossing that cut.  A vertex equidistant from u and v (g is not
-    bipartite) or a crossing edge already in an earlier class rejects g
-    early.  The side labeling must then reproduce all graph distances.  The
-    cuts are disjoint, hence independent in the cut space, so there are at
-    most V - 1 of them: O(V*E) for the cuts plus O(V^2) for the isometry
-    check, on the cached distance matrix.
+    Half-space method (Djokovic 1973, Winkler 1984) on every edge uv in
+    sorted order.  With S the spheres, W_uv = U_r S_u[r] & S_v[r+1] holds the
+    vertices closer to u, and a nonempty tie set U_r S_u[r] & S_v[r] (g is
+    not bipartite) rejects g.  The first edge with no class defines one: its
+    side is W_uv and its cut every edge crossing W_uv, which must not meet
+    an earlier class.  Every later edge of a class must have W_uv equal to
+    the class side or its complement.  The disjoint cuts cover the edges, so
+    each edge flips one label bit, and the labels are isometric exactly when
+    every W_uv is a class side: a step away from any vertex flips a bit on
+    which the nearer endpoint agrees with it, and conversely.  The cuts are
+    independent in the cut space, so there are at most V - 1 of them.
     """
     _require_connected(g)
-    dist = g.distances()
+    spheres = g.distances()
     edges = g.edges
-    classed: set[Edge] = set()
+    full = (1 << g.n) - 1
+    class_of: dict[Edge, int] = {}
+    sides: list[int] = []
     cuts: list[tuple[Edge, ...]] = []
-    masks = [0] * g.n
     for u, v in edges:
-        if (u, v) in classed:
-            continue
-        du, dv = dist[u], dist[v]
-        if any(a == b for a, b in zip(du, dv)):
+        su, sv = spheres[u], spheres[v]
+        if reduce(or_, map(and_, su, sv), 0):
             return None
-        near = [a < b for a, b in zip(du, dv)]
-        cut = tuple(e for e in edges if near[e[0]] != near[e[1]])
-        if not classed.isdisjoint(cut):
-            return None
-        classed.update(cut)
-        cuts.append(cut)
-        masks = [(m << 1) | (side != near[0]) for m, side in zip(masks, near)]
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if (masks[i] ^ masks[j]).bit_count() != dist[i][j]:
+        near = reduce(or_, map(and_, su, sv[1:]), 0)
+        c = class_of.get((u, v))
+        if c is None:
+            cut = tuple(e for e in edges if (near >> e[0] ^ near >> e[1]) & 1)
+            if any(e in class_of for e in cut):
                 return None
-    for i, j in edges:  # isometry forces bipartiteness; keep it checked
-        if masks[i].bit_count() % 2 == masks[j].bit_count() % 2:
-            raise RuntimeError("edge joins labels of equal parity")
-    c = len(cuts)
+            class_of.update(dict.fromkeys(cut, len(cuts)))
+            sides.append(full ^ near if near & 1 else near)
+            cuts.append(cut)
+        elif near != sides[c] and near != full ^ sides[c]:
+            return None
     labels = {
-        g.vertices[v]: format(masks[v], f"0{c}b") if c else ""
-        for v in range(g.n)
+        x: "".join("1" if side >> i & 1 else "0" for side in sides)
+        for i, x in enumerate(g.vertices)
     }
     return PartialCubeEmbedding(labels, tuple(cuts))
 
@@ -109,18 +107,17 @@ def cut_sizes(e: PartialCubeEmbedding) -> tuple[int, ...]:
 def is_antipodal(g: SimpleGraph) -> dict | None:
     """Map sending each vertex to its unique farthest vertex, if one exists.
 
-    Every vertex must have exactly one vertex at distance diameter(g);
-    otherwise the result is None.
+    Every vertex's sphere at radius diameter(g) must hold exactly one
+    vertex; otherwise the result is None.
     """
     _require_connected(g)
-    dist = g.distances()
     diam = diameter(g)
     out = {}
-    for i in range(g.n):
-        far = [j for j in range(g.n) if dist[i][j] == diam]
-        if len(far) != 1:
+    for x, row in zip(g.vertices, g.distances()):
+        far = row[diam] if len(row) > diam else 0
+        if far.bit_count() != 1:
             return None
-        out[g.vertices[i]] = g.vertices[far[0]]
+        out[x] = g.vertices[far.bit_length() - 1]
     return out
 
 
@@ -196,36 +193,25 @@ def degree_profile(g: SimpleGraph) -> dict[int, int]:
 def is_planar_quadrangulation(g: SimpleGraph) -> tuple[bool, int | None]:
     """Whether g is planar and bipartite with every face a 4-cycle.
 
-    On success the second component is the quadrangle count |E| - |V| + 2;
-    the face walk uses the certificate embedding of the planarity test,
-    which is face-unique for the 2-connected graphs this is applied to.
+    On success the second component is the quadrangle count |E| - |V| + 2.
+    Bipartiteness is read off the parity of vertex 0's distance spheres.  In
+    a connected planar bipartite graph on n >= 4 vertices every face walk
+    has length at least 4, so Euler's formula with 2|E| >= 4|F| gives
+    |E| <= 2n - 4, with equality exactly when every face is a 4-cycle (only
+    the 3-vertex path has a length-4 face walk that is no cycle).  That
+    holds in every embedding, so the edge count is tested before planarity.
     """
     _require_connected(g)
     if g.n < 4:
         raise ValueError("need at least 4 vertices")
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return False, None
+    odd = reduce(or_, g.distances()[0][1::2], 0)
+    if any(not (odd >> u ^ odd >> v) & 1 for u, v in g.edges):
+        return False, None
+    if g.m != 2 * g.n - 4:
+        return False, None
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges)
-    ok, embedding = nx.check_planarity(nxg)
-    if not ok:
+    if not nx.check_planarity(nxg)[0]:
         return False, None
-    visited: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if (a, b) in visited:
-                continue
-            face = embedding.traverse_face(a, b, mark_half_edges=visited)
-            if len(face) != 4:
-                return False, None
     return True, g.m - g.n + 2

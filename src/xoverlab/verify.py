@@ -23,6 +23,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, prod
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .crossover import (
 )
 from .graphs import SimpleGraph, hamming_graph
 from .matroid import (
+    _check_ground,
     check_face_axioms,
     face_lattice,
     is_uniform,
@@ -244,12 +246,14 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
     ]
     spaces = [spec for spec in _CONVEXITY_SPACES if spec.size <= 1 << max_n]
     for spec in spaces:
-        family = convex_sets(table_from_interval(hamming_graph(spec)))
+        family = tuple(convex_sets(table_from_interval(hamming_graph(spec))))
         if len(family) != prod((1 << a) - 1 for a in spec.sizes) + 1:
             failures.append(f"FAIL convexity count: {spec} has {len(family)}")
         for k in range(1, max_k + 1):
             checked += 1
-            if convex_sets(table_from_rset(k, spec)) != family:
+            # one set past the family is enough to tell a larger family
+            got = islice(convex_sets(table_from_rset(k, spec)), len(family) + 1)
+            if tuple(got) != family:
                 failures.append(f"FAIL convexity: {spec} k={k}")
     notes.append(
         "convexity sweep: R_k and the interval function have the same "
@@ -640,20 +644,24 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
               **bounds) -> list[CheckResult]:
     """Run one suite by name, or all of them, each with the bounds it takes.
 
-    A suite's sweeps enumerate binary spaces of up to max_n positions, so
-    every selected suite's max_n, requested or default, is checked against
-    the budget before any suite runs; ``BudgetExceededError`` otherwise.
+    A suite's sweeps enumerate binary spaces of up to max_n positions, or of
+    t positions for each t in ts, so every selected suite's largest max_n
+    or t, requested or default, is checked against the budget before any
+    suite runs, and so is ``om``'s max_n against its ground-set limit;
+    ``BudgetExceededError`` otherwise.
     """
     if name != "all" and name not in SUITES:
         known = ", ".join(list(SUITES) + ["all"])
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
     calls = []
-    for fn in SUITES.values() if name == "all" else [SUITES[name]]:
+    for suite, fn in SUITES.items() if name == "all" else [(name, SUITES[name])]:
         accepted = inspect.signature(fn).parameters
         kwargs = {k: v for k, v in bounds.items() if k in accepted}
-        if "max_n" in accepted:
-            max_n = kwargs.get("max_n", accepted["max_n"].default)
-            if max_n >= 1:
-                _bspec(max_n).check_budget(budget)
+        given = {k: kwargs.get(k, p.default) for k, p in accepted.items()}
+        width = max([given.get("max_n", 0), *given.get("ts", ())])
+        if suite == "om":
+            _check_ground(width)
+        if width >= 1:
+            _bspec(width).check_budget(budget)
         calls.append((fn, kwargs))
     return [fn(**kwargs) for fn, kwargs in calls]

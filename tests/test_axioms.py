@@ -13,7 +13,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_graphs import (
+    any_graphs, bfs_distances, connected_graphs, seeded_graphs)
 from xoverlab import AlphabetSpec, BudgetExceededError, Word
 from xoverlab.axioms import (
     AXIOM_IDS,
@@ -606,8 +610,8 @@ def validated_copy(table, entry_of):
 
 
 def literal_interval(graph):
-    """Geodesic intervals straight from the distance matrix, per member."""
-    dist = graph.distances()
+    """Geodesic intervals straight from BFS distances, per member."""
+    dist = bfs_distances(graph)
 
     def entry_of(i, j):
         d = dist[i][j]
@@ -659,9 +663,15 @@ class TestTableRows:
             SimpleGraph([0, 1, 2, 3, 4], [(0, 1), (2, 3), (3, 4)]),
             SimpleGraph(list(range(5)), [(0, 1), (0, 2), (0, 3), (0, 4)]),
         ]
-        for g in graphs:
+        for g in graphs + seeded_graphs():
             table = table_from_interval(g)
             self.assert_same_table(table, validated_copy(table, literal_interval(g)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(connected_graphs(), any_graphs()))
+    def test_interval_tables_of_random_graphs(self, g):
+        table = table_from_interval(g)
+        self.assert_same_table(table, validated_copy(table, literal_interval(g)))
 
     def test_catalog_rows_are_built_once(self, monkeypatch):
         import xoverlab.axioms as ax
@@ -702,7 +712,7 @@ class TestConvexity:
     """NextClosure over the table's hull against the literal subset filter."""
 
     def assert_literal(self, table):
-        got = convex_sets(table)
+        got = tuple(convex_sets(table))
         assert len(set(got)) == len(got)
         assert set(got) == set(literal_convex_sets(table))
         # lectic order: the lowest index where neighbours differ joins the later
@@ -752,7 +762,7 @@ class TestConvexity:
         spec = AlphabetSpec.parse(spec)
         for table in (table_from_rset(1, spec), table_from_rset(2, spec),
                       table_from_interval(hamming_graph(spec))):
-            assert len(convex_sets(table)) == count, table.name
+            assert len(tuple(convex_sets(table))) == count, table.name
 
 
 class TestReportMechanics:

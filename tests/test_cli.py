@@ -5,7 +5,9 @@ byte for byte; a second layer of spot checks keeps them honest against the
 library so a regenerated file cannot silently freeze a wrong answer.
 """
 
+import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -295,12 +297,34 @@ class TestVerifyCommand:
         ["sizes", "--max-n", "30"],
         ["lexpaths"],  # default max_n = 6: 64 words
         ["all"],
+        ["r2", "--t", "30"],
     ])
     def test_bounds_beyond_budget_exit_2(self, argv, capsys):
         assert cli.main(["verify", *argv, "--budget", "16"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: space too large")
         assert captured.out == ""
+
+    def test_t_values_within_budget_pass(self):
+        assert cli.main(["verify", "r2", "--t", "4..7", "--budget", "128",
+                         "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("suite", ["om", "all"])
+    def test_om_ground_set_limit_exits_2_before_any_suite(self, suite, capsys,
+                                                           monkeypatch):
+        def refusing(fn):
+            # same signature, so the precheck sees the same bounds
+            @functools.wraps(fn)
+            def refuse(**bounds):
+                raise AssertionError(f"{fn.__name__} ran")
+            return refuse
+
+        for name, fn in list(cli.verify_mod.SUITES.items()):
+            monkeypatch.setitem(cli.verify_mod.SUITES, name, refusing(fn))
+        assert cli.main(["verify", suite, "--max-n", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: space too large: ground set 11 exceeds budget 10\n")
 
     def test_parents_default_bound_needs_2_to_the_10(self, capsys):
         assert cli.main(["verify", "parents", "--budget", "512"]) == 2

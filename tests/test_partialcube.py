@@ -10,10 +10,12 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_graphs import bfs_distances, connected_graphs, seeded_graphs
 from xoverlab import AlphabetSpec, Word, rset
 from xoverlab.crossover import transit_graph
 from xoverlab.graphs import SimpleGraph, hamming_graph, is_connected
@@ -103,7 +105,7 @@ class ParallelRelation:
 
 def parallel_relation(g: SimpleGraph) -> ParallelRelation:
     _require_connected(g)
-    dist = g.distances()
+    dist = bfs_distances(g)
 
     def between(z: int, a: int, b: int) -> bool:
         return dist[a][z] + dist[z][b] == dist[a][b]
@@ -169,7 +171,7 @@ def literal_is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
         one = parts[0] if 0 not in parts[0] else parts[1]
         for v in one:
             masks[v] |= 1 << (len(classes) - 1 - c)
-    dist = g.distances()
+    dist = bfs_distances(g)
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if (masks[i] ^ masks[j]).bit_count() != dist[i][j]:
@@ -280,7 +282,7 @@ class TestIsPartialCube:
         for g in (cyc(8), rgraph(2, 4), rgraph(3, 5), hamming_graph(B3)):
             emb = is_partial_cube(g)
             masks = label_masks(emb)
-            dist = g.distances()
+            dist = bfs_distances(g)
             for i in range(g.n):
                 for j in range(g.n):
                     lhs = (masks[g.vertices[i]] ^ masks[g.vertices[j]]).bit_count()
@@ -309,27 +311,8 @@ def assert_matches_oracle(g):
 
 def is_bipartite(g):
     # connected g: bipartite iff no edge joins two vertices of one BFS layer
-    d0 = g.distances()[0]
+    d0 = bfs_distances(g)[0]
     return all((d0[i] + d0[j]) % 2 for i, j in g.edges)
-
-
-@st.composite
-def connected_graphs(draw):
-    """Connected graphs on at most 8 vertices: a random spanning tree plus
-    extra edges, restricted to the tree's bipartition half of the time."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
-    depth = [0]
-    for p in parents:
-        depth.append(depth[p] + 1)
-    bipartite = draw(st.booleans())
-    pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n)
-        if not bipartite or (depth[i] + depth[j]) % 2
-    ]
-    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    tree = {(p, i) for i, p in enumerate(parents, start=1)}
-    return SimpleGraph(list(range(n)), tree | extra)
 
 
 class TestAgainstLiteralOracle:
@@ -385,6 +368,36 @@ class TestAgainstLiteralOracle:
         assert len(set(emb.labels.values())) == 512
 
 
+class TestSeededSweepAgainstLiteralOracles:
+    """Every graph question read off the distance spheres equals its literal
+    oracle on the seeded sweep; disconnected graphs are refused by both."""
+
+    def test_partial_cube_antipodes_and_quadrangulation(self):
+        kinds = Counter()
+        for g in seeded_graphs():
+            if not is_connected(g):
+                kinds["disconnected"] += 1
+                for fn in (is_partial_cube, literal_is_partial_cube,
+                           is_antipodal, literal_is_antipodal,
+                           is_planar_quadrangulation,
+                           literal_is_planar_quadrangulation):
+                    with pytest.raises(ValueError, match="connected"):
+                        fn(g)
+                continue
+            emb = assert_matches_oracle(g)
+            kinds["partial cube" if emb else
+                  "bipartite" if is_bipartite(g) else "odd"] += 1
+            anti = is_antipodal(g)
+            assert anti == literal_is_antipodal(g), g.edges
+            kinds["antipodal"] += anti is not None
+            kinds["non-planar"] += not nx.check_planarity(nx_graph(g))[0]
+            if g.n >= 4:
+                quad = is_planar_quadrangulation(g)
+                assert quad == literal_is_planar_quadrangulation(g), g.edges
+                kinds["quadrangulation"] += quad[0]
+        assert len(kinds) == 7 and min(kinds.values()) > 0, kinds
+
+
 class TestCutSizes:
     def test_r2_cut_sizes(self):
         assert cut_sizes(is_partial_cube(rgraph(2, 4))) == (6, 6, 6, 6)
@@ -392,6 +405,20 @@ class TestCutSizes:
 
     def test_cycle_cut_sizes(self):
         assert cut_sizes(is_partial_cube(cyc(8))) == (2, 2, 2, 2)
+
+
+def literal_is_antipodal(g):
+    """The antipodal map by a scan of every pair of BFS distances."""
+    _require_connected(g)
+    dist = bfs_distances(g)
+    diam = max(map(max, dist))
+    out = {}
+    for i in range(g.n):
+        far = [j for j in range(g.n) if dist[i][j] == diam]
+        if len(far) != 1:
+            return None
+        out[g.vertices[i]] = g.vertices[far[0]]
+    return out
 
 
 class TestAntipodal:
@@ -425,6 +452,14 @@ class TestAntipodal:
     def test_even_cycle_opposite_vertices(self):
         anti = is_antipodal(cyc(6))
         assert anti == {i: (i + 3) % 6 for i in range(6)}
+
+    def test_single_vertex_is_its_own_antipode(self):
+        assert is_antipodal(SimpleGraph(["v"], [])) == {"v": "v"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_graphs())
+    def test_random_connected_graphs(self, g):
+        assert is_antipodal(g) == literal_is_antipodal(g)
 
 
 class TestVcDimension:
@@ -536,6 +571,45 @@ class TestDegrees:
             assert (min(degrees), max(degrees)) == (k + 1, n), (k, n)
 
 
+def nx_graph(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def literal_is_planar_quadrangulation(g):
+    """Bipartite by BFS layers, planar, and every face of the planarity
+    certificate's embedding a walk of length 4."""
+    _require_connected(g)
+    if g.n < 4:
+        raise ValueError("need at least 4 vertices")
+    if not is_bipartite(g):
+        return False, None
+    ok, embedding = nx.check_planarity(nx_graph(g))
+    if not ok:
+        return False, None
+    visited = set()
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            if (a, b) in visited:
+                continue
+            face = embedding.traverse_face(a, b, mark_half_edges=visited)
+            if len(face) != 4:
+                return False, None
+    return True, g.m - g.n + 2
+
+
+def grid(rows, cols):
+    return SimpleGraph(
+        [(r, c) for r in range(rows) for c in range(cols)],
+        [(r * cols + c, r * cols + c + 1)
+         for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c)
+           for r in range(rows - 1) for c in range(cols)],
+    )
+
+
 class TestPlanarQuadrangulation:
     def test_r2_quadrangulations(self):
         assert is_planar_quadrangulation(rgraph(2, 4)) == (True, 12)
@@ -557,6 +631,37 @@ class TestPlanarQuadrangulation:
         path = SimpleGraph(list(range(4)), [(0, 1), (1, 2), (2, 3)])
         assert is_planar_quadrangulation(path) == (False, None)
         assert is_planar_quadrangulation(cyc(6)) == (False, None)
+
+    def test_k33_with_a_pendant_vertex_is_rejected(self):
+        # bipartite with m = 2n - 4, but not planar
+        g = SimpleGraph(list(range(7)),
+                        [(i, j) for i in range(3) for j in range(3, 6)] + [(0, 6)])
+        assert (g.n, g.m) == (7, 10)
+        assert literal_is_planar_quadrangulation(g) == (False, None)
+        assert is_planar_quadrangulation(g) == (False, None)
+
+    def test_bipartite_planar_graphs_that_are_not_quadrangulations(self):
+        tree = SimpleGraph(list(range(6)), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+        square_with_tail = SimpleGraph(
+            list(range(5)), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        two_squares_at_a_vertex = SimpleGraph(
+            list(range(7)),
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+        cube_less_a_vertex = SimpleGraph(
+            list(range(1, 8)), [(i - 1, (i ^ 1 << b) - 1) for i in range(1, 8)
+                                for b in range(3) if i < i ^ 1 << b])
+        for g in (tree, square_with_tail, two_squares_at_a_vertex,
+                  cube_less_a_vertex, grid(2, 3), grid(3, 3), cyc(8)):
+            assert is_bipartite(g)
+            assert literal_is_planar_quadrangulation(g) == (False, None)
+            assert is_planar_quadrangulation(g) == (False, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_graphs())
+    def test_random_connected_graphs(self, g):
+        if g.n >= 4:
+            assert (is_planar_quadrangulation(g)
+                    == literal_is_planar_quadrangulation(g))
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="connected"):

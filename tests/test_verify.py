@@ -75,12 +75,16 @@ class TestClosureConvexity:
             return TransitTable(tuple(spec.iter_words()), entries)
 
         monkeypatch.setattr(verify, "table_from_rset", endpoints_only)
-        result = verify.check_closure(max_n=3, max_k=2)
+        # default bounds: every subset of 2^5 would be 2^32 sets, but the
+        # comparison stops one set past the interval family
+        result = verify.check_closure()
         assert not result.passed
         # on the 2-word space every subset is an interval-convex set too
         assert [line for line in result.details if line.startswith("FAIL")] == [
             f"FAIL convexity: {spec} k={k}"
-            for spec in ("2,2", "2,2,2", "2,3") for k in (1, 2)
+            for spec in ("2,2", "2,2,2", "2,2,2,2", "2,2,2,2,2",
+                         "2,3", "3,3", "2,3,4", "3,3,3")
+            for k in (1, 2, 3)
         ]
 
 
@@ -260,6 +264,41 @@ class TestRunSuite:
         assert calls == []
         run_suite("all", budget=1024)
         assert [c[0] for c in calls] == ["wide", "narrow", "big"]
+
+    def test_largest_t_is_checked_before_any_suite_runs(self, monkeypatch):
+        from xoverlab.words import BudgetExceededError
+
+        calls = []
+        self._stubs(monkeypatch, calls)
+        with pytest.raises(BudgetExceededError, match="exceeds budget 16"):
+            run_suite("narrow", budget=16, ts=(4, 5))
+        with pytest.raises(BudgetExceededError, match="exceeds budget 1024"):
+            run_suite("all", budget=1024, max_n=3, ts=(11,))
+        assert calls == []
+        run_suite("narrow", budget=16, ts=(3, 4))
+        assert calls == [("narrow", (3, 4))]
+
+    def test_om_ground_set_limit_is_checked_before_any_suite_runs(
+            self, monkeypatch):
+        from xoverlab.matroid import DEFAULT_GROUND_BUDGET
+        from xoverlab.words import BudgetExceededError
+
+        calls = []
+        self._stubs(monkeypatch, calls)
+
+        def om(max_n=8):
+            calls.append(("om", max_n))
+            return CheckResult("om", True, ())
+
+        monkeypatch.setitem(verify.SUITES, "om", om)
+        assert DEFAULT_GROUND_BUDGET == 10
+        for name in ("om", "all"):
+            with pytest.raises(BudgetExceededError,
+                               match="ground set 11 exceeds budget 10"):
+                run_suite(name, max_n=11)
+        assert calls == []
+        run_suite("om", max_n=10)
+        assert calls == [("om", 10)]
 
     def test_requested_max_n_is_checked(self, monkeypatch):
         from xoverlab.words import BudgetExceededError
