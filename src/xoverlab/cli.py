@@ -217,7 +217,7 @@ def cmd_axioms(args) -> tuple[int, str]:
     return 0, _render(args, doc, rows, ("axiom", "verdict", "witness"))
 
 
-def _graph_stats(g, emb, binary: bool) -> dict:
+def _graph_stats(g, emb, binary: bool, names: list[str]) -> dict:
     anti = is_antipodal(g)
     try:
         quad, faces = is_planar_quadrangulation(g)
@@ -231,9 +231,8 @@ def _graph_stats(g, emb, binary: bool) -> dict:
         "cut_sizes": list(cut_sizes(emb)) if emb is not None else None,
         "antipodal": (
             None if anti is None
-            else {str(v): str(w) for v, w in sorted(
-                anti.items(), key=lambda p: str(p[0])
-            )}
+            else dict(sorted((names[g.index_of(v)], names[g.index_of(w)])
+                             for v, w in anti.items()))
         ),
         "planar_quadrangulation": {"holds": quad, "quadrangles": faces},
         "vc_dimension": (
@@ -245,17 +244,16 @@ def _graph_stats(g, emb, binary: bool) -> dict:
     }
 
 
-def _graph_dot(g, emb) -> str:
+def _graph_dot(g, emb, names: list[str]) -> str:
     edge_class = {}
     if emb is not None:
         for c, cls in enumerate(emb.cuts):
             for e in cls:
                 edge_class[e] = c
     lines = ["graph transit_graph {", "  node [shape=box];"]
-    for w in g.vertices:
-        lines.append(f'  "{w}";')
+    lines += [f'  "{name}";' for name in names]
     for e in g.edges:
-        u, v = g.vertices[e[0]], g.vertices[e[1]]
+        u, v = names[e[0]], names[e[1]]
         attr = ""
         if e in edge_class:
             color = PALETTE[edge_class[e] % len(PALETTE)]
@@ -269,15 +267,16 @@ def cmd_graph(args) -> tuple[int, str]:
     x, y = _parse_pair(args)
     g = transit_graph(args.k, x, y)
     emb = is_partial_cube(g)
+    names = [str(w) for w in g.vertices]
     if args.format == "dot":
-        return 0, _graph_dot(g, emb)
-    stats = _graph_stats(g, emb, x.spec.is_binary)
+        return 0, _graph_dot(g, emb, names)
+    stats = _graph_stats(g, emb, x.spec.is_binary, names)
     doc = _doc(
         args, "graph",
         k=args.k, x=str(x), y=str(y),
         stats=stats,
-        vertices=[str(w) for w in g.vertices],
-        edges=[[str(g.vertices[i]), str(g.vertices[j])] for i, j in g.edges],
+        vertices=names,
+        edges=[[names[i], names[j]] for i, j in g.edges],
     )
     rows = [("vertices", str(stats["vertices"])),
             ("edges", str(stats["edges"]))]

@@ -17,9 +17,12 @@ p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
 subset-sum table per byte of the mask adds a byte's steps in one lookup.
 ``rset``, ``rset_recursive``, ``closure`` and ``find_parents`` all go through
 these two functions, and so do the axiom tables, which take the packed
-indices as they are.  ``rset_by_cut_enumeration`` (the literal
-all-cut-subsets definition) shares none of it, and the test suite checks the
-two routes against each other before anything else relies on the kernel.
+indices as they are.  ``rset_recursive`` asks the kernel for R_{k-1} only
+and takes its one-point step as literal prefix/suffix splits of the masks,
+so comparing it with ``rset`` checks the kernel at k against the kernel at
+k - 1.  ``rset_by_cut_enumeration`` (the literal all-cut-subsets definition)
+shares none of it, and the test suite checks the two routes against each
+other before anything else relies on the kernel.
 """
 
 from __future__ import annotations
@@ -189,8 +192,13 @@ def rset(k: int, x: Word, y: Word) -> RSetResult:
 def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
     """R_k built from R_{k-1} by one-point recombination through each member.
 
-    The union is taken in pattern space, where every inner one-point set is
-    a cached lookup, and scattered to packed indices once.
+    The union is taken in pattern space, where the parents are 0 and
+    ``full``, and scattered to packed indices once.  Each one-point set is
+    its literal single-cut definition, not a kernel lookup: a cut leaves the
+    last c bits ``low`` (0 < c < t) on one side and ``high = full ^ low`` on
+    the other, so R_1(0, z) = {z & low, z & high} and
+    R_1(z, full) = {z | low, z | high}, plus the parents.  Only R_{k-1}
+    comes from the kernel.
     """
     k = _validate_k(k)
     if k < 2:
@@ -199,10 +207,13 @@ def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
     steps = _steps(x, y)
     t = len(steps)
     full = (1 << t) - 1
-    acc: set[int] = set()
-    for z in _ymask_patterns(k - 1, full, t):
-        acc.update(_ymask_patterns(1, z, t))
-        acc.update(map(z.__xor__, _ymask_patterns(1, z ^ full, t)))
+    lows = [(1 << c) - 1 for c in range(1, t)]
+    sides = lows + [full ^ low for low in lows]
+    zs = _ymask_patterns(k - 1, full, t)
+    acc = {0, full}
+    for side in sides:
+        acc.update(map(side.__and__, zs))
+        acc.update(map(side.__or__, zs))
     members = WordSet.from_indices(_scatter(x.index, steps, tuple(acc)), spec)
     return RSetResult(members, (x, y), k)
 

@@ -60,6 +60,8 @@ class AlphabetSpec:
         for i in range(len(sizes) - 2, -1, -1):
             strides[i] = strides[i + 1] * sizes[i + 1]
         object.__setattr__(self, "_strides", tuple(strides))
+        # Whether words over this alphabet render as plain digit strings.
+        object.__setattr__(self, "compact_text", all(a <= 10 for a in sizes))
 
     @property
     def n(self) -> int:
@@ -72,11 +74,6 @@ class AlphabetSpec:
     @property
     def is_binary(self) -> bool:
         return all(a == 2 for a in self.sizes)
-
-    @property
-    def compact_text(self) -> bool:
-        """Whether words over this alphabet render as plain digit strings."""
-        return all(a <= 10 for a in self.sizes)
 
     def check_budget(self, budget: int = DEFAULT_BUDGET) -> None:
         if self.size > budget:
@@ -202,9 +199,7 @@ class Word:
         return cls(letters, spec)
 
     def __str__(self) -> str:
-        if self.spec.compact_text:
-            return "".join(str(l) for l in self.letters)
-        return ",".join(str(l) for l in self.letters)
+        return ("" if self.spec.compact_text else ",").join(map(str, self.letters))
 
     def _cmp_key(self, other: "Word") -> tuple[tuple[int, ...], tuple[int, ...]]:
         if self.spec != other.spec:

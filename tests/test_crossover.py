@@ -249,18 +249,63 @@ class TestBlockRule:
 
 
 class TestRecursion:
+    # the recursion asks the kernel for R_{k-1} only, so it is checked
+    # against the literal oracle as well as against the kernel at k
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_direct(self, n):
         spec = bspec(n)
         for k in (2, 3):
             for x, y in all_pairs(spec):
-                assert rset_recursive(k, x, y).members == rset(k, x, y).members
+                members = rset_recursive(k, x, y).members
+                assert members == rset(k, x, y).members
+                assert members == rset_by_cut_enumeration(k, x, y)
 
     def test_mixed_alphabet(self):
         for sizes in ((3, 3, 2), (2, 3, 4)):
             for k in (2, 3):
                 for x, y in all_pairs(AlphabetSpec(sizes)):
-                    assert rset_recursive(k, x, y).members == rset(k, x, y).members
+                    members = rset_recursive(k, x, y).members
+                    assert members == rset(k, x, y).members
+                    assert members == rset_by_cut_enumeration(k, x, y)
+
+    @pytest.mark.parametrize("size,n", [(2, 70), (3, 66)])
+    def test_long_words_past_int64(self, size, n):
+        # every position differs, so the masks need more than 63 bits
+        spec = AlphabetSpec((size,) * n)
+        rng = random.Random(n)
+        x = [rng.randrange(size) for _ in range(n)]
+        y = [(a + rng.randrange(1, size)) % size for a in x]
+        x, y = Word(tuple(x), spec), Word(tuple(y), spec)
+        members = rset_recursive(2, x, y).members
+        assert len(members) == rset_size_formula(2, n)
+        assert members == rset_by_cut_enumeration(2, x, y)
+
+    @pytest.mark.parametrize("x,y", [("0110", "0110"), ("0110", "0100")])
+    def test_edge_distances(self, x, y):
+        # t = 0 leaves the one parent, t = 1 the two parents
+        x, y = bword(x), bword(y)
+        for k in (2, 3):
+            members = rset_recursive(k, x, y).members
+            assert members == WordSet([x, y])
+            assert members == rset(k, x, y).members
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_kernel_lookup(self, k):
+        # only R_{k-1} comes from the kernel; the one-point step is literal
+        patterns = crossover_mod._ymask_patterns
+        spec = bspec(14)
+        x, y = Word.parse("01101100101101", spec), Word.parse("10010101010010", spec)
+        assert hamming_distance(x, y) == 12
+        patterns.cache_clear()
+        try:
+            rset_recursive(k, x, y)
+            info = patterns.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+            patterns(k - 1, 2 ** 12 - 1, 12)
+            assert patterns.cache_info().hits == info.hits + 1
+        finally:
+            patterns.cache_clear()
 
     def test_needs_k_at_least_two(self):
         with pytest.raises(ValueError):
