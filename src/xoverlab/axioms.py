@@ -50,7 +50,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, is_connected
+from .graphs import SimpleGraph, _bits, _low, is_connected
 from .words import AlphabetSpec, DEFAULT_BUDGET, Word
 from . import crossover
 
@@ -67,19 +67,6 @@ DEFAULT_SIX_VAR_LIMIT = 256
 
 class SixVarLimitError(ValueError):
     """A six-variable axiom was asked of a carrier above the limit."""
-
-
-def _bits(mask: int):
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _low(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def _transpose(rows: Sequence[int], v: int) -> list[int]:

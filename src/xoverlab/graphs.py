@@ -19,6 +19,19 @@ from typing import Hashable, Iterable, Sequence
 from .words import AlphabetSpec, DEFAULT_BUDGET, WordSet
 
 
+def _bits(mask: int):
+    """Indices of set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class SimpleGraph:
     """Immutable simple graph; vertices carry arbitrary hashable payloads."""
 

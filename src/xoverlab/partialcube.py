@@ -10,6 +10,14 @@ operations plus O(V * E) for the cuts, with no scan over vertex pairs.
 Everything downstream (cut sizes, antipodal maps, VC dimension, cube minors,
 quadrangulation statistics) consumes the graph or the returned embedding.
 
+Planarity, asked only of quadrangulation candidates, is the path embedding
+of Demoucron, Malgrange and Pertuiset (1964; Gibbons, "Algorithmic Graph
+Theory", 1985, sec. 5.4) on neighbour bitmasks.  Bridges and faces are
+vertex masks, a round costs O(V + E) bitmask operations and there are at
+most E - V + 1 rounds, so a candidate (E = 2V - 4) costs O(V * (V + E)).
+The library needs no graph package; networkx is used by the tests only, as
+the planarity oracle.
+
 Vertex labels are plain 0/1 strings, one coordinate per cut class, so empty
 labelings (single-vertex graphs) stay representable.  Class order, and hence
 coordinate order, is fixed by the smallest edge in each class; the side of a
@@ -25,9 +33,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-import networkx as nx
-
-from .graphs import SimpleGraph, degree_sequence, diameter, is_connected
+from .graphs import SimpleGraph, _bits, _low, degree_sequence, diameter, is_connected
 from .words import Word
 
 Edge = tuple[int, int]
@@ -190,6 +196,106 @@ def degree_profile(g: SimpleGraph) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _route(adj: list[int], start: int, inner: int, targets: int) -> list[int]:
+    """Shortest path from start through the vertices of inner to the first
+    vertex met in targets (breadth first, lowest indices first)."""
+    parent = {start: -1}
+    frontier = seen = 1 << start
+    while frontier:
+        grown = 0
+        for v in _bits(frontier):
+            hit = adj[v] & targets
+            if hit:
+                path = [_low(hit)]
+                while v >= 0:
+                    path.append(v)
+                    v = parent[v]
+                return path[::-1]
+            new = adj[v] & inner & ~seen
+            seen |= new
+            grown |= new
+            parent.update(dict.fromkeys(_bits(new), v))
+        frontier = grown
+    raise RuntimeError("no path between the attachments")
+
+
+def _planar_block(adj: list[int]) -> bool:
+    """Whether the connected graph with neighbour masks adj (n >= 3) is a
+    planar block: planar, and 2-connected (no cut vertex).
+
+    Demoucron, Malgrange and Pertuiset's path embedding (1964; Gibbons,
+    Algorithmic Graph Theory, 1985, sec. 5.4).  The embedded subgraph H
+    starts as the edge from vertex 0 to its first neighbour, with one face.
+    A bridge of H is a chord between embedded vertices or a component of
+    G - H with its attachment mask; it fits the faces whose boundary holds
+    all its attachments.  Each round a bridge that fits no face makes G
+    non-planar, and a component with one attachment hangs on a cut vertex.
+    Otherwise a bridge that fits exactly one face, else any bridge, has a
+    path between two of its attachments routed through a face it fits,
+    which splits in two; so H stays 2-connected and every face a cycle.  G
+    passes when no bridge is left.  Only the routed bridge changes: its
+    remainder yields the new chords and components, and only the bridges
+    that fitted the split face are fitted again.
+    """
+    a = _low(adj[0])
+    faces = [[0, a]]
+    on = [0] * len(adj)
+    on[0] = on[a] = 1
+    bridges: list[list[int]] = []  # [attachments, component or 0, faces]
+    path, placed, fresh, f = [0, a], 1 | 1 << a, 0, 0
+    rest = ((1 << len(adj)) - 1) ^ placed
+    while True:
+        # new chords start at the last path's inner vertices, the only new
+        # ones; a chord joining two of them is listed from its lower end
+        for before, u, after in zip(path, path[1:], path[2:]):
+            ends = adj[u] & placed & ~(1 << before | 1 << after)
+            ends &= ~(fresh & ((2 << u) - 1))
+            bridges += ([1 << u | 1 << w, 0, 0] for w in _bits(ends))
+        while rest:
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                for v in _bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            att = reach & placed
+            if att & (att - 1) == 0:
+                return False
+            bridges.append([att, comp, 0])
+            rest ^= comp
+        for bridge in bridges:
+            if not bridge[2] or bridge[2] >> f & 1:
+                bridge[2] = reduce(and_, map(on.__getitem__, _bits(bridge[0])),
+                                   (1 << len(faces)) - 1)
+                if not bridge[2]:
+                    return False
+        if not bridges:
+            return True
+        pick = next((br for br in bridges if br[2] & (br[2] - 1) == 0), bridges[0])
+        bridges.remove(pick)
+        att, comp, fit = pick
+        x = _low(att)
+        if comp:
+            path = [x] + _route(adj, _low(adj[x] & comp), comp, att ^ 1 << x)
+        else:
+            path = [x, att.bit_length() - 1]
+        fresh = sum(1 << v for v in path[1:-1])
+        placed |= fresh
+        rest = comp & ~placed
+        f, new = _low(fit), len(faces)
+        boundary = faces[f]
+        i = boundary.index(x)
+        turned = boundary[i:] + boundary[:i]
+        k = turned.index(path[-1])
+        faces[f] = turned[:k + 1] + path[-2:0:-1]
+        faces.append(turned[k:] + path[:-1])
+        for v in turned[k + 1:]:
+            on[v] ^= 1 << f | 1 << new
+        for v in path:
+            on[v] |= 1 << f | 1 << new
+
+
 def is_planar_quadrangulation(g: SimpleGraph) -> tuple[bool, int | None]:
     """Whether g is planar and bipartite with every face a 4-cycle.
 
@@ -200,6 +306,9 @@ def is_planar_quadrangulation(g: SimpleGraph) -> tuple[bool, int | None]:
     |E| <= 2n - 4, with equality exactly when every face is a 4-cycle (only
     the 3-vertex path has a length-4 face walk that is no cycle).  That
     holds in every embedding, so the edge count is tested before planarity.
+    A cut vertex would lie twice on some face walk, so a quadrangulation is
+    2-connected, and the remaining test is whether g is a planar block: the
+    bridge/face rounds of _planar_block, which also reject a cut vertex.
     """
     _require_connected(g)
     if g.n < 4:
@@ -207,11 +316,6 @@ def is_planar_quadrangulation(g: SimpleGraph) -> tuple[bool, int | None]:
     odd = reduce(or_, g.distances()[0][1::2], 0)
     if any(not (odd >> u ^ odd >> v) & 1 for u, v in g.edges):
         return False, None
-    if g.m != 2 * g.n - 4:
-        return False, None
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges)
-    if not nx.check_planarity(nxg)[0]:
+    if g.m != 2 * g.n - 4 or not _planar_block([row[1] for row in g.distances()]):
         return False, None
     return True, g.m - g.n + 2

@@ -250,6 +250,23 @@ class TestMain:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["tope_count"] == 6
 
+    def test_no_module_loads_networkx(self):
+        # networkx is a test-only planarity oracle; one stray import puts its
+        # load time back on every CLI start
+        code = (
+            "import importlib, pkgutil, sys, xoverlab\n"
+            "for mod in pkgutil.iter_modules(xoverlab.__path__):\n"
+            "    importlib.import_module('xoverlab.' + mod.name)\n"
+            "from xoverlab import cli\n"
+            "for argv in (['graph', '-k', '2', '-x', '00000', '-y', '11111'],\n"
+            "             ['om', '-k', '2', '-n', '5'], ['verify', 'r2']):\n"
+            "    cli.render_command(argv)\n"
+            "sys.exit('networkx' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestVerifyCommand:
     def test_named_suite_passes(self):

@@ -21,6 +21,7 @@ from xoverlab.crossover import transit_graph
 from xoverlab.graphs import SimpleGraph, hamming_graph, is_connected
 from xoverlab.partialcube import (
     PartialCubeEmbedding,
+    _planar_block,
     _require_connected,
     cut_sizes,
     degree_profile,
@@ -668,6 +669,75 @@ class TestPlanarQuadrangulation:
             is_planar_quadrangulation(SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)]))
         with pytest.raises(ValueError, match="4 vertices"):
             is_planar_quadrangulation(SimpleGraph([0, 1, 2], [(0, 1), (1, 2)]))
+
+
+def neighbour_masks(g):
+    g = nx.convert_node_labels_to_integers(g)
+    return [sum(1 << w for w in g[v]) for v in range(len(g))]
+
+
+def planarity_sweep(seed=14, count=1200):
+    """Seeded connected graphs on 4 to 16 vertices: G(n, p), random
+    bipartite graphs, and triangular lattices with edges removed plus one
+    chord, which keeps planar graphs common."""
+    rng = random.Random(seed)
+    for i in range(count):
+        g = nx.Graph()
+        if i % 3 == 0:
+            n, p = rng.randint(4, 16), rng.uniform(0.15, 0.5)
+            g.add_nodes_from(range(n))
+            g.add_edges_from((u, v) for u, v in combinations(range(n), 2)
+                             if rng.random() < p)
+        elif i % 3 == 1:
+            a, b, p = rng.randint(2, 8), rng.randint(2, 8), rng.uniform(0.3, 0.8)
+            g.add_nodes_from(range(a + b))
+            g.add_edges_from((u, v) for u in range(a) for v in range(a, a + b)
+                             if rng.random() < p)
+        else:
+            g = nx.convert_node_labels_to_integers(
+                nx.triangular_lattice_graph(rng.randint(2, 3), rng.randint(2, 6)))
+            edges = sorted(g.edges)
+            g.remove_edges_from(rng.sample(edges, rng.randint(0, len(edges) // 3)))
+            g.add_edge(*rng.choice(sorted(nx.non_edges(g))))
+        if nx.is_connected(g):
+            yield g
+
+
+class TestPlanarBlockAgainstNetworkx:
+    """The path-embedding test accepts exactly the graphs networkx finds
+    2-connected and planar; a cut vertex is rejected even when planar."""
+
+    def check(self, graphs):
+        kinds = Counter()
+        for g in graphs:
+            block, planar = nx.is_biconnected(g), nx.check_planarity(g)[0]
+            assert _planar_block(neighbour_masks(g)) == (block and planar), \
+                sorted(g.edges)
+            kinds["block" if block else "cut vertex", planar] += 1
+        return kinds
+
+    def test_graph_atlas(self):
+        # every connected graph on 3 to 7 vertices; 534 of the blocks (347
+        # planar) have 5 to 7 vertices
+        kinds = self.check(g for g in nx.graph_atlas_g()
+                           if len(g) >= 3 and nx.is_connected(g))
+        assert kinds == {("block", True): 351, ("block", False): 187,
+                         ("cut vertex", True): 422, ("cut vertex", False): 34}
+
+    def test_seeded_sweep(self):
+        kinds = self.check(planarity_sweep())
+        assert kinds["block", True] >= 150, kinds
+        assert kinds["block", False] >= 150, kinds
+        assert kinds["cut vertex", True] >= 100, kinds
+
+    def test_classic_graphs(self):
+        non_planar = [nx.complete_graph(5), nx.complete_bipartite_graph(3, 3),
+                      nx.petersen_graph(), nx.hypercube_graph(4)]
+        planar = [nx.complete_graph(4), nx.hypercube_graph(3),
+                  nx.octahedral_graph(), nx.icosahedral_graph(),
+                  nx.dodecahedral_graph(), nx.wheel_graph(9)]
+        assert [_planar_block(neighbour_masks(g)) for g in non_planar] == [False] * 4
+        assert [_planar_block(neighbour_masks(g)) for g in planar] == [True] * 6
 
 
 class TestR2StructureSweep:
