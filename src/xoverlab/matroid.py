@@ -13,25 +13,42 @@ arrays of those masks and test membership in one bool table of 4^n entries
 indexed by (pos << n) | neg, which is 1 MiB at the ground budget n = 10.
 Composition, separation and elimination candidates are then a few bitwise
 array operations and one table lookup.  The covector scan filters the 3^n
-sign vectors tope by tope; the face-axiom scan visits all ordered pairs in
-blocks of about 2^17, so its memory does not grow with the square of the
-family size.
+sign vectors tope by tope.  Pair scans run in blocks of about 2^17 pairs,
+so their memory does not grow with the square of the family size.
+
+The face axioms F0-F3 (Bjorner, Las Vergnas, Sturmfels, White, Ziegler,
+*Oriented Matroids*, section 4.1) are decided per support class L_S, the
+members with support S, instead of over all ordered pairs.  F2: X o Y is X
+on S = supp X plus Y off S, so composition closure holds exactly when every
+X in L_S, joined with every distinct restriction of the family to the
+complement of S, is a member; that is sum |L_S| * |L off S| lookups.  F3,
+given F2: for any pair X, Y the compositions W = X o Y and W' = Y o X are
+members with one support, W and W' are opposite exactly where X and Y are,
+since off supp X & supp Y both copy the one vector defined there, and
+W o W' = X o Y.  So (W, W') makes the elimination demand of (X, Y), and
+the pairs of equal support raise every demand, in sum |L_S|^2 pairs.  Only
+a family that fails is scanned pair by pair in canonical order, so the
+reported witness is the first in that order whichever way it was found.
 
 The order on sign vectors is the face order: X <= Y when X agrees with Y on
 the support of X.  Canonical sorting is lexicographic per coordinate with
-- < 0 < +, so every serialization is reproducible.  One face-order pass
-walks the submasks of each covector's support, in order of support size,
-to list the covectors strictly below it and give it its longest-chain
-height.  The rank is the largest height, the cocircuits are the covectors
-of height 1 (the atoms of the face lattice), and the lattice covers follow
-from the same below lists, which only the lattice keeps.
+- < 0 < +, so every serialization is reproducible.  Covector heights come
+from one dynamic program over the support-size layers of the 3^n grid:
+best[x] is the largest number of nonzero covectors on a chain below or at
+x, the maximum of best[x - e] over e in supp x, plus one when x is itself
+a covector.  Every covector strictly below x conforms to some x - e, so
+for a covector this is its longest-chain height above the zero vector.
+The rank is the largest height and the cocircuits are the covectors of
+height 1, the atoms of the face lattice.  The lattice itself walks the
+submasks of each covector's support to list the covectors below it and
+its covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +58,9 @@ from .words import AlphabetSpec, BudgetExceededError, Word, phi
 
 DEFAULT_GROUND_BUDGET = 10
 _BLOCK_PAIRS = 1 << 17
+
+# coordinate mask -> (sorted restriction codes, zero coordinates per code)
+_Restrictions = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
 _VALUES = {"+": 1, "0": 0, "-": -1}
@@ -108,11 +128,9 @@ class SignVector:
     def key(self) -> int:
         """Canonical sort key: base-3 code with - < 0 < +, coordinate 1
         most significant."""
-        code = 0
-        for b in range(self.n - 1, -1, -1):
-            digit = 2 if self.pos >> b & 1 else 0 if self.neg >> b & 1 else 1
-            code = code * 3 + digit
-        return code
+        # digit 1 + pos_b - neg_b at 3^b: each mask read as a base-3 numeral
+        return ((3 ** self.n - 1) // 2
+                + int(f"{self.pos:b}", 3) - int(f"{self.neg:b}", 3))
 
     def negate(self) -> "SignVector":
         return SignVector(self.n, self.neg, self.pos)
@@ -187,30 +205,6 @@ def _canonical(vectors: Iterable[SignVector]) -> list[SignVector]:
     return sorted(vectors, key=lambda x: x.key)
 
 
-def _face_order(covectors: Sequence[SignVector]) -> Iterator[tuple[int, list[int], int]]:
-    """Each covector's index, the indices strictly below it in the face
-    order, and its longest-chain height above the zero vector, in order of
-    support size.
-
-    The candidates below x are exactly the restrictions of x to proper
-    subsets of its support, so submask enumeration is complete; they have
-    smaller supports, so their heights are known when x is reached.
-    """
-    index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
-    heights = [0] * len(covectors)
-    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
-        x = covectors[i]
-        below: list[int] = []
-        sub = sup = x.support
-        while sub:
-            sub = (sub - 1) & sup
-            idx = index.get((x.pos & sub, x.neg & sub))
-            if idx is not None:
-                below.append(idx)
-        heights[i] = 1 + max((heights[j] for j in below), default=-1)
-        yield i, below, heights[i]
-
-
 def _masks(vectors: Sequence[SignVector]) -> tuple[np.ndarray, np.ndarray]:
     """The pos and neg masks of vectors as two int64 arrays."""
     pos = np.fromiter((v.pos for v in vectors), dtype=np.int64, count=len(vectors))
@@ -250,27 +244,40 @@ def covectors_from_topes(
 
     # the 3^n grid in canonical order: each coordinate, most significant
     # first, splits every vector so far into its -, 0 and + extensions
-    pos = neg = np.zeros(1, dtype=np.int64)
+    pos = neg = size = np.zeros(1, dtype=np.int64)
     for b in range(n - 1, -1, -1):
         bit = 1 << b
         pos = np.stack([pos, pos, pos | bit], axis=1).ravel()
         neg = np.stack([neg | bit, neg, neg], axis=1).ravel()
+        size = np.stack([size + 1, size, size + 1], axis=1).ravel()
+    grid = (pos << n) | neg
     tope_pos, tope_neg = _masks(tope_list)
     is_tope = _table(tope_pos, tope_neg, n)
+    live = np.arange(len(grid))
     for tp, tn in zip(tope_pos.tolist(), tope_neg.tolist()):
         free = ~(pos | neg)
         keep = is_tope[((pos | (tp & free)) << n) | (neg | (tn & free))]
-        pos, neg = pos[keep], neg[keep]
+        pos, neg, live = pos[keep], neg[keep], live[keep]
     covectors = [SignVector(n, p, q) for p, q in zip(pos.tolist(), neg.tolist())]
 
     maximal = [x for x in covectors if x.support_size == n]
     if maximal != tope_list:
         raise RuntimeError("derived topes differ from input")
 
-    # the cocircuits are the atoms: only the zero vector lies below them
-    heights = [0] * len(covectors)
-    for i, _, h in _face_order(covectors):
-        heights[i] = h
+    # longest chains, one support-size layer at a time: a layer reads only
+    # the layer below, and a coordinate outside supp x reads x itself,
+    # which is still 0
+    is_covector = np.zeros(len(grid), dtype=np.int8)
+    is_covector[live] = 1
+    best = np.zeros(1 << 2 * n, dtype=np.int8)
+    for s in range(1, n + 1):
+        layer = np.flatnonzero(size == s)
+        codes = grid[layer]
+        below = np.zeros(len(layer), dtype=np.int8)
+        for b in range(n):
+            np.maximum(below, best[codes & ~((1 << b) << n | 1 << b)], out=below)
+        best[codes] = below + is_covector[layer]
+    heights = best[grid[live]].tolist()
     return OrientedMatroidData(
         ground_size=n,
         covectors=tuple(covectors),
@@ -295,28 +302,69 @@ class FaceAxiomReport:
 
 
 def _pair_blocks(
-    pos: np.ndarray, neg: np.ndarray
+    xpos: np.ndarray, xneg: np.ndarray, ypos: np.ndarray, yneg: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (first row, X o Y masks, separator D) for blocks of rows X
-    against every Y; a block holds about _BLOCK_PAIRS pairs."""
-    step = max(1, _BLOCK_PAIRS // len(pos))
-    for lo in range(0, len(pos), step):
-        xp, xn = pos[lo:lo + step, None], neg[lo:lo + step, None]
+    against every column Y; a block holds about _BLOCK_PAIRS pairs."""
+    step = max(1, _BLOCK_PAIRS // len(ypos))
+    for lo in range(0, len(xpos), step):
+        xp, xn = xpos[lo:lo + step, None], xneg[lo:lo + step, None]
         free = ~(xp | xn)
-        yield lo, xp | (pos & free), xn | (neg & free), (xp & neg) | (xn & pos)
+        yield lo, xp | (ypos & free), xn | (yneg & free), (xp & yneg) | (xn & ypos)
 
 
-def _first_uneliminated(
-    pos: np.ndarray, neg: np.ndarray, n: int, queries: np.ndarray
-) -> np.ndarray:
+def _first_pair(
+    pos: np.ndarray, neg: np.ndarray,
+    flag: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[int, int, int]:
+    """(row, column, value) of the first ordered pair, row by row, for
+    which flag(X o Y masks, D) is nonzero."""
+    m = len(pos)
+    for lo, cp, cn, d in _pair_blocks(pos, neg, pos, neg):
+        value = flag(cp, cn, d)
+        if value.any():
+            i, j = divmod(int(np.argmax(value != 0)), m)
+            return lo + i, j, int(value[i, j])
+    raise RuntimeError("violation vanished on rescan")
+
+
+def _restrictions(pos: np.ndarray, neg: np.ndarray, n: int) -> _Restrictions:
+    """A memoised map from a coordinate mask s to the distinct restrictions
+    of the family off s, as sorted codes (pos << n) | neg, and for each the
+    coordinates of s where some member with that restriction is 0.
+
+    The restrictions off s come from those off s less its lowest bit b, a
+    member being 0 at b exactly when its restriction is, so each step sorts
+    at most 3^(n - |s| + 1) codes instead of the whole family.
+    """
+    memo = {0: (np.sort((pos << n) | neg), np.zeros(len(pos), dtype=np.int64))}
+
+    def off(s: int) -> tuple[np.ndarray, np.ndarray]:
+        if s not in memo:
+            b = s & -s
+            codes, zeros = off(s ^ b)
+            spread = b << n | b
+            zeros = zeros | np.where(codes & spread, 0, b)
+            codes = codes & ~spread
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+            memo[s] = codes[first], np.bitwise_or.reduceat(zeros[order], first)
+        return memo[s]
+
+    return off
+
+
+def _first_uneliminated(off: _Restrictions, n: int, queries: np.ndarray) -> np.ndarray:
     """For each elimination query, the first coordinate e of D with no
     eliminator, or 0 when every e in D has one.
 
     A query ((P | D) << n) | (N | D) stands for the separator D (bits set in
     both halves) and X o Y off D, given by P and N.  The eliminators for e
-    are the vectors with Z_e = 0 whose restriction off D is (P, N), so each
-    (D, e) marks those restrictions in a scratch table and looks the
-    queries up in it.
+    are the vectors with Z_e = 0 whose restriction off D is (P, N), so the
+    query lacks one exactly at the coordinates of D missing from the zeros
+    that off(D) records for (P, N).  F2 puts X o Y in the family, so (P, N)
+    is one of its restrictions off D.
     """
     first = np.zeros(len(queries), dtype=np.int8)
     if not len(queries):
@@ -324,30 +372,49 @@ def _first_uneliminated(
     high, low = queries >> n, queries & ((1 << n) - 1)
     sep = high & low
     keys = ((high & ~sep) << n) | (low & ~sep)
-    support = pos | neg
-    scratch = np.zeros(1 << 2 * n, dtype=bool)
     order = np.argsort(sep, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(sep[order])) + 1):
         d = int(sep[group[0]])
-        bad = np.zeros(len(group), dtype=np.int8)
-        for e in range(1, n + 1):
-            bit = 1 << (n - e)
-            if not d & bit:
-                continue
-            zero = (support & bit) == 0
-            marks = ((pos[zero] & ~d) << n) | (neg[zero] & ~d)
-            scratch[marks] = True
-            bad[~scratch[keys[group]] & (bad == 0)] = e
-            scratch[marks] = False
-        first[group] = bad
+        codes, zeros = off(d)
+        missing = d & ~zeros[np.searchsorted(codes, keys[group])]
+        # e sits at bit n - e, so the first missing e is the top bit
+        first[group] = np.where(missing > 0, n + 1 - np.frexp(missing)[1], 0)
     return first
 
 
+def _class_queries(
+    pos: np.ndarray, neg: np.ndarray, table: np.ndarray, n: int, off: _Restrictions
+) -> np.ndarray | None:
+    """Table of the F3 elimination queries, or None when F2 fails.
+
+    Per support S, F2 joins L_S with the distinct restrictions off S, and
+    the pairs within L_S raise every F3 demand.  F3 for e separating X and
+    Y asks for Z with Z_e = 0 that agrees with X o Y off the separator D.
+    Most pairs are settled by the candidate that zeroes all of D; the rest
+    depend only on D and X o Y off D, so they are collected once each as
+    queries ((P | D) << n) | (N | D), with (P, N) the masks of X o Y.
+    """
+    support = pos | neg
+    order = np.argsort(support, kind="stable")
+    pending = np.zeros_like(table)
+    for cls in np.split(order, np.flatnonzero(np.diff(support[order])) + 1):
+        xpos, xneg = pos[cls], neg[cls]
+        rest, _ = off(int(support[cls[0]]))
+        blocks = _pair_blocks(xpos, xneg, rest >> n, rest & (1 << n) - 1)
+        if not all(table[(cp << n) | cn].all() for _, cp, cn, _ in blocks):
+            return None
+        for _, cp, cn, d in _pair_blocks(xpos, xneg, xpos, xneg):
+            settled = table[((cp & ~d) << n) | (cn & ~d)]
+            pending[(((cp | d) << n) | (cn | d))[(d != 0) & ~settled]] = True
+    return pending
+
+
 def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
-    """Exhaustive F0/F1/F2 check and pairwise F3 elimination check.
+    """F0/F1 by lookup, then F2 and F3 decided per support class.
 
     The report, witness included, is the first violation in canonical
     order: pairs (X, Y) row by row, then separating positions ascending.
+    A family that fails F2 or F3 is rescanned pair by pair for it.
     """
     family = _canonical(set(vectors))
     if not family:
@@ -365,36 +432,23 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     if not negated.all():
         return FaceAxiomReport(False, "F1", (family[int(np.argmin(negated))],))
 
-    # F2 on every pair; F3 for e separating X and Y asks for Z with Z_e = 0
-    # that agrees with X o Y off the separator D.  Most pairs are settled by
-    # the candidate that zeroes all of D; the rest depend only on D and
-    # X o Y off D, so they are collected once each as elimination queries.
-    m = len(family)
-    pending = np.zeros_like(table)
-    for lo, cp, cn, d in _pair_blocks(pos, neg):
-        ok = table[(cp << n) | cn]
-        if not ok.all():
-            i, j = divmod(int(np.argmin(ok)), m)
-            return FaceAxiomReport(False, "F2", (family[lo + i], family[j]))
-        settled = table[((cp & ~d) << n) | (cn & ~d)]
-        pending[(((cp | d) << n) | (cn | d))[(d != 0) & ~settled]] = True
+    off = _restrictions(pos, neg, n)
+    pending = _class_queries(pos, neg, table, n, off)
+    if pending is None:
+        i, j, _ = _first_pair(pos, neg, lambda cp, cn, d: ~table[(cp << n) | cn])
+        return FaceAxiomReport(False, "F2", (family[i], family[j]))
     queries = np.flatnonzero(pending)
-    first = _first_uneliminated(pos, neg, n, queries)
+    first = _first_uneliminated(off, n, queries)
     if not first.any():
         return FaceAxiomReport(True, None, None)
 
-    # a violation exists; rescan the pairs in canonical order so the
-    # witness does not depend on the deduplication above
+    # a violation exists; rescan all pairs in canonical order so the
+    # witness does not depend on the reduction above
     failing = np.zeros(len(table), dtype=np.int8)
     failing[queries] = first
-    for lo, cp, cn, d in _pair_blocks(pos, neg):
-        e = failing[((cp | d) << n) | (cn | d)]
-        if e.any():
-            i, j = divmod(int(np.argmax(e != 0)), m)
-            return FaceAxiomReport(
-                False, "F3", (family[lo + i], family[j], int(e[i, j]))
-            )
-    raise RuntimeError("violation vanished on rescan")
+    i, j, e = _first_pair(
+        pos, neg, lambda cp, cn, d: failing[((cp | d) << n) | (cn | d)])
+    return FaceAxiomReport(False, "F3", (family[i], family[j], e))
 
 
 @dataclass(frozen=True)
@@ -447,14 +501,27 @@ def face_lattice(om: OrientedMatroidData) -> FaceLattice:
     covectors = list(om.covectors)
     if not any(x.is_zero for x in covectors):
         raise ValueError("not a valid OM lattice")
-    # i covers each j in below(i) that lies below no other z in below(i)
+    # the covectors below x are exactly its restrictions to proper subsets
+    # of its support, so submask enumeration finds them all; they have
+    # smaller supports, so their heights and below lists are known when x
+    # is reached.  x covers each one that lies below no other one.
+    index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
     below: dict[int, list[int]] = {}
     heights = [0] * len(covectors)
     covers: list[tuple[int, int]] = []
-    for i, bel, h in _face_order(covectors):
+    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
+        x = covectors[i]
+        bel: list[int] = []
+        sub = sup = x.support
+        while sub:
+            sub = (sub - 1) & sup
+            j = index.get((x.pos & sub, x.neg & sub))
+            if j is not None:
+                bel.append(j)
         inner = set().union(*(below[z] for z in bel))
         covers.extend((j, i) for j in bel if j not in inner)
-        below[i], heights[i] = bel, h
+        below[i] = bel
+        heights[i] = 1 + max((heights[j] for j in bel), default=-1)
     rank = max(heights)
     top = len(covectors)
     covers.extend(

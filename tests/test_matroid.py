@@ -117,24 +117,33 @@ def literal_minimal_nonzero(covectors):
     return tuple(sorted(mins, key=lambda x: x.key))
 
 
-def literal_face_lattice(om):
-    """(covers, heights, rank) of the face order with a synthetic top, or
-    None where face_lattice must reject it.
-
-    Strictly-below sets come from pairwise conforms, heights from longest
-    chains, covers are the maximal elements of each strictly-below set, and
-    gradedness is checked by walking every chain up to a maximal element.
-    The covectors must be distinct.
-    """
-    cov = list(om.covectors)
-    if not any(x.is_zero for x in cov):
-        return None
+def literal_heights(covectors):
+    """Longest-chain height of each covector, with the strictly-below lists
+    it was read from: pairwise conforms, then chains in support order.
+    The covectors must be distinct."""
+    cov = list(covectors)
     m = len(cov)
     below = [[j for j in range(m) if j != i and cov[j].conforms(cov[i])]
              for i in range(m)]
     heights = [0] * m
     for i in sorted(range(m), key=lambda i: cov[i].support_size):
         heights[i] = 1 + max((heights[j] for j in below[i]), default=-1)
+    return heights, below
+
+
+def literal_face_lattice(om):
+    """(covers, heights, rank) of the face order with a synthetic top, or
+    None where face_lattice must reject it.
+
+    Heights come from literal_heights, covers are the maximal elements of
+    each strictly-below set, and gradedness is checked by walking every
+    chain up to a maximal element.  The covectors must be distinct.
+    """
+    cov = list(om.covectors)
+    if not any(x.is_zero for x in cov):
+        return None
+    m = len(cov)
+    heights, below = literal_heights(cov)
     rank = max(heights)
     covers = [
         (j, i)
@@ -158,6 +167,16 @@ def literal_face_lattice(om):
     return tuple(sorted(covers)), tuple(heights), rank
 
 
+def assert_rank_matches_literal(om):
+    """om.rank and om.cocircuits agree with literal_heights; True when the
+    face order is also a graded lattice."""
+    heights, _ = literal_heights(om.covectors)
+    assert om.rank == max(heights)
+    assert om.cocircuits == tuple(
+        x for x, h in zip(om.covectors, heights) if h == 1)
+    return literal_face_lattice(om) is not None
+
+
 def assert_lattice_matches_literal(om):
     """face_lattice agrees with the literal oracle; True when it is a lattice."""
     want = literal_face_lattice(om)
@@ -168,6 +187,22 @@ def assert_lattice_matches_literal(om):
     lat = face_lattice(om)
     assert (lat.covers, lat.heights, lat.rank) == want
     return True
+
+
+def closed_families(seed, count):
+    """Seeded families over n <= 5 closed under composition and negation,
+    zero included: the closure of one to four random sign vectors."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        family = {SignVector.zero(n)}
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(1 << n)
+            x = SignVector(n, pos, rng.randrange(1 << n) & ~pos)
+            family |= {x, -x}
+        while grown := {x.compose(y) for x in family for y in family} - family:
+            family |= grown
+        yield family
 
 
 def hand_built_oms(seed, count):
@@ -268,6 +303,11 @@ class TestSignVector:
     def test_canonical_order(self):
         got = sorted(svs("00", "0+", "+0", "-0", "0-", "++", "--"), key=lambda v: v.key)
         assert [str(v) for v in got] == ["--", "-0", "0-", "00", "0+", "+0", "++"]
+
+    def test_key_numbers_the_grid_in_order(self):
+        for n in range(1, 7):
+            grid = itertools.product("-0+", repeat=n)
+            assert [sv("".join(c)).key for c in grid] == list(range(3 ** n))
 
     @given(signs_st, signs_st.map(str))
     def test_compose_absorbs_right_composition(self, x, other_text):
@@ -479,6 +519,28 @@ class TestFaceAxioms:
     def test_matches_literal_scan_on_random_families(self, family):
         assert check_face_axioms(family) == literal_face_axioms(family)
 
+    def test_matches_literal_scan_on_closed_families(self):
+        # F0-F2 hold, so only the equal-support elimination decision and
+        # the F3 rescan separate these
+        outcomes = Counter()
+        for family in closed_families(1515, 200):
+            report = check_face_axioms(family)
+            assert report == literal_face_axioms(family)
+            outcomes[report.axiom] += 1
+        assert set(outcomes) == {None, "F3"}
+        assert outcomes[None] >= 20 and outcomes["F3"] >= 20
+
+    def test_first_elimination_witness_has_unequal_supports(self):
+        # closed under composition and negation; -0+ is missing, so (--0,
+        # -++) at e = 2 comes first, before the equal-support pair
+        # (--+, -++) that raises the same demand
+        family = svs("---", "--0", "--+", "-0-", "-+-", "-++", "0--", "000",
+                     "0++", "+--", "+-+", "+0+", "++-", "++0", "+++")
+        assert {x.compose(y) for x in family for y in family} == set(family)
+        report = check_face_axioms(family)
+        assert report == FaceAxiomReport(False, "F3", (sv("--0"), sv("-++"), 2))
+        assert report == literal_face_axioms(family)
+
 
 class TestFaceLattice:
     def test_rhombododecahedron_levels(self):
@@ -561,6 +623,7 @@ class TestFaceOrderAgainstLiteral:
     def test_crossover_oms(self, k, n):
         om = om_from_rset(k, n)
         assert om.cocircuits == literal_minimal_nonzero(om.covectors)
+        assert assert_rank_matches_literal(om)
         assert assert_lattice_matches_literal(om)
 
     @given(tope_sets_st())
@@ -569,6 +632,7 @@ class TestFaceOrderAgainstLiteral:
         # most such sets are not OMs, so the lattice may rightly be rejected
         om = covectors_from_topes(topes)
         assert om.cocircuits == literal_minimal_nonzero(om.covectors)
+        assert_rank_matches_literal(om)
         assert_lattice_matches_literal(om)
 
     def test_hand_built_families(self):
@@ -602,6 +666,20 @@ class TestRank:
     def test_free_rank_equals_ground_size(self):
         for n in (2, 3, 4):
             assert om_from_rset(n - 1, n).rank == n
+
+    def test_rank_matches_literal_on_seeded_tope_sets(self):
+        # the height table must hold off OMs too, where the face order is
+        # not a graded lattice
+        rng = random.Random(1616)
+        graded = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            full = (1 << n) - 1
+            half = rng.sample(range(1 << n), rng.randint(1, 1 << n - 1))
+            om = covectors_from_topes(
+                [SignVector(n, p, full & ~p) for q in half for p in (q, full & ~q)])
+            graded[assert_rank_matches_literal(om)] += 1
+        assert graded[True] >= 20 and graded[False] >= 20
 
 
 class TestUniformity:
