@@ -11,14 +11,19 @@ bodies and compare the finders against a full scan of them.
 Entry sets are stored as integer bitmasks over carrier indices; subset,
 intersection and membership tests are single integer operations.  The table
 owns these mask rows and every row derived from them (entry sizes,
-two-member adjacency, cols, the value set, the closed table, the interval
-rows of its underlying graph), each built on first use and kept, so every
-check on one table shares them.  The costliest finders read bitset rows, so
-that an inner variable scan becomes a few row operations plus a
+two-member adjacency, cols, larger, the value set, the closed table, the
+interval rows of its underlying graph), each built on first use and kept, so
+every check on one table shares them.  The costliest finders read bitset
+rows, so that an inner variable scan becomes a few row operations plus a
 lowest-set-bit lookup:
 
-- cols[a][m], the set of z whose entry with a contains m, serves Pa, CG and
-  (on the closure) CGp;
+- cols[a][m], the set of z whose entry with a contains m, serves Pa, CG,
+  B1, B3, S1, S2 and (on the closure) CGp;
+- larger[u][s], the set of z whose entry with u has more than s members,
+  serves GW3 and GW4;
+- H3 packs cols[u][m] for every u into holders[m], the set of ordered
+  pairs whose entry holds m; the pairs whose entry lies inside a mask e are
+  those in no holders[m] with m outside e;
 - AX numbers the ordered edges (pairs whose entry has two members) in
   canonical order and gives each edge ab the row of edges cd with
   par(a, b, c, d); the first e f of a premise-true (ab, cd) is the lowest
@@ -26,14 +31,16 @@ lowest-set-bit lookup:
 - Pa concatenates the rows of one carrier element into a single integer, one
   block per partner, so a whole (p, a) prefix is tested at once;
 - MM compares distinct entry masks, each keyed to the first pair carrying
-  it, instead of all pairs of pairs.
+  it, instead of all pairs of pairs; M's verdict at (x, y) depends on the
+  mask E(x, y) alone, so each distinct mask is scanned once.
 
 ``table_closure`` and ``convex_sets`` share one hull: the least superset of
 a mask that holds the entry of every pair of its members.
 
 AX and AXp are the same predicate as written: AXp spells out the three
 parallelism tests of AX entry by entry, so both catalog entries share one
-finder and always give the same verdict and witness.
+finder and always give the same verdict and witness; ``check_all`` runs it
+once for both.
 
 The six-variable axioms A4, AX and AXp are refused on carriers above
 DEFAULT_SIX_VAR_LIMIT = 256 elements (the 2^8 binary space) unless the
@@ -42,8 +49,9 @@ caller raises the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import accumulate
 from math import prod
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -82,6 +90,12 @@ def _transpose(rows: Sequence[int], v: int) -> list[int]:
         int.from_bytes(out[j * width:(j + 1) * width], "little")
         for j in range(v)
     ]
+
+
+def _packed(masks: Iterable[int], width: int) -> int:
+    """One integer holding each mask in its own block of width bytes."""
+    return int.from_bytes(
+        b"".join([m.to_bytes(width, "little") for m in masks]), "little")
 
 
 class TransitTable:
@@ -172,6 +186,17 @@ class TransitTable:
     def _cols(self) -> list[list[int]]:
         """_cols[a][m] is the set of z whose entry with a contains m."""
         return [_transpose(row, len(self)) for row in self._entry]
+
+    @cached_property
+    def _larger(self) -> list[list[int]]:
+        """_larger[u][s]: the z whose entry with u has more than s members."""
+        out = []
+        for row in self._size:
+            by_size = [0] * (len(row) + 1)
+            for z, s in enumerate(row):
+                by_size[s] |= 1 << z
+            out.append(list(accumulate(by_size[:0:-1], or_))[::-1] + [0])
+        return out
 
     @cached_property
     def _value_set(self) -> frozenset[int]:
@@ -371,34 +396,34 @@ def _find_T3(t: TransitTable):
 
 
 def _find_GW4(t: TransitTable):
-    for x, (ex, sx) in enumerate(zip(t._entry, t._size)):
-        for y, bound in enumerate(sx):
-            for z in _bits(ex[y]):
-                if sx[z] > bound:
-                    return (x, y, z)
+    # bad z: in E(x, y), with |E(x, z)| above |E(x, y)|.
+    for x, (ex, sx, lx) in enumerate(zip(t._entry, t._size, t._larger)):
+        for y, e in enumerate(ex):
+            bad = e & lx[sx[y]]
+            if bad:
+                return (x, y, _low(bad))
     return None
 
 
 def _find_GW3(t: TransitTable):
-    size = t._size
-    for x, (ex, sx) in enumerate(zip(t._entry, size)):
+    # bad v: in E(x, y), with |E(u, v)| above |E(x, y)|.
+    larger = t._larger
+    for x, (ex, sx) in enumerate(zip(t._entry, t._size)):
         for y, e in enumerate(ex):
-            bound = sx[y]
-            members = list(_bits(e))
-            for u in members:
-                su = size[u]
-                for v in members:
-                    if su[v] > bound:
-                        return (x, y, u, v)
+            for u in _bits(e):
+                bad = e & larger[u][sx[y]]
+                if bad:
+                    return (x, y, u, _low(bad))
     return None
 
 
 def _find_B1(t: TransitTable):
-    for x, ex in enumerate(t._entry):
+    # y in E(x, z) is z in cols[x][y], so bad z = E(x, y) & cols[x][y] - y.
+    for x, (ex, colx) in enumerate(zip(t._entry, t._cols)):
         for y, e in enumerate(ex):
-            for z in _bits(e):
-                if z != y and ex[z] >> y & 1:
-                    return (x, y, z)
+            bad = e & colx[y] & ~(1 << y)
+            if bad:
+                return (x, y, _low(bad))
     return None
 
 
@@ -412,26 +437,32 @@ def _find_B2(t: TransitTable):
 
 
 def _find_B3(t: TransitTable):
-    entry = t._entry
-    for x, ex in enumerate(entry):
+    # z in E(w, y) is w in cols[y][z], so bad w = E(x, z) & ~cols[y][z].
+    cols = t._cols
+    for x, ex in enumerate(t._entry):
         for y, e in enumerate(ex):
             for z in _bits(e):
-                for w in _bits(ex[z]):
-                    if not entry[w][y] >> z & 1:
-                        return (x, y, z, w)
+                bad = ex[z] & ~cols[y][z]
+                if bad:
+                    return (x, y, z, _low(bad))
     return None
 
 
 def _find_M(t: TransitTable):
+    # The verdict at (x, y) depends on the mask E(x, y) alone, so each mask
+    # is scanned once; a mask that passes is kept in good.
     entry = t._entry
+    good: set[int] = set()
     for x, ex in enumerate(entry):
         for y, e in enumerate(ex):
+            if e in good:
+                continue
             members = list(_bits(e))
             for u in members:
                 eu = entry[u]
-                for v in members:
-                    if eu[v] & ~e:
-                        return (x, y, u, v)
+                if reduce(or_, map(eu.__getitem__, members)) & ~e:
+                    return (x, y, u, next(v for v in members if eu[v] & ~e))
+            good.add(e)
     return None
 
 
@@ -516,12 +547,8 @@ def _find_Pa(t: TransitTable):
     entry = t._entry
     width = (v + 7) // 8
     stride = 8 * width
-
-    def packed(masks) -> int:
-        return int.from_bytes(b"".join(masks), "little")
-
     members = {m: list(_bits(m)) for row in entry for m in row}
-    rows = [packed([m.to_bytes(width, "little") for m in row]) for row in entry]
+    rows = [_packed(row, width) for row in entry]
     full = (1 << v * stride) - 1
     best = None
     limit = v
@@ -531,7 +558,8 @@ def _find_Pa(t: TransitTable):
             m: reduce(or_, map(cola.__getitem__, bits), 0).to_bytes(width, "little")
             for m, bits in members.items()
         }
-        good = [packed(map(meets.__getitem__, row)) for row in entry]
+        good = [int.from_bytes(b"".join(map(meets.__getitem__, row)), "little")
+                for row in entry]
         ea = entry[a]
         for p in range(limit):
             bad = rows[p] & ~reduce(and_, map(good.__getitem__, members[ea[p]]), full)
@@ -570,35 +598,32 @@ def _find_MO(t: TransitTable):
 
 
 def _find_S1(t: TransitTable):
-    entry, adj = t._entry, t._adj
-    for x, ex in enumerate(entry):
+    # z: y in E(x, z), that is cols[x][y].  bad w: a neighbour of z in
+    # E(x, z) with x in E(y, w) (cols[y][x]) and z not (cols[y][z]).
+    entry, adj, cols = t._entry, t._adj, t._cols
+    for x, (ex, colx) in enumerate(zip(entry, cols)):
         for y in _bits(adj[x]):
-            ey = entry[y]
-            for z, exz in enumerate(ex):
-                if not (exz >> y & 1):
-                    continue
-                for w in _bits(adj[z]):
-                    if not (exz >> w & 1):
-                        continue
-                    eyw = ey[w]
-                    if eyw >> x & 1 and not eyw >> z & 1:
-                        return (x, y, z, w)
+            coly = cols[y]
+            for z in _bits(colx[y]):
+                bad = adj[z] & ex[z] & coly[x] & ~coly[z]
+                if bad:
+                    return (x, y, z, _low(bad))
     return None
 
 
 def _find_S2(t: TransitTable):
-    entry, adj = t._entry, t._adj
-    for x, ex in enumerate(entry):
+    # bad w: a neighbour of y with y not in E(x, w) (outside cols[x][y]),
+    # w not in E(x, z) and z not in E(y, w) (outside cols[y][z]).
+    entry, adj, cols = t._entry, t._adj, t._cols
+    for x, (ex, colx) in enumerate(zip(entry, cols)):
         for y in _bits(adj[x]):
-            if not ex[y] >> y & 1:
+            open_w = adj[y] & ~colx[y]
+            if not (open_w and ex[y] >> y & 1):
                 continue
-            ey = entry[y]
-            for z, exz in enumerate(ex):
-                for w in _bits(adj[y]):
-                    if exz >> w & 1 or ey[w] >> z & 1:
-                        continue
-                    if not ex[w] >> y & 1:
-                        return (x, y, z, w)
+            for z, (exz, colyz) in enumerate(zip(ex, cols[y])):
+                bad = open_w & ~exz & ~colyz
+                if bad:
+                    return (x, y, z, _low(bad))
     return None
 
 
@@ -708,18 +733,29 @@ def _find_AX(t: TransitTable):
 
 
 def _find_H3(t: TransitTable):
-    entry = t._entry
+    # Pair (u, w) is bit u * stride + w; it can fail when u != w, its entry
+    # is not the edge {u, w} (open_pairs) and it lies inside E(x, y).
+    v = len(t)
+    entry, cols = t._entry, t._cols
+    width = (v + 7) // 8
+    stride = 8 * width
+    holders = [_packed([col[m] for col in cols], width) for m in range(v)]
+    open_pairs = _packed([
+        sum(1 << w for w, m in enumerate(row) if w != u and m != 1 << u | 1 << w)
+        for u, row in enumerate(entry)
+    ], width)
+    full = (1 << v) - 1
+    inside: dict[int, int] = {}  # built once per distinct mask
     for x, (ex, sx) in enumerate(zip(entry, t._size)):
-        for y, exy in enumerate(ex):
+        for y, e in enumerate(ex):
             if x == y or sx[y] <= 4:
                 continue
-            for u, eu in enumerate(entry):
-                for v, euv in enumerate(eu):
-                    if u == v or euv & ~exy:
-                        continue
-                    if euv == (1 << u) | (1 << v) or {u, v} == {x, y}:
-                        continue
-                    return (x, y, u, v)
+            if e not in inside:
+                inside[e] = open_pairs & ~reduce(
+                    or_, map(holders.__getitem__, _bits(full & ~e)), 0)
+            bad = inside[e] & ~(1 << x * stride + y | 1 << y * stride + x)
+            if bad:
+                return (x, y) + divmod(_low(bad), stride)
     return None
 
 
@@ -794,11 +830,14 @@ def check_all(
     (those satisfying T1, T2, T3); a violated implication means the checker
     itself is wrong, so it raises instead of reporting.
     """
-    reports = [
-        check_axiom(table, ax, n=n, a=a, sizes=sizes, six_var_limit=six_var_limit)
-        for ax in sorted(AXIOM_IDS)
-    ]
-    verdict = {r.axiom: r.holds for r in reports}
+    reports: dict[str, AxiomReport] = {}
+    for ax in sorted(AXIOM_IDS):
+        if ax == "AXp":  # AX's own predicate, so AX's report
+            reports[ax] = replace(reports["AX"], axiom=ax)
+        else:
+            reports[ax] = check_axiom(
+                table, ax, n=n, a=a, sizes=sizes, six_var_limit=six_var_limit)
+    verdict = {ax: r.holds for ax, r in reports.items()}
     if verdict["T1"] and verdict["T2"] and verdict["T3"]:
         for premise, consequence in _IMPLICATIONS:
             if verdict[premise] and not verdict[consequence]:
@@ -806,7 +845,7 @@ def check_all(
                     f"internal error: {premise} holds but {consequence} fails "
                     f"on {table.name}"
                 )
-    return reports
+    return list(reports.values())
 
 
 def _connectivity_gate(table: TransitTable) -> None:

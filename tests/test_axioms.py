@@ -380,9 +380,21 @@ def random_table(rng, v):
     return TransitTable(list(range(v)), entries, name="random")
 
 
+def random_interval_table(rng, v):
+    """Interval table of a random connected graph: a random spanning tree
+    plus each other pair as an edge with probability 1/4."""
+    edges = {(rng.randrange(i), i) for i in range(1, v)}
+    edges |= {(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < 0.25}
+    return table_from_interval(SimpleGraph(list(range(v)), sorted(edges)))
+
+
 class TestFinderSoundness:
     """Optimized finders must agree with the plain reference evaluator."""
 
+    # The last three are catalog transit tables, so the finders meet
+    # premise-true tuples of real transit functions; on 2^3 every other
+    # source gives the closure table, and on 3,3 every source gives the
+    # interval table (test_small_sources_coincide).
     STRUCTURED = [
         lambda: table_from_rset(1, B2X2),
         lambda: table_from_rset(2, B2X2),
@@ -392,7 +404,19 @@ class TestFinderSoundness:
         lambda: table_from_interval(
             SimpleGraph(list(range(5)), [(0, 1), (0, 2), (0, 3), (0, 4)])
         ),
+        lambda: table_from_rset(1, B3),
+        lambda: table_from_closure(1, B3),
+        lambda: table_from_interval(hamming_graph(TT)),
     ]
+
+    def test_small_sources_coincide(self):
+        sources = ("rset:1", "rset:2", "closure:1", "closure:2", "interval")
+        for spec, own in (("2^3", {"rset:1"}), ("3,3", set())):
+            spec = AlphabetSpec.parse(spec)
+            closed = table_from_closure(1, spec)._entry
+            for source in sources:
+                same = table_of(source, spec)._entry == closed
+                assert same == (source not in own), (spec, source)
 
     @pytest.mark.parametrize("axiom", sorted(AXIOM_IDS))
     def test_structured_tables(self, axiom):
@@ -421,25 +445,38 @@ class TestFinderSoundness:
                 assert not got.holds, (trial, axiom)
                 assert got.witness == tuple(table.carrier[i] for i in expect)
 
-    # axiom: (largest carrier, least holding count, least failing count) over
+    # axiom: (carrier range, least holding count, least failing count) over
     # 200 random tables; the six-variable axioms stop at v = 5 so that the
     # brute-force scan stays small.
     SWEEPS = {
-        "AX": (5, 140, 30),
-        "AXp": (5, 140, 30),
-        "CG": (6, 25, 140),
-        "CGp": (6, 40, 130),
-        "MM": (6, 80, 90),
-        "Pa": (6, 20, 100),
+        "AX": (2, 5, 140, 30),
+        "AXp": (2, 5, 140, 30),
+        "B1": (2, 7, 30, 130),
+        "B3": (2, 7, 25, 140),
+        "CG": (2, 6, 25, 140),
+        "CGp": (2, 6, 40, 130),
+        "GW3": (2, 7, 60, 100),
+        "GW4": (2, 7, 50, 110),
+        "H3": (6, 7, 40, 120),
+        "M": (2, 7, 40, 120),
+        "MM": (2, 6, 80, 90),
+        "Pa": (2, 6, 20, 100),
+        "S1": (2, 7, 80, 75),
+        "S2": (2, 7, 40, 120),
     }
+    # H3 fails only where an entry of more than four members contains the
+    # entry of another non-edge pair; random tables rarely fail it, interval
+    # tables of connected graphs on six or seven vertices both hold and fail.
+    SWEEP_TABLES = {"H3": random_interval_table}
 
     @pytest.mark.parametrize("axiom", sorted(SWEEPS))
     def test_row_finders_on_many_random_tables(self, axiom):
-        vmax, min_holds, min_fails = self.SWEEPS[axiom]
+        vmin, vmax, min_holds, min_fails = self.SWEEPS[axiom]
+        make = self.SWEEP_TABLES.get(axiom, random_table)
         rng = random.Random(20261018)
         verdicts = []
         for trial in range(200):
-            table = random_table(rng, rng.randint(2, vmax))
+            table = make(rng, rng.randint(vmin, vmax))
             expect = brute_force(table, axiom)
             got = check_axiom(table, axiom)
             assert got.holds == (expect is None), trial
@@ -565,24 +602,43 @@ class TestBatteryBeyondBruteForce:
     directly; every axiom not listed for a table holds on it.
     """
 
-    AXIOMS = ("AX", "AXp", "CG", "CGp", "MM", "Pa")
+    AXIOMS = (
+        "AX", "AXp", "B1", "B3", "CG", "CGp", "GW3", "GW4", "H3", "M", "MM",
+        "Pa", "S1", "S2",
+    )
+    H3_BINARY = {"H3": "00000 00111 00000 00011"}
+    H3_MIXED = {"H3": "000 111 000 011", "S2": "000 001 000 002"}
     FAILS = {
         ("rset:1", "2^5"): {
             "AX": "00000 00010 00001 00011 00101 00111",
             "AXp": "00000 00010 00001 00011 00101 00111",
             "CG": "00000 00000 00111 00011",
+            "M": "00000 00111 00000 00011",
             "MM": "00000 00011 00000 00111",
         },
         ("rset:2", "2^5"): {
             "CG": "00000 00000 01111 00111",
+            "H3": "00000 00111 00000 00011",
+            "M": "00000 01111 00000 00111",
             "MM": "00000 00011 00100 01011",
         },
+        ("closure:1", "2^5"): H3_BINARY,
+        ("closure:2", "2^5"): H3_BINARY,
+        ("interval", "2^5"): H3_BINARY,
+        **{(source, "3,3"): {"S2": "00 01 00 02"} for source in (
+            "rset:1", "rset:2", "closure:1", "closure:2", "interval")},
         ("rset:1", "2,3,3"): {
             "AX": "000 010 001 011 101 111",
             "AXp": "000 010 001 011 101 111",
             "CG": "000 000 111 011",
+            "M": "000 111 000 011",
             "MM": "000 011 000 111",
+            "S2": "000 001 000 002",
         },
+        ("rset:2", "2,3,3"): H3_MIXED,
+        ("closure:1", "2,3,3"): H3_MIXED,
+        ("closure:2", "2,3,3"): H3_MIXED,
+        ("interval", "2,3,3"): H3_MIXED,
     }
 
     @pytest.mark.parametrize("spec", ["2^5", "3,3", "2,3,3"])
@@ -806,6 +862,25 @@ class TestReportMechanics:
                 expect = None if axiom == "A4" else want
                 assert rep.holds == (expect is None), (table.name, axiom)
                 assert rep.witness is None or texts(rep.witness) == expect
+
+    def test_check_all_runs_ax_once_for_ax_and_axp(self, monkeypatch):
+        import xoverlab.axioms as ax
+
+        calls = []
+        find_ax = ax._FINDERS["AX"]
+
+        def counted(table):
+            calls.append(table.name)
+            return find_ax(table)
+
+        monkeypatch.setattr(ax, "_FINDERS", {**ax._FINDERS, "AX": counted, "AXp": counted})
+        table = table_from_rset(1, B4)
+        reports = {r.axiom: r for r in check_all(table)}
+        assert len(calls) == 1
+        assert not reports["AX"].holds
+        assert reports["AXp"] == check_axiom(table, "AXp")
+        assert (reports["AXp"].holds, reports["AXp"].witness) == (
+            reports["AX"].holds, reports["AX"].witness)
 
     def test_six_var_limit_has_its_own_error(self):
         table = table_from_closure(1, B3)
