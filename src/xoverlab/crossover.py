@@ -19,10 +19,11 @@ subset-sum table per byte of the mask adds a byte's steps in one lookup.
 these two functions, and so do the axiom tables, which take the packed
 indices as they are.  ``rset_recursive`` asks the kernel for R_{k-1} only
 and takes its one-point step as literal prefix/suffix splits of the masks,
-so comparing it with ``rset`` checks the kernel at k against the kernel at
-k - 1.  ``rset_by_cut_enumeration`` (the literal all-cut-subsets definition)
-shares none of it, and the test suite checks the two routes against each
-other before anything else relies on the kernel.
+read off nested prefix and suffix sets, so comparing it with ``rset`` checks
+the kernel at k against the kernel at k - 1.  ``rset_by_cut_enumeration``
+(the literal all-cut-subsets definition) shares none of it, and the test
+suite checks the two routes against each other before anything else relies
+on the kernel.
 """
 
 from __future__ import annotations
@@ -198,7 +199,10 @@ def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
     last c bits ``low`` (0 < c < t) on one side and ``high = full ^ low`` on
     the other, so R_1(0, z) = {z & low, z & high} and
     R_1(z, full) = {z | low, z | high}, plus the parents.  Only R_{k-1}
-    comes from the kernel.
+    comes from the kernel.  Each ``low`` lies inside the next longer one,
+    so the suffix set {z & low} is read off the next longer suffix set, the
+    prefix set {z & high} likewise, and z | low = (z & high) | low,
+    z | high = (z & low) | high: each side walks a deduplicated set.
     """
     k = _validate_k(k)
     if k < 2:
@@ -207,13 +211,14 @@ def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
     steps = _steps(x, y)
     t = len(steps)
     full = (1 << t) - 1
-    lows = [(1 << c) - 1 for c in range(1, t)]
-    sides = lows + [full ^ low for low in lows]
+    lows = [(1 << c) - 1 for c in range(t - 1, 0, -1)]
     zs = _ymask_patterns(k - 1, full, t)
     acc = {0, full}
-    for side in sides:
-        acc.update(map(side.__and__, zs))
-        acc.update(map(side.__or__, zs))
+    for sides in (lows, [full ^ low for low in reversed(lows)]):
+        part = zs
+        for side in sides:
+            part = set(map(side.__and__, part))
+            acc.update(part, map((full ^ side).__or__, part))
     members = WordSet.from_indices(_scatter(x.index, steps, tuple(acc)), spec)
     return RSetResult(members, (x, y), k)
 

@@ -15,13 +15,17 @@ tuples are tabulated in index order, and a word is its runs' table entries
 concatenated.  ``WordSet.from_indices`` checks once per set that every index
 lies in [0, size); every in-range index decodes to valid letters, so its
 words skip the per-letter check that ``Word(letters, spec)``, ``Word.parse``
-and ``Word.from_index`` apply to input from outside.
+and ``Word.from_index`` apply to input from outside.  ``Word`` is slotted,
+one collector-tracked object per word, and ``from_indices`` sets its slots
+with the cyclic collector paused, so fresh words are not traversed again
+and again by young-generation collections while a set is decoded.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
 from math import comb, prod
 from operator import add, ge, mul
@@ -106,6 +110,8 @@ class AlphabetSpec:
                 raise ValueError(f"empty token in alphabet spec {text!r}")
             if "^" in token:
                 base, _, count = token.partition("^")
+                if int(count) < 1:
+                    raise ValueError(f"repeat count below 1 in alphabet spec {text!r}")
                 sizes.extend([int(base)] * int(count))
             else:
                 sizes.append(int(token))
@@ -153,7 +159,8 @@ def _decoder(sizes: tuple[int, ...]) -> Callable[[Sequence[int]], list[tuple[int
     return decode
 
 
-@dataclass(frozen=True)
+@total_ordering
+@dataclass(frozen=True, slots=True)
 class Word:
     """A fixed-length word over an :class:`AlphabetSpec`.
 
@@ -201,28 +208,14 @@ class Word:
     def __str__(self) -> str:
         return ("" if self.spec.compact_text else ",").join(map(str, self.letters))
 
-    def _cmp_key(self, other: "Word") -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self.spec != other.spec:
-            raise IncompatibleWordsError(
-                f"incompatible words: alphabets {self.spec} and {other.spec} differ"
-            )
-        return self.letters, other.letters
-
     def __lt__(self, other: "Word") -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
+        require_same_spec(self, other)
+        return self.letters < other.letters
 
-    def __le__(self, other: "Word") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
 
-    def __gt__(self, other: "Word") -> bool:
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other: "Word") -> bool:
-        a, b = self._cmp_key(other)
-        return a >= b
+# Slot setters, which bypass the frozen __setattr__, for WordSet.from_indices
+_set_letters, _set_spec, _set_index = (
+    Word.letters.__set__, Word.spec.__set__, Word.index.__set__)
 
 
 def require_same_spec(x: Word, y: Word) -> AlphabetSpec:
@@ -260,7 +253,8 @@ class WordSet:
         """The words with the given packed indices, each decoded once.
 
         One range check covers the whole set; the decoded words skip the
-        per-letter check, since every in-range index has valid letters.
+        per-letter check, since every in-range index has valid letters.  The
+        collector is paused while they are built, then left as it was.
         """
         idxs = sorted(set(indices))
         if idxs:
@@ -268,13 +262,18 @@ class WordSet:
             spec.check_index(idxs[-1])
         new = object.__new__
         members = []
-        for i, letters in zip(idxs, _decoder(spec.sizes)(idxs)):
-            w = new(Word)
-            fields = w.__dict__
-            fields["letters"] = letters
-            fields["spec"] = spec
-            fields["index"] = i
-            members.append(w)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for i, letters in zip(idxs, _decoder(spec.sizes)(idxs)):
+                w = new(Word)
+                _set_letters(w, letters)
+                _set_spec(w, spec)
+                _set_index(w, i)
+                members.append(w)
+        finally:
+            if enabled:
+                gc.enable()
         return cls(members, spec)
 
     @property

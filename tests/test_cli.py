@@ -106,6 +106,10 @@ class TestErrors:
         (["rset", "-k", "1", "-x", "00", "-y", "11", "--format", "dot"],
          "not available"),
         (["axioms", "--source", "rset:1"], "needs --spec"),
+        (["rset", "-k", "1", "-x", "0", "-y", "1", "--spec", "2^-1,2"],
+         "repeat count"),
+        (["rset", "-k", "1", "-x", "0", "-y", "1", "--spec", "2^0,3"],
+         "repeat count"),
     ])
     def test_exit_2_with_message(self, argv, fragment, capsys):
         assert cli.main(argv) == 2

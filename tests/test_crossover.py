@@ -248,9 +248,44 @@ class TestBlockRule:
                 assert (z in r) == (block_count(z, zero) <= k + 1)
 
 
+def literal_one_point_union(k, t):
+    """R_k's masks as the union of R_1(0, z) and R_1(z, full) over R_{k-1},
+    one cut side at a time over every member."""
+    full = (1 << t) - 1
+    lows = [(1 << c) - 1 for c in range(1, t)]
+    sides = lows + [full ^ low for low in lows]
+    zs = crossover_mod._ymask_patterns(k - 1, full, t)
+    acc = {0, full}
+    for side in sides:
+        acc.update(map(side.__and__, zs))
+        acc.update(map(side.__or__, zs))
+    return acc
+
+
 class TestRecursion:
     # the recursion asks the kernel for R_{k-1} only, so it is checked
     # against the literal oracle as well as against the kernel at k
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_nested_union_equals_literal_union(self, k):
+        # from the all-zero to the all-one binary word the packed index of
+        # an offspring is its mask, so the members' indices are the masks;
+        # t = 0 is the one word 0 against itself
+        for t in range(13):
+            spec = bspec(max(t, 1))
+            x, y = Word((0,) * spec.n, spec), Word((1,) * t or (0,), spec)
+            members = rset_recursive(k, x, y).members
+            assert members.indices == literal_one_point_union(k, t)
+
+    def test_pairs_workload_shape(self):
+        # n = t = 16, k = 6: the largest sets the pairs benchmark requests
+        spec = bspec(16)
+        rng = random.Random(16)
+        x = Word(tuple(rng.randrange(2) for _ in range(16)), spec)
+        y = Word(tuple(1 - a for a in x.letters), spec)
+        members = rset_recursive(6, x, y).members
+        assert members == rset(6, x, y).members
+        assert len(members) == rset_size_formula(6, 16)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_direct(self, n):

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 import subprocess
 import sys
@@ -32,7 +35,7 @@ class TestAlphabetSpec:
         assert AlphabetSpec.parse("4") == spec_of(4)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "2^0", "1,2", "2^-1", "a", "2^^3"):
+        for bad in ("", "2^0", "1,2", "2^-1", "a", "2^^3", "2^-1,2", "2^0,3"):
             with pytest.raises(ValueError):
                 AlphabetSpec.parse(bad)
 
@@ -71,15 +74,27 @@ class TestWord:
         assert Word.parse("1011", s).index == 0b1011
 
     def test_index_is_stored_at_construction(self):
+        # a stored slot, read through the slot descriptor itself, not a
+        # property computed on read
+        assert "index" in Word.__slots__
         s = spec_of(3, 2, 4)
         w = Word((2, 1, 3), s)
-        assert w.__dict__["index"] == s.index_of((2, 1, 3)) == s.size - 1
+        assert Word.index.__get__(w) == s.index_of((2, 1, 3)) == s.size - 1
         decoded = WordSet.from_indices([5], s).members[0]
-        assert decoded.__dict__["index"] == 5
+        assert Word.index.__get__(decoded) == 5
         # the index is derived, so it takes no part in equality, hash or repr
         assert decoded == Word.from_index(5, s)
         assert hash(decoded) == hash(Word.from_index(5, s))
         assert "index" not in repr(w)
+
+    def test_slotted_words_survive_pickle_and_deepcopy(self):
+        s = spec_of(3, 2, 4)
+        for w in (Word((2, 1, 3), s), WordSet.from_indices([5], s).members[0]):
+            assert not hasattr(w, "__dict__")
+            for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+                assert twin == w and hash(twin) == hash(w)
+                assert Word.index.__get__(twin) == w.index
+                assert twin.spec == s
 
     def test_parse_compact_and_comma(self):
         s = spec_of(2, 2, 2)
@@ -104,14 +119,19 @@ class TestWord:
     def test_cross_spec_comparison_rejected(self):
         a = Word((0,), spec_of(2))
         b = Word((0,), spec_of(3))
-        with pytest.raises(IncompatibleWordsError):
-            _ = a < b
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b,
+                        lambda: a >= b):
+            with pytest.raises(IncompatibleWordsError):
+                compare()
 
     @given(st.integers(0, 7), st.integers(0, 7))
     def test_order_matches_index_order(self, i, j):
         s = spec_of(2, 2, 2)
         a, b = Word.from_index(i, s), Word.from_index(j, s)
         assert (a < b) == (i < j)
+        assert (a <= b) == (i <= j)
+        assert (a > b) == (i > j)
+        assert (a >= b) == (i >= j)
         assert (a == b) == (i == j)
 
 
@@ -202,6 +222,27 @@ class TestDecoder:
         proc = subprocess.run([sys.executable, "-O", "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_left_as_found(self, enabled):
+        s = spec_of(2, 3)
+        was = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert len(WordSet.from_indices(range(s.size), s)) == s.size
+            assert gc.isenabled() is enabled
+            for bad in ([-1, 0], [s.size]):
+                with pytest.raises(ValueError, match="out of range"):
+                    WordSet.from_indices(bad, s)
+                assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
 
     def test_duplicate_indices_collapse(self):
         s = spec_of(2, 3)
