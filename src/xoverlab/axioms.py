@@ -11,31 +11,33 @@ bodies and compare the finders against a full scan of them.
 Entry sets are stored as integer bitmasks over carrier indices; subset,
 intersection and membership tests are single integer operations.  The table
 owns these mask rows and every row derived from them (entry sizes,
-two-member adjacency, cols, larger, the value set, the closed table, the
-interval rows of its underlying graph), each built on first use and kept, so
-every check on one table shares them.  The costliest finders read bitset
-rows, so that an inner variable scan becomes a few row operations plus a
-lowest-set-bit lookup:
+two-member adjacency, cols, holders, larger, the value set and each value's
+member tuple, the closed table, the interval rows of its underlying graph),
+each built on first use and kept, so every check on one table shares them.
+The costliest finders read bitset rows, so that an inner variable scan
+becomes a few row operations plus a lowest-set-bit lookup:
 
-- cols[a][m], the set of z whose entry with a contains m, serves Pa, CG,
-  B1, B3, S1, S2 and (on the closure) CGp;
+- cols[a][m], the set of z whose entry with a contains m, serves CG, B1,
+  B3, S1, S2 and (on the closure) CGp;
+- holders[m] packs cols[a][m] for every a, one block per a: H3 reads it as
+  the ordered pairs whose entry holds m (an entry lies inside e when its
+  pair is in no holders[m] with m outside e), Pa ORs it once per mask;
 - larger[u][s], the set of z whose entry with u has more than s members,
   serves GW3 and GW4;
-- H3 packs cols[u][m] for every u into holders[m], the set of ordered
-  pairs whose entry holds m; the pairs whose entry lies inside a mask e are
-  those in no holders[m] with m outside e;
 - AX numbers the ordered edges (pairs whose entry has two members) in
   canonical order and gives each edge ab the row of edges cd with
   par(a, b, c, d); the first e f of a premise-true (ab, cd) is the lowest
   bit of row(cd) outside row(ab);
 - Pa concatenates the rows of one carrier element into a single integer, one
-  block per partner, so a whole (p, a) prefix is tested at once;
+  block per partner b >= a (by symmetry no first witness has b < a), so a
+  whole (p, a) prefix is tested at once;
 - MM compares distinct entry masks, each keyed to the first pair carrying
   it, instead of all pairs of pairs; M's verdict at (x, y) depends on the
-  mask E(x, y) alone, so each distinct mask is scanned once.
+  mask E(x, y) alone, so each distinct mask is scanned once.  M, GW3, B2,
+  B3, C4, CG and Pa read a mask's members from its shared tuple.
 
-``table_closure`` and ``convex_sets`` share one hull: the least superset of
-a mask that holds the entry of every pair of its members.
+``table_closure`` (once per distinct mask) and ``convex_sets`` share one
+hull: the least superset of a mask holding the entry of each pair in it.
 
 AX and AXp are the same predicate as written: AXp spells out the three
 parallelism tests of AX entry by entry, so both catalog entries share one
@@ -71,6 +73,7 @@ AXIOM_IDS = (
 
 SIX_VAR_AXIOMS = ("A4", "AX", "AXp")
 DEFAULT_SIX_VAR_LIMIT = 256
+_PA_BLOCK_BYTES = 1 << 22
 
 
 class SixVarLimitError(ValueError):
@@ -188,6 +191,16 @@ class TransitTable:
         return [_transpose(row, len(self)) for row in self._entry]
 
     @cached_property
+    def _holders(self) -> list[int]:
+        """_holders[m] packs _cols[a][m] for every a, in blocks of width bytes."""
+        return [_packed(col, (len(self) + 7) // 8) for col in zip(*self._cols)]
+
+    @cached_property
+    def _members(self) -> dict[int, tuple[int, ...]]:
+        """Each distinct entry mask mapped to its member indices, ascending."""
+        return {m: tuple(_bits(m)) for m in self._value_set}
+
+    @cached_property
     def _larger(self) -> list[list[int]]:
         """_larger[u][s]: the z whose entry with u has more than s members."""
         out = []
@@ -293,11 +306,8 @@ def _hull(rows: Sequence[Sequence[int]], mask: int) -> int:
 def table_closure(table: TransitTable) -> TransitTable:
     """Least fixed point closing every entry under the table itself."""
     rows = table._entry
-    v = len(rows)
-    entry = [[0] * v for _ in range(v)]
-    for i in range(v):
-        for j in range(i, v):
-            entry[i][j] = entry[j][i] = _hull(rows, rows[i][j])
+    hull = {m: _hull(rows, m) for m in table._value_set}
+    entry = [list(map(hull.__getitem__, row)) for row in rows]
     return TransitTable._from_rows(table.carrier, entry, f"closure of {table.name}")
 
 
@@ -345,25 +355,26 @@ class AxiomReport:
 
 
 def _resolve_sizes(t: TransitTable, n, a, sizes) -> tuple[int, ...] | None:
-    """Alphabet sizes consistent with carrier size and degree, if any."""
+    """Alphabet sizes consistent with carrier size and degree, if any; a lone
+    n allows only factorizations with n positions, a lone a only (a,) * m."""
     if sizes is not None:
         return tuple(sizes)
     if n is not None and a is not None:
         return (a,) * n
 
-    def search(remaining: int, smallest: int, budget: int) -> tuple[int, ...] | None:
+    def search(remaining: int, smallest: int, budget: int, slots) -> tuple[int, ...] | None:
         if remaining == 1:
-            return () if budget == 0 else None
-        f = smallest
-        while f <= remaining:
-            if remaining % f == 0 and budget >= f - 1:
-                rest = search(remaining // f, f, budget - (f - 1))
+            return () if budget == 0 and not slots else None
+        top = remaining if a is None else min(a, remaining)
+        for f in range(smallest if a is None else max(a, 2), top + 1):
+            if slots != 0 and remaining % f == 0 and budget >= f - 1:
+                rest = search(remaining // f, f, budget - (f - 1),
+                              None if slots is None else slots - 1)
                 if rest is not None:
                     return (f,) + rest
-            f += 1
         return None
 
-    return search(len(t), 2, t._delta)
+    return search(len(t), 2, t._delta, n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +418,10 @@ def _find_GW4(t: TransitTable):
 
 def _find_GW3(t: TransitTable):
     # bad v: in E(x, y), with |E(u, v)| above |E(x, y)|.
-    larger = t._larger
+    larger, members = t._larger, t._members
     for x, (ex, sx) in enumerate(zip(t._entry, t._size)):
         for y, e in enumerate(ex):
-            for u in _bits(e):
+            for u in members[e]:
                 bad = e & larger[u][sx[y]]
                 if bad:
                     return (x, y, u, _low(bad))
@@ -428,9 +439,10 @@ def _find_B1(t: TransitTable):
 
 
 def _find_B2(t: TransitTable):
+    members = t._members
     for x, ex in enumerate(t._entry):
         for y, e in enumerate(ex):
-            for z in _bits(e):
+            for z in members[e]:
                 if ex[z] & ~e:
                     return (x, y, z)
     return None
@@ -438,10 +450,10 @@ def _find_B2(t: TransitTable):
 
 def _find_B3(t: TransitTable):
     # z in E(w, y) is w in cols[y][z], so bad w = E(x, z) & ~cols[y][z].
-    cols = t._cols
+    cols, members = t._cols, t._members
     for x, ex in enumerate(t._entry):
         for y, e in enumerate(ex):
-            for z in _bits(e):
+            for z in members[e]:
                 bad = ex[z] & ~cols[y][z]
                 if bad:
                     return (x, y, z, _low(bad))
@@ -457,7 +469,7 @@ def _find_M(t: TransitTable):
         for y, e in enumerate(ex):
             if e in good:
                 continue
-            members = list(_bits(e))
+            members = t._members[e]
             for u in members:
                 eu = entry[u]
                 if reduce(or_, map(eu.__getitem__, members)) & ~e:
@@ -502,15 +514,10 @@ def _find_CG(t: TransitTable):
     # E(a,x), and T[y] = {z : E(a,z) <= E(a,y)} is its transpose.  The
     # premise is y in S[x]; the first failing z is the lowest bit of the
     # chain set S[x] & T[y] that disagrees with E(x,y).
-    v = len(t)
+    v, members = len(t), t._members
     full = (1 << v) - 1
     for a, (ea, col) in enumerate(zip(t._entry, t._cols)):
-        S = []
-        for mask in ea:
-            meet = full
-            for m in _bits(mask):
-                meet &= col[m]
-            S.append(meet)
+        S = [reduce(and_, map(col.__getitem__, members[mask]), full) for mask in ea]
         T = _transpose(S, v)
         for x, (sx, ex) in enumerate(zip(S, t._entry)):
             for y in _bits(sx):
@@ -536,51 +543,60 @@ def _find_CGp(t: TransitTable):
 
 def _find_Pa(t: TransitTable):
     # Pa fails at (p, a, b, a1, b1) when a1 is in E(p, a), b1 in E(p, b) and
-    # E(a1, b) & E(b1, a) is empty.  For each a, good[a1] packs, block b,
-    # the set of b1 meeting E(a1, b): the union of cols[a] over that mask,
-    # computed once per (a, mask).  Row p packs E(p, b) the same way, so a
-    # (p, a) prefix fails exactly where row p leaves the meet of good over
-    # E(p, a), and the lowest such bit names the first failing b.  Each a
-    # is scanned only over the p below the least failing p found so far,
-    # which keeps the canonical first witness.
+    # E(a1, b) & E(b1, a) is empty.  Block a of hits[m], the union of
+    # holders[z] over z in m, is the set of b1 whose entry with a meets m,
+    # and good[a1] packs it, block b, for m = E(a1, b).  Row p packs E(p, b)
+    # the same way, so (p, a) fails where row p leaves the meet of good over
+    # E(p, a), and the lowest such bit is the first failing b.  The table is
+    # symmetric, so (p, a, b, a1, b1) fails exactly when (p, b, a, b1, a1)
+    # does: a failing b < a would make (p, b) fail first, so good and row p
+    # start at block a.  Each a scans only the p below the least failing p
+    # so far, which keeps the canonical first witness.  hits is built for
+    # as many a at a time as fit in _PA_BLOCK_BYTES.
     v = len(t)
-    entry = t._entry
+    entry, members = t._entry, t._members
     width = (v + 7) // 8
     stride = 8 * width
-    members = {m: list(_bits(m)) for row in entry for m in row}
     rows = [_packed(row, width) for row in entry]
     full = (1 << v * stride) - 1
+    span = min(v, max(1, _PA_BLOCK_BYTES // (len(members) * width)))
+    keep = (1 << span * stride) - 1
+    number = {m: i for i, m in enumerate(members)}
+    ids = np.array([list(map(number.__getitem__, row)) for row in entry])
     best = None
     limit = v
-    for a in range(v):
-        cola = t._cols[a]
-        meets = {
-            m: reduce(or_, map(cola.__getitem__, bits), 0).to_bytes(width, "little")
-            for m, bits in members.items()
-        }
-        good = [int.from_bytes(b"".join(map(meets.__getitem__, row)), "little")
-                for row in entry]
-        ea = entry[a]
-        for p in range(limit):
-            bad = rows[p] & ~reduce(and_, map(good.__getitem__, members[ea[p]]), full)
-            if bad:
-                best = (p, a, _low(bad) // stride, good)
-                limit = p
-                break
+    for a0 in range(0, v, span):
+        part = [h >> a0 * stride & keep for h in t._holders]
+        hits = np.fromiter(
+            (reduce(or_, map(part.__getitem__, zs), 0).to_bytes(span * width, "little")
+             for zs in members.values()), f"S{span * width}", len(members),
+        ).view(np.uint8).reshape(len(members), span, width)
+        for a in range(a0, min(a0 + span, v)):
+            size = (v - a) * width
+            packed = hits[ids[:, a:], a - a0].tobytes()
+            good = [int.from_bytes(packed[i:i + size], "little")
+                    for i in range(0, v * size, size)]
+            for p in range(limit):
+                bad = rows[p] >> a * stride & ~reduce(
+                    and_, map(good.__getitem__, members[entry[a][p]]), full)
+                if bad:
+                    best = (p, a, a + _low(bad) // stride, good)
+                    limit = p
+                    break
     if best is None:
         return None
     p, a, b, good = best
     epb = entry[p][b]
-    block = b * stride
-    a1 = next(x for x in _bits(entry[p][a]) if epb & ~(good[x] >> block))
+    block = (b - a) * stride
+    a1 = next(x for x in members[entry[p][a]] if epb & ~(good[x] >> block))
     return (p, a, b, a1, _low(epb & ~(good[a1] >> block)))
 
 
 def _find_C4(t: TransitTable):
-    entry = t._entry
+    entry, members = t._entry, t._members
     for x, ex in enumerate(entry):
         for y, e in enumerate(ex):
-            for z in _bits(e):
+            for z in members[e]:
                 if ex[z] & entry[z][y] != 1 << z:
                     return (x, y, z)
     return None
@@ -736,10 +752,9 @@ def _find_H3(t: TransitTable):
     # Pair (u, w) is bit u * stride + w; it can fail when u != w, its entry
     # is not the edge {u, w} (open_pairs) and it lies inside E(x, y).
     v = len(t)
-    entry, cols = t._entry, t._cols
+    entry, holders = t._entry, t._holders
     width = (v + 7) // 8
     stride = 8 * width
-    holders = [_packed([col[m] for col in cols], width) for m in range(v)]
     open_pairs = _packed([
         sum(1 << w for w, m in enumerate(row) if w != u and m != 1 << u | 1 << w)
         for u, row in enumerate(entry)

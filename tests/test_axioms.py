@@ -11,6 +11,7 @@ costliest finders are frozen as the nested-loop finders gave them.
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -380,11 +381,11 @@ def random_table(rng, v):
     return TransitTable(list(range(v)), entries, name="random")
 
 
-def random_interval_table(rng, v):
+def random_interval_table(rng, v, extra=0.25):
     """Interval table of a random connected graph: a random spanning tree
-    plus each other pair as an edge with probability 1/4."""
+    plus each other pair as an edge with probability extra."""
     edges = {(rng.randrange(i), i) for i in range(1, v)}
-    edges |= {(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < 0.25}
+    edges |= {(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < extra}
     return table_from_interval(SimpleGraph(list(range(v)), sorted(edges)))
 
 
@@ -482,9 +483,58 @@ class TestFinderSoundness:
             assert got.holds == (expect is None), trial
             if expect is not None:
                 assert got.witness == tuple(table.carrier[i] for i in expect), trial
+                if axiom == "Pa":  # symmetry: no first witness has b < a
+                    assert expect[1] <= expect[2], trial
             verdicts.append(got.holds)
         assert verdicts.count(True) >= min_holds
         assert verdicts.count(False) >= min_fails
+
+    # Carriers of 9 and 10 elements, so that every packed block is two bytes
+    # wide: the finders that read member tuples, and Pa's packed rows.  Half
+    # the tables are random, half are interval tables of sparse random
+    # graphs, which hold these axioms far more often.  axiom: (least holding
+    # count, least failing count) over 120 tables.
+    TWO_BYTE_SWEEPS = {
+        "B2": (50, 50), "B3": (50, 50), "C4": (50, 50), "CG": (50, 50),
+        "GW3": (30, 60), "M": (30, 60), "Pa": (25, 75),
+    }
+
+    @staticmethod
+    def two_byte_tables():
+        rng = random.Random(20261019)
+        for trial in range(120):
+            v = rng.randint(9, 10)
+            yield (random_table(rng, v) if trial % 2
+                   else random_interval_table(rng, v, extra=0.1))
+
+    @pytest.mark.parametrize("axiom", sorted(TWO_BYTE_SWEEPS))
+    def test_finders_on_two_byte_carriers(self, axiom):
+        min_holds, min_fails = self.TWO_BYTE_SWEEPS[axiom]
+        verdicts = []
+        for trial, table in enumerate(self.two_byte_tables()):
+            expect = brute_force(table, axiom)
+            got = check_axiom(table, axiom)
+            assert got.holds == (expect is None), trial
+            if expect is not None:
+                assert got.witness == tuple(table.carrier[i] for i in expect), trial
+                if axiom == "Pa":
+                    assert expect[1] <= expect[2], trial
+            verdicts.append(got.holds)
+        assert verdicts.count(True) >= min_holds
+        assert verdicts.count(False) >= min_fails
+
+    @pytest.mark.parametrize("span", [1, 4])
+    def test_pa_blocks_keep_the_witness(self, span, monkeypatch):
+        # span 1 gives each a its own block; span 4 ends blocks inside the
+        # carrier, at a = 4 and a = 8 of 9 or 10.
+        import xoverlab.axioms as ax
+
+        for trial, table in enumerate(self.two_byte_tables()):
+            whole = check_axiom(table, "Pa")
+            # the budget holds span blocks of two bytes per distinct mask
+            monkeypatch.setattr(ax, "_PA_BLOCK_BYTES", span * 2 * len(table._members))
+            assert check_axiom(table, "Pa") == whole, trial
+            monkeypatch.undo()
 
     def test_ax_and_axp_are_one_predicate(self):
         rng = random.Random(20261018)
@@ -732,7 +782,8 @@ class TestTableRows:
     def test_catalog_rows_are_built_once(self, monkeypatch):
         import xoverlab.axioms as ax
 
-        calls = {"transpose": 0, "closure": 0}
+        calls = dict.fromkeys(
+            ("transpose", "closure", "_holders", "_members", "packed"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -740,15 +791,50 @@ class TestTableRows:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def counted_row(name):
+            row = cached_property(counted(name, getattr(TransitTable, name).func))
+            row.__set_name__(TransitTable, name)
+            monkeypatch.setattr(TransitTable, name, row)
+
         monkeypatch.setattr(ax, "_transpose", counted("transpose", ax._transpose))
         monkeypatch.setattr(ax, "table_closure", counted("closure", ax.table_closure))
+        counted_row("_holders")
+        counted_row("_members")
         table = table_from_rset(1, AlphabetSpec.parse("2^5"))
         check_all(table)
         assert calls["closure"] == 1
+        assert calls["_holders"] == calls["_members"] == 1
         before = dict(calls)
-        for axiom in ("Pa", "AX", "CGp"):
+        for axiom in ("Pa", "AX", "CGp", "H3"):
             check_axiom(table, axiom)
         assert calls == before
+        # Pa packs only its v entry rows and H3 only its open pairs.
+        monkeypatch.setattr(ax, "_packed", counted("packed", ax._packed))
+        for axiom in ("Pa", "H3"):
+            check_axiom(table, axiom)
+        assert calls["packed"] == len(table) + 1
+        assert calls["_holders"] == calls["_members"] == 1
+
+    def test_pa_memory_is_bounded_by_its_block_budget(self, monkeypatch):
+        # rset:1 over 2^6 has M = 1,840 distinct masks, so hits for every a
+        # at once would take M * v * width = 0.94 MB.  Under a 64 KiB budget
+        # Pa holds at most two budgets of hits (the last block while the
+        # next is built) plus rows and tables of size v^2 or M.
+        import tracemalloc
+        import xoverlab.axioms as ax
+
+        budget = 1 << 16
+        monkeypatch.setattr(ax, "_PA_BLOCK_BYTES", budget)
+        table = table_from_rset(1, AlphabetSpec.parse("2^6"))
+        table._holders, table._members  # rows prebuilt
+        tracemalloc.start()
+        try:
+            report = check_axiom(table, "Pa")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds
+        assert peak < 2 * budget + (1 << 19), peak
 
 
 def literal_convex_sets(table):
@@ -929,6 +1015,25 @@ class TestRecognizers:
         mixed = table_from_interval(hamming_graph(AlphabetSpec.parse("2,3")))
         assert recognize_hamming(mixed)
         assert recognize_hamming(mixed, sizes=(2, 3))
+
+    def test_lone_n_or_a_restricts_the_factorization(self):
+        q3 = table_from_interval(hamming_graph(B3))
+        assert recognize_hamming(q3, n=3) and not recognize_hamming(q3, n=5)
+        assert recognize_hamming(q3, a=2) and not recognize_hamming(q3, a=3)
+        k4 = table_from_interval(hamming_graph(AlphabetSpec.parse("4")))
+        assert not check_axiom(k4, "A2p", n=2).holds
+        assert check_axiom(k4, "A2p", n=1).holds
+        assert _resolve_sizes(k4, 2, None, None) is None
+        assert _resolve_sizes(q3, None, 2, None) == (2, 2, 2)
+        mixed = table_from_interval(hamming_graph(AlphabetSpec.parse("2,3,3")))
+        assert _resolve_sizes(mixed, 3, None, None) == (2, 3, 3)
+        assert _resolve_sizes(mixed, None, 3, None) is None
+
+    def test_check_all_passes_a_lone_n_to_a2_and_a2p(self):
+        q3 = table_from_interval(hamming_graph(B3))
+        for n, holds in ((3, True), (5, False)):
+            verdict = {r.axiom: r.holds for r in check_all(q3, n=n)}
+            assert verdict["A2"] is verdict["A2p"] is holds, n
 
     def test_hamming_on_rset_table(self):
         assert recognize_hamming(table_from_rset(1, TT), n=2, a=3)
