@@ -9,12 +9,12 @@ is ever trusted for these.
 A sign vector is a pair of disjoint bitmasks (positive and negative
 positions) with coordinate 1 in the most significant bit, mirroring the
 binary word encoding.  The bulk scans hold a family as two numpy int64
-arrays of those masks and test membership in one bool table of 4^n entries
-indexed by (pos << n) | neg, which is 1 MiB at the ground budget n = 10.
-Composition, separation and elimination candidates are then a few bitwise
-array operations and one table lookup.  The covector scan filters the 3^n
-sign vectors tope by tope.  Pair scans run in blocks of about 2^17 pairs,
-so their memory does not grow with the square of the family size.
+arrays of those masks, in the order of the canonical key computed on them,
+and test membership in one bool table of 4^n entries indexed by
+(pos << n) | neg, 1 MiB at the ground budget n = 10.  The criterion splits
+by zero set: X o T is X off the zero set Z of X and T on Z, so X is a
+covector exactly when the topes that agree with X off Z are as many as the
+distinct restrictions of topes to Z, 2^n |T| log |T| work in all.
 
 The face axioms F0-F3 (Bjorner, Las Vergnas, Sturmfels, White, Ziegler,
 *Oriented Matroids*, section 4.1) are decided per support class L_S, the
@@ -26,9 +26,12 @@ given F2: for any pair X, Y the compositions W = X o Y and W' = Y o X are
 members with one support, W and W' are opposite exactly where X and Y are,
 since off supp X & supp Y both copy the one vector defined there, and
 W o W' = X o Y.  So (W, W') makes the elimination demand of (X, Y), and
-the pairs of equal support raise every demand, in sum |L_S|^2 pairs.  Only
-a family that fails is scanned pair by pair in canonical order, so the
-reported witness is the first in that order whichever way it was found.
+the unordered pairs of equal support raise every demand.  Both axioms read
+the restrictions of the family off a mask s from one table per popcount of
+s, so two layers are alive at once, and pairs go in blocks of about 2^12
+gathered across classes.  Only a family that fails is scanned pair by pair
+in canonical order, so the reported witness is the first in that order
+whichever way it was found.
 
 The order on sign vectors is the face order: X <= Y when X agrees with Y on
 the support of X.  Canonical sorting is lexicographic per coordinate with
@@ -46,9 +49,10 @@ its covers.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,10 +61,9 @@ from .partialcube import _largest_full_projection, vc_dimension  # noqa: F401
 from .words import AlphabetSpec, BudgetExceededError, Word, phi
 
 DEFAULT_GROUND_BUDGET = 10
-_BLOCK_PAIRS = 1 << 17
-
-# coordinate mask -> (sorted restriction codes, zero coordinates per code)
-_Restrictions = Callable[[int], tuple[np.ndarray, np.ndarray]]
+# pairs, masked topes or restrictions per block: larger blocks run no
+# faster and raise the peak memory
+_BLOCK = 1 << 12
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
 _VALUES = {"+": 1, "0": 0, "-": -1}
@@ -72,7 +75,7 @@ def _check_ground(n: int, budget: int = DEFAULT_GROUND_BUDGET) -> None:
             f"space too large: ground set {n} exceeds budget {budget}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignVector:
     """Vector over {+, 0, -}; pos and neg are disjoint position bitmasks."""
 
@@ -81,6 +84,8 @@ class SignVector:
     neg: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"ground size {self.n} is negative")
         full = (1 << self.n) - 1
         if self.pos & self.neg:
             raise ValueError("positive and negative positions overlap")
@@ -172,6 +177,31 @@ class SignVector:
         return f"SignVector({str(self)!r})"
 
 
+# Slot setters, which bypass the frozen __setattr__, for _sign_vectors
+_set_n, _set_pos, _set_neg = (
+    SignVector.n.__set__, SignVector.pos.__set__, SignVector.neg.__set__)
+
+
+def _sign_vectors(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SignVector]:
+    """SignVectors on masks known to be valid, so unchecked, built with the
+    collector paused, as WordSet.from_indices builds words."""
+    new = object.__new__
+    out = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for p, q in zip(pos.tolist(), neg.tolist()):
+            x = new(SignVector)
+            _set_n(x, n)
+            _set_pos(x, p)
+            _set_neg(x, q)
+            out.append(x)
+    finally:
+        if enabled:
+            gc.enable()
+    return out
+
+
 def word_to_sign(w: Word) -> SignVector:
     """Binary word to full-support sign vector, 1 as + and 0 as -."""
     for size in w.spec.sizes:
@@ -187,6 +217,9 @@ def sign_to_word(x: SignVector, spec: AlphabetSpec | None = None) -> Word:
         raise ValueError("only full-support sign vectors encode words")
     if spec is None:
         spec = AlphabetSpec((2,) * x.n)
+    if spec.sizes != (2,) * x.n:
+        raise ValueError(f"sign vectors of length {x.n} encode binary words "
+                         f"of length {x.n} only, not words over {spec}")
     return Word.from_index(x.pos, spec)
 
 
@@ -201,22 +234,56 @@ class OrientedMatroidData:
     rank: int
 
 
-def _canonical(vectors: Iterable[SignVector]) -> list[SignVector]:
-    return sorted(vectors, key=lambda x: x.key)
+def _bits(n: int) -> np.ndarray:
+    """The 2^n by n table of bit b of each mask below 2^n."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
 
 
-def _masks(vectors: Sequence[SignVector]) -> tuple[np.ndarray, np.ndarray]:
-    """The pos and neg masks of vectors as two int64 arrays."""
-    pos = np.fromiter((v.pos for v in vectors), dtype=np.int64, count=len(vectors))
-    neg = np.fromiter((v.neg for v in vectors), dtype=np.int64, count=len(vectors))
-    return pos, neg
+def _keys(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
+    """SignVector.key of each (pos, neg) pair, which numbers the 3^n grid."""
+    base3 = _bits(n) @ 3 ** np.arange(n)
+    return (3 ** n - 1) // 2 + base3[pos] - base3[neg]
 
 
-def _table(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
-    """Membership table of 4^n entries, indexed by (pos << n) | neg."""
-    table = np.zeros(1 << 2 * n, dtype=bool)
-    table[(pos << n) | neg] = True
-    return table
+def _pairs(lo: np.ndarray, hi: np.ndarray, size: int,
+           whole_rows: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield (rows, cols) for every row i against every col in lo[i] ..
+    hi[i] - 1, row by row, in blocks of about size pairs.  whole_rows keeps
+    each row's pairs in one block, which may then hold more."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.arange(0, total, size)
+    if whole_rows:
+        cuts = starts[np.searchsorted(ends, cuts, side="right")]
+        cuts = cuts[np.diff(cuts, prepend=-1) != 0]
+    for t0, t1 in zip(cuts.tolist(), cuts[1:].tolist() + [total]):
+        t = np.arange(t0, t1)
+        rows = np.searchsorted(ends, t, side="right")
+        yield rows, lo[rows] + (t - starts[rows])
+
+
+def _zero_set_covectors(tope: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) of the covectors of full-support topes with positive masks
+    tope.  Per zero set Z, the distinct values of the sorted row tope & Z
+    are the restrictions to Z, and each run of the sorted row tope & ~Z is
+    a sign vector with zero set Z, its length the topes agreeing with it."""
+    full = (1 << n) - 1
+    m = len(tope)
+    step = max(1, _BLOCK // m)
+    parts = []
+    for lo in range(0, 1 << n, step):
+        z = np.arange(lo, min(lo + step, 1 << n))[:, None]
+        inner = np.sort(tope & z, axis=1)
+        restrictions = np.count_nonzero(np.diff(inner, axis=1, prepend=-1), axis=1)
+        outer = np.sort(tope & ~z, axis=1)
+        starts = np.flatnonzero(np.diff(outer, axis=1, prepend=-1))
+        rows = starts // m
+        hit = np.diff(starts, append=outer.size) == restrictions[rows]
+        pos = outer.ravel()[starts[hit]]
+        parts.append((pos, full & ~(z.ravel()[rows[hit]] | pos)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def covectors_from_topes(
@@ -227,48 +294,45 @@ def covectors_from_topes(
     Input topes must have full support and be closed under negation; the
     derived maximal covectors are checked to reproduce the input exactly.
     """
-    tope_list = _canonical(set(topes))
-    if not tope_list:
+    tope_set = set(topes)
+    if not tope_set:
         raise ValueError("empty tope set")
-    n = tope_list[0].n
-    for t in tope_list:
-        if t.n != n:
-            raise ValueError("length mismatch")
-        if t.support_size != n:
-            raise ValueError("topes must have full support")
-    tope_keys = {(t.pos, t.neg) for t in tope_list}
-    for t in tope_list:
-        if (t.neg, t.pos) not in tope_keys:
-            raise ValueError("tope set not centrally symmetric")
+    n = next(iter(tope_set)).n
+    if any(t.n != n or t.support_size != n for t in tope_set):
+        ordered = sorted(tope_set, key=lambda t: t.key)  # first offender wins
+        n = ordered[0].n
+        bad = next(t for t in ordered if t.n != n or t.support_size != n)
+        raise ValueError("length mismatch" if bad.n != n
+                         else "topes must have full support")
+    full = (1 << n) - 1
+    masks = {t.pos for t in tope_set}
+    if any(full ^ p not in masks for p in masks):
+        raise ValueError("tope set not centrally symmetric")
     _check_ground(n, budget)
 
-    # the 3^n grid in canonical order: each coordinate, most significant
-    # first, splits every vector so far into its -, 0 and + extensions
-    pos = neg = size = np.zeros(1, dtype=np.int64)
+    # the 3^n grid in canonical order, so that the key of a vector is its
+    # index: each coordinate, most significant first, splits every vector
+    # so far into its -, 0 and + extensions
+    gpos = gneg = size = np.zeros(1, dtype=np.int64)
     for b in range(n - 1, -1, -1):
         bit = 1 << b
-        pos = np.stack([pos, pos, pos | bit], axis=1).ravel()
-        neg = np.stack([neg | bit, neg, neg], axis=1).ravel()
+        gpos = np.stack([gpos, gpos, gpos | bit], axis=1).ravel()
+        gneg = np.stack([gneg | bit, gneg, gneg], axis=1).ravel()
         size = np.stack([size + 1, size, size + 1], axis=1).ravel()
-    grid = (pos << n) | neg
-    tope_pos, tope_neg = _masks(tope_list)
-    is_tope = _table(tope_pos, tope_neg, n)
-    live = np.arange(len(grid))
-    for tp, tn in zip(tope_pos.tolist(), tope_neg.tolist()):
-        free = ~(pos | neg)
-        keep = is_tope[((pos | (tp & free)) << n) | (neg | (tn & free))]
-        pos, neg, live = pos[keep], neg[keep], live[keep]
-    covectors = [SignVector(n, p, q) for p, q in zip(pos.tolist(), neg.tolist())]
+    grid = (gpos << n) | gneg
 
-    maximal = [x for x in covectors if x.support_size == n]
-    if maximal != tope_list:
+    tope = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
+    is_covector = np.zeros(len(grid), dtype=np.int8)
+    is_covector[_keys(*_zero_set_covectors(tope, n), n)] = 1
+    live = np.flatnonzero(is_covector)
+    pos, neg = gpos[live], gneg[live]
+    maximal = (pos | neg) == full  # in the order of their positive masks
+    if not np.array_equal(pos[maximal], tope):
         raise RuntimeError("derived topes differ from input")
 
     # longest chains, one support-size layer at a time: a layer reads only
     # the layer below, and a coordinate outside supp x reads x itself,
     # which is still 0
-    is_covector = np.zeros(len(grid), dtype=np.int8)
-    is_covector[live] = 1
     best = np.zeros(1 << 2 * n, dtype=np.int8)
     for s in range(1, n + 1):
         layer = np.flatnonzero(size == s)
@@ -277,13 +341,14 @@ def covectors_from_topes(
         for b in range(n):
             np.maximum(below, best[codes & ~((1 << b) << n | 1 << b)], out=below)
         best[codes] = below + is_covector[layer]
-    heights = best[grid[live]].tolist()
+    heights = best[(pos << n) | neg]
+    covectors = _sign_vectors(n, pos, neg)
     return OrientedMatroidData(
         ground_size=n,
         covectors=tuple(covectors),
-        topes=tuple(tope_list),
-        cocircuits=tuple(x for x, h in zip(covectors, heights) if h == 1),
-        rank=max(heights),
+        topes=tuple(covectors[i] for i in np.flatnonzero(maximal).tolist()),
+        cocircuits=tuple(covectors[i] for i in np.flatnonzero(heights == 1).tolist()),
+        rank=int(heights.max()),
     )
 
 
@@ -301,154 +366,145 @@ class FaceAxiomReport:
     witness: tuple | None
 
 
-def _pair_blocks(
-    xpos: np.ndarray, xneg: np.ndarray, ypos: np.ndarray, yneg: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (first row, X o Y masks, separator D) for blocks of rows X
-    against every column Y; a block holds about _BLOCK_PAIRS pairs."""
-    step = max(1, _BLOCK_PAIRS // len(ypos))
-    for lo in range(0, len(xpos), step):
-        xp, xn = xpos[lo:lo + step, None], xneg[lo:lo + step, None]
-        free = ~(xp | xn)
-        yield lo, xp | (ypos & free), xn | (yneg & free), (xp & yneg) | (xn & ypos)
-
-
-def _first_pair(
-    pos: np.ndarray, neg: np.ndarray,
-    flag: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[int, int, int]:
+def _first_pair(pos: np.ndarray, neg: np.ndarray,
+                flag: Callable[..., np.ndarray]) -> tuple[int, int, int]:
     """(row, column, value) of the first ordered pair, row by row, for
     which flag(X o Y masks, D) is nonzero."""
     m = len(pos)
-    for lo, cp, cn, d in _pair_blocks(pos, neg, pos, neg):
-        value = flag(cp, cn, d)
+    step = max(1, _BLOCK // m)
+    for lo in range(0, m, step):
+        xp, xn = pos[lo:lo + step, None], neg[lo:lo + step, None]
+        free = ~(xp | xn)
+        value = flag(xp | (pos & free), xn | (neg & free), (xp & neg) | (xn & pos))
         if value.any():
             i, j = divmod(int(np.argmax(value != 0)), m)
             return lo + i, j, int(value[i, j])
     raise RuntimeError("violation vanished on rescan")
 
 
-def _restrictions(pos: np.ndarray, neg: np.ndarray, n: int) -> _Restrictions:
-    """A memoised map from a coordinate mask s to the distinct restrictions
-    of the family off s, as sorted codes (pos << n) | neg, and for each the
-    coordinates of s where some member with that restriction is 0.
-
-    The restrictions off s come from those off s less its lowest bit b, a
-    member being 0 at b exactly when its restriction is, so each step sorts
-    at most 3^(n - |s| + 1) codes instead of the whole family.
-    """
-    memo = {0: (np.sort((pos << n) | neg), np.zeros(len(pos), dtype=np.int64))}
-
-    def off(s: int) -> tuple[np.ndarray, np.ndarray]:
-        if s not in memo:
+def _layers(pos: np.ndarray, neg: np.ndarray,
+            n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Restriction tables of the popcount layers p = 0, 1, ..., n: for each
+    mask s with p bits, the distinct restrictions of the family off s as
+    sorted keys (s << 2n) | (pos << n) | neg, and for each the coordinates
+    of s where some member with that restriction is 0.  Those off s come
+    from those off s less its lowest bit b, a member being 0 at b exactly
+    when its restriction is, so a layer is built from the one below, a
+    block of masks at a time."""
+    keys = np.sort((pos << n) | neg)
+    zeros = np.zeros(len(keys), dtype=np.int64)
+    masks = np.arange(1 << n)
+    popcount = _bits(n).sum(axis=1)
+    codes = (1 << 2 * n) - 1
+    for p in range(1, n + 1):
+        yield keys, zeros
+        layer = masks[popcount == p]
+        parent = (layer & (layer - 1)) << 2 * n
+        lo = np.searchsorted(keys, parent)
+        hi = np.searchsorted(keys, parent + (1 << 2 * n))
+        parts = []
+        for rows, cols in _pairs(lo, hi, _BLOCK, whole_rows=True):
+            s = layer[rows]
             b = s & -s
-            codes, zeros = off(s ^ b)
             spread = b << n | b
-            zeros = zeros | np.where(codes & spread, 0, b)
-            codes = codes & ~spread
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-            memo[s] = codes[first], np.bitwise_or.reduceat(zeros[order], first)
-        return memo[s]
-
-    return off
-
-
-def _first_uneliminated(off: _Restrictions, n: int, queries: np.ndarray) -> np.ndarray:
-    """For each elimination query, the first coordinate e of D with no
-    eliminator, or 0 when every e in D has one.
-
-    A query ((P | D) << n) | (N | D) stands for the separator D (bits set in
-    both halves) and X o Y off D, given by P and N.  The eliminators for e
-    are the vectors with Z_e = 0 whose restriction off D is (P, N), so the
-    query lacks one exactly at the coordinates of D missing from the zeros
-    that off(D) records for (P, N).  F2 puts X o Y in the family, so (P, N)
-    is one of its restrictions off D.
-    """
-    first = np.zeros(len(queries), dtype=np.int8)
-    if not len(queries):
-        return first
-    high, low = queries >> n, queries & ((1 << n) - 1)
-    sep = high & low
-    keys = ((high & ~sep) << n) | (low & ~sep)
-    order = np.argsort(sep, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(sep[order])) + 1):
-        d = int(sep[group[0]])
-        codes, zeros = off(d)
-        missing = d & ~zeros[np.searchsorted(codes, keys[group])]
-        # e sits at bit n - e, so the first missing e is the top bit
-        first[group] = np.where(missing > 0, n + 1 - np.frexp(missing)[1], 0)
-    return first
+            code = keys[cols] & codes
+            k = (s << 2 * n) | (code & ~spread)
+            order = np.argsort(k)
+            k = k[order]
+            first = np.flatnonzero(np.diff(k, prepend=-1))
+            z = zeros[cols] | np.where(code & spread, 0, b)
+            parts.append((k[first], np.bitwise_or.reduceat(z[order], first)))
+        keys, zeros = (np.concatenate(arrays) for arrays in zip(*parts))
+    yield keys, zeros
 
 
-def _class_queries(
-    pos: np.ndarray, neg: np.ndarray, table: np.ndarray, n: int, off: _Restrictions
-) -> np.ndarray | None:
-    """Table of the F3 elimination queries, or None when F2 fails.
+def _decide_f2_f3(pos: np.ndarray, neg: np.ndarray, table: np.ndarray,
+                  n: int) -> np.ndarray | None:
+    """None when F2 fails, else a 4^n table holding, at each F3 query, the
+    first coordinate e of its separator D with no eliminator, or 0.
 
-    Per support S, F2 joins L_S with the distinct restrictions off S, and
-    the pairs within L_S raise every F3 demand.  F3 for e separating X and
-    Y asks for Z with Z_e = 0 that agrees with X o Y off the separator D.
-    Most pairs are settled by the candidate that zeroes all of D; the rest
-    depend only on D and X o Y off D, so they are collected once each as
-    queries ((P | D) << n) | (N | D), with (P, N) the masks of X o Y.
+    F3 for e separating X and Y asks for Z with Z_e = 0 that agrees with
+    X o Y off D.  For distinct X and Y of one support, X o Y = X, D is not
+    empty, and X and Y agree off D, so both orders make one demand.  Unless
+    the Z that zeroes all of D settles it, it is a query ((P | D) << n) |
+    (N | D), P and N the masks of X, which lacks an eliminator exactly at
+    the coordinates of D missing from the zeros recorded for X off D.
     """
     support = pos | neg
     order = np.argsort(support, kind="stable")
+    pos, neg, support = pos[order], neg[order], support[order]
     pending = np.zeros_like(table)
-    for cls in np.split(order, np.flatnonzero(np.diff(support[order])) + 1):
-        xpos, xneg = pos[cls], neg[cls]
-        rest, _ = off(int(support[cls[0]]))
-        blocks = _pair_blocks(xpos, xneg, rest >> n, rest & (1 << n) - 1)
-        if not all(table[(cp << n) | cn].all() for _, cp, cn, _ in blocks):
-            return None
-        for _, cp, cn, d in _pair_blocks(xpos, xneg, xpos, xneg):
-            settled = table[((cp & ~d) << n) | (cn & ~d)]
-            pending[(((cp | d) << n) | (cn | d))[(d != 0) & ~settled]] = True
-    return pending
+    ends = np.searchsorted(support, support, side="right")
+    for rows, cols in _pairs(np.arange(1, len(support) + 1), ends, _BLOCK):
+        xp, xn, yp, yn = pos[rows], neg[rows], pos[cols], neg[cols]
+        d = (xp & yn) | (xn & yp)
+        settled = table[((xp & ~d) << n) | (xn & ~d)]
+        pending[(((xp | d) << n) | (xn | d))[~settled]] = True
+    queries = np.flatnonzero(pending)
+    sep = (queries >> n) & queries
+    wanted = (sep << 2 * n) | (queries & ~(sep << n | sep))
+    failing = np.zeros(len(table), dtype=np.int8)
+    popcount = _bits(n).sum(axis=1)
+    size, sep_size = popcount[support], popcount[sep]
+    codes = (1 << 2 * n) - 1
+    for p, (keys, zeros) in enumerate(_layers(pos, neg, n)):
+        # F2: X of support S against every restriction off S
+        members = np.flatnonzero(size == p)
+        s = support[members] << 2 * n
+        lo, hi = np.searchsorted(keys, s), np.searchsorted(keys, s + (1 << 2 * n))
+        x = (pos[members] << n) | neg[members]
+        for rows, cols in _pairs(lo, hi, _BLOCK):
+            if not table[x[rows] | (keys[cols] & codes)].all():
+                return None
+        asked = np.flatnonzero(sep_size == p)
+        missing = sep[asked] & ~zeros[np.searchsorted(keys, wanted[asked])]
+        # e sits at bit n - e, so the first missing e is the top bit
+        failing[queries[asked]] = np.where(missing, n + 1 - np.frexp(missing)[1], 0)
+    return failing
 
 
 def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
-    """F0/F1 by lookup, then F2 and F3 decided per support class.
+    """F0/F1 by lookup, then F2 and F3 decided per support class, one
+    support-size layer at a time.
 
     The report, witness included, is the first violation in canonical
     order: pairs (X, Y) row by row, then separating positions ascending.
     A family that fails F2 or F3 is rescanned pair by pair for it.
     """
-    family = _canonical(set(vectors))
-    if not family:
+    given = list(vectors)
+    if not given:
         return FaceAxiomReport(False, "F0", ())
-    n = family[0].n
-    for x in family:
-        if x.n != n:
-            raise ValueError("length mismatch")
+    n = given[0].n
+    if any(x.n != n for x in given):
+        raise ValueError("length mismatch")
     _check_ground(n)
-    pos, neg = _masks(family)
-    table = _table(pos, neg, n)
+    pos = np.fromiter((x.pos for x in given), dtype=np.int64, count=len(given))
+    neg = np.fromiter((x.neg for x in given), dtype=np.int64, count=len(given))
+    key = _keys(pos, neg, n)
+    # the family in canonical order, one index into given per member
+    order = np.argsort(key, kind="stable")
+    order = order[np.diff(key[order], prepend=-1) != 0]
+    pos, neg = pos[order], neg[order]
+    table = np.zeros(1 << 2 * n, dtype=bool)
+    table[(pos << n) | neg] = True
     if not table[0]:
         return FaceAxiomReport(False, "F0", ())
     negated = table[(neg << n) | pos]
     if not negated.all():
-        return FaceAxiomReport(False, "F1", (family[int(np.argmin(negated))],))
+        return FaceAxiomReport(False, "F1", (given[order[np.argmin(negated)]],))
 
-    off = _restrictions(pos, neg, n)
-    pending = _class_queries(pos, neg, table, n, off)
-    if pending is None:
+    failing = _decide_f2_f3(pos, neg, table, n)
+    if failing is None:
         i, j, _ = _first_pair(pos, neg, lambda cp, cn, d: ~table[(cp << n) | cn])
-        return FaceAxiomReport(False, "F2", (family[i], family[j]))
-    queries = np.flatnonzero(pending)
-    first = _first_uneliminated(off, n, queries)
-    if not first.any():
+        return FaceAxiomReport(False, "F2", (given[order[i]], given[order[j]]))
+    if not failing.any():
         return FaceAxiomReport(True, None, None)
 
     # a violation exists; rescan all pairs in canonical order so the
     # witness does not depend on the reduction above
-    failing = np.zeros(len(table), dtype=np.int8)
-    failing[queries] = first
     i, j, e = _first_pair(
         pos, neg, lambda cp, cn, d: failing[((cp | d) << n) | (cn | d)])
-    return FaceAxiomReport(False, "F3", (family[i], family[j], e))
+    return FaceAxiomReport(False, "F3", (given[order[i]], given[order[j]], e))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,13 @@ enumerated value is the arbiter and the test pins it.
 
 import itertools
 import random
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +102,48 @@ def literal_covectors(topes):
     n = next(iter(tope_set)).n
     grid = (sv("".join(c)) for c in itertools.product("-0+", repeat=n))
     return tuple(x for x in grid if all(x.compose(t) in tope_set for t in tope_set))
+
+
+def literal_tope_filter(topes):
+    """OM data by the tope-by-tope filter: every sign vector of the 3^n grid
+    survives while its composition with each tope in turn is a tope, then
+    heights by the longest-chain table over the grid's support layers."""
+    tope_list = sorted(set(topes), key=lambda x: x.key)
+    n = tope_list[0].n
+    pos = neg = size = np.zeros(1, dtype=np.int64)
+    for b in range(n - 1, -1, -1):
+        bit = 1 << b
+        pos = np.stack([pos, pos, pos | bit], axis=1).ravel()
+        neg = np.stack([neg | bit, neg, neg], axis=1).ravel()
+        size = np.stack([size + 1, size, size + 1], axis=1).ravel()
+    grid = (pos << n) | neg
+    is_tope = np.zeros(1 << 2 * n, dtype=bool)
+    for t in tope_list:
+        is_tope[(t.pos << n) | t.neg] = True
+    live = np.arange(len(grid))
+    for t in tope_list:
+        free = ~(pos | neg)
+        keep = is_tope[((pos | (t.pos & free)) << n) | (neg | (t.neg & free))]
+        pos, neg, live = pos[keep], neg[keep], live[keep]
+    covectors = [SignVector(n, p, q) for p, q in zip(pos.tolist(), neg.tolist())]
+    is_covector = np.zeros(len(grid), dtype=np.int8)
+    is_covector[live] = 1
+    best = np.zeros(1 << 2 * n, dtype=np.int8)
+    for s in range(1, n + 1):
+        layer = np.flatnonzero(size == s)
+        codes = grid[layer]
+        below = np.zeros(len(layer), dtype=np.int8)
+        for b in range(n):
+            np.maximum(below, best[codes & ~((1 << b) << n | 1 << b)], out=below)
+        best[codes] = below + is_covector[layer]
+    heights = best[grid[live]].tolist()
+    return OrientedMatroidData(
+        ground_size=n,
+        covectors=tuple(covectors),
+        topes=tuple(x for x in covectors if x.support_size == n),
+        cocircuits=tuple(x for x, h in zip(covectors, heights) if h == 1),
+        rank=max(heights),
+    )
 
 
 # Literal face-order oracles: the pairwise conforms scans that the library's
@@ -205,6 +251,20 @@ def closed_families(seed, count):
         yield family
 
 
+def broken_families(seed, count):
+    """Closed families with one random nonzero member removed, mostly with
+    its negation too, so F1, F2 and F3 can each fail."""
+    rng = random.Random(seed)
+    for family in closed_families(seed, count):
+        nonzero = sorted((x for x in family if not x.is_zero), key=lambda x: x.key)
+        if nonzero:
+            x = rng.choice(nonzero)
+            family.discard(x)
+            if rng.random() < 0.8:
+                family.discard(-x)
+        yield family
+
+
 def hand_built_oms(seed, count):
     """Seeded families of distinct sign vectors over n <= 4, in canonical
     order: raw random sets, and sets closed downward under restriction, each
@@ -263,6 +323,10 @@ class TestSignVector:
     def test_overlapping_masks_rejected(self):
         with pytest.raises(ValueError):
             SignVector(2, 0b10, 0b10)
+
+    def test_negative_ground_size_rejected(self):
+        with pytest.raises(ValueError, match="ground size -1"):
+            SignVector(-1, 0, 0)
 
     def test_support(self):
         assert sv("+0-0").support == 0b1010
@@ -364,6 +428,17 @@ class TestWordSignBridge:
         with pytest.raises(ValueError):
             sign_to_word(sv("+0-"))
 
+    def test_spec_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="binary words of length 2 only"):
+            sign_to_word(SignVector(2, 0b11, 0), bspec(3))
+
+    def test_non_binary_spec_rejected(self):
+        with pytest.raises(ValueError, match="binary words of length 2 only"):
+            sign_to_word(SignVector(2, 0b10, 0b01), AlphabetSpec((3, 3)))
+
+    def test_given_binary_spec_accepted(self):
+        assert sign_to_word(sv("+-+"), bspec(3)) == Word.parse("101", bspec(3))
+
 
 class TestCovectorsFromTopes:
     def test_one_element(self):
@@ -436,6 +511,25 @@ class TestCovectorsFromTopes:
         want[n] = 1
         om = om_from_rset(k, n)
         assert Counter(n - x.support_size for x in om.covectors) == want
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 9) for k in range(1, n)])
+    def test_matches_tope_filter_on_crossover_topes(self, k, n):
+        assert om_from_rset(k, n) == literal_tope_filter(antipodal_topes(k, n))
+
+    def test_matches_tope_filter_on_seeded_tope_sets(self):
+        rng = random.Random(1919)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            full = (1 << n) - 1
+            half = rng.sample(range(1 << n), rng.randint(1, 1 << n - 1))
+            topes = [SignVector(n, p, full & ~p) for q in half for p in (q, full & ~q)]
+            assert covectors_from_topes(topes) == literal_tope_filter(topes)
+
+    def test_zero_set_blocks_do_not_change_the_result(self, monkeypatch):
+        want = om_from_rset(3, 6)
+        for size in (1, 50):  # one zero set per block, and a few per block
+            monkeypatch.setattr(matroid, "_BLOCK", size)
+            assert om_from_rset(3, 6) == want
 
     def test_topes_sorted_canonically(self):
         om = covectors_from_topes(antipodal_topes(2, 4))
@@ -529,6 +623,47 @@ class TestFaceAxioms:
             outcomes[report.axiom] += 1
         assert set(outcomes) == {None, "F3"}
         assert outcomes[None] >= 20 and outcomes["F3"] >= 20
+
+    @pytest.mark.parametrize("size", [None, 1, 3])
+    def test_seeded_sweep_matches_literal_scan_whatever_the_blocks(
+            self, monkeypatch, size):
+        # one pair or one layer mask per block, and blocks that split the
+        # pairs of one support class and group a few masks
+        if size is not None:
+            monkeypatch.setattr(matroid, "_BLOCK", size)
+        outcomes = Counter()
+        for family in itertools.chain(closed_families(1515, 200),
+                                      broken_families(1919, 300)):
+            report = check_face_axioms(family)
+            assert report == literal_face_axioms(family)
+            outcomes[report.axiom] += 1
+        assert outcomes["F2"] >= 60 and outcomes["F3"] >= 100
+        assert outcomes[None] >= 150 and outcomes["F1"] >= 30
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        covectors = om_from_rset(8, 9).covectors
+        tracemalloc.start()
+        try:
+            assert check_face_axioms(covectors).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_pipeline_does_not_import_numpy_ma(self):
+        # numpy.ma, which np.unique imports, adds about 1 MB of memory
+        code = (
+            "import sys\n"
+            "from xoverlab.matroid import check_face_axioms, face_lattice, om_from_rset\n"
+            "om = om_from_rset(3, 6)\n"
+            "check_face_axioms(om.covectors)\n"
+            "check_face_axioms(om.covectors[1:])\n"
+            "face_lattice(om)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_first_elimination_witness_has_unequal_supports(self):
         # closed under composition and negation; -0+ is missing, so (--0,
