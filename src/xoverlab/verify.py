@@ -11,7 +11,8 @@ mask, one seeded x per mask and every k <= max_k, ``rset(k, x, x XOR mask)``
 must be x XOR the literal cut enumeration on 0^t and 1^t, spread onto the
 mask.  ``sizes``, ``partialcube``, ``vc`` and ``parents`` all run it, so the
 claims they derive from one canonical set per (k, t) hold for the sets the
-fast path returns.
+fast path returns.  ``closure`` calls ``closure`` and ``rset`` once per
+(k, t), on 0^t and 1^t.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .axioms import (
     table_from_rset,
 )
 from .crossover import (
-    _rset_packed,
     closure,
     lex_extreme_path_vertices,
     rset,
@@ -94,11 +94,6 @@ def _bspec(n: int) -> AlphabetSpec:
 @lru_cache(maxsize=1 << 16)
 def _w(i: int, spec: AlphabetSpec) -> Word:
     return Word.from_index(i, spec)
-
-
-def _member_indices(k: int, xi: int, yi: int, spec: AlphabetSpec) -> frozenset[int]:
-    """Packed member indices of rset(k, x, y) for words given by index."""
-    return frozenset(_rset_packed(k, _w(xi, spec), _w(yi, spec)))
 
 
 def _deposits(mask: int) -> list[int]:
@@ -220,29 +215,21 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
     R_k and the interval function generate the same convex sets."""
     failures: list[str] = []
     checked = 0
-    for n in range(1, max_n + 1):
-        spec = _bspec(n)
-        w0 = _w(0, spec)
-        for mask in range(1 << n):
-            wm = _w(mask, spec)
-            d = mask.bit_count()
-            want = frozenset(_deposits(mask))
-            for k in range(1, max_k + 1):
-                checked += 1
-                closed = closure(k, w0, wm).indices
-                if closed != want:
-                    failures.append(
-                        f"FAIL closure: n={n} k={k} mask={mask:0{n}b}"
-                    )
-                members = _member_indices(k, 0, mask, spec)
-                if (members == want) != (d <= k + 1):
-                    failures.append(
-                        f"FAIL interval cutoff: n={n} k={k} mask={mask:0{n}b}"
-                    )
+    for t in range(1, max_n + 1):
+        spec = _bspec(t)
+        x, y = _w(0, spec), _w((1 << t) - 1, spec)
+        box = frozenset(range(1 << t))
+        for k in range(1, max_k + 1):
+            checked += 1
+            if closure(k, x, y).indices != box:
+                failures.append(f"FAIL closure: k={k} t={t}")
+            if (rset(k, x, y).members.indices == box) != (t <= k + 1):
+                failures.append(f"FAIL interval cutoff: k={k} t={t}")
     notes = [
-        f"difference-mask sweep: {checked} closures compared with intervals, "
-        f"n<={max_n}, k<={max_k}",
-        "interval equality holds exactly when the distance is at most k+1",
+        f"closure(k, 0^t, 1^t) is the t-bit box, t<={max_n}, k<={max_k}: R_k "
+        "and the interval function have the same convex sets over every "
+        f"alphabet with at most {max_n} positions",
+        "R_k(0^t, 1^t) is the whole box exactly when t<=k+1",
     ]
     spaces = [spec for spec in _CONVEXITY_SPACES if spec.size <= 1 << max_n]
     for spec in spaces:
@@ -346,27 +333,35 @@ def check_hamming(max_n: int = 5) -> CheckResult:
     return _result("hamming", notes, failures, checked)
 
 
+def _stabiliser(patterns: frozenset[int]) -> list[int]:
+    """The translations d with d XOR patterns = patterns, ascending.  Such
+    a d maps min(patterns) onto a member p, so d is p XOR min(patterns):
+    only those |patterns| candidates are tried."""
+    low = min(patterns)
+    return sorted(d for d in (p ^ low for p in patterns)
+                  if all(q ^ d in patterns for q in patterns))
+
+
 def check_parents(max_n: int = 10, max_k: int = 4, seed: int = 0) -> CheckResult:
     """Parents farther apart than k+1 are the only pair with their set."""
     failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
     examined = 0
     for k in range(1, max_k + 1):
         for t in range(k + 2, max_n + 1):
-            spec = _bspec(t)
             full = (1 << t) - 1
-            seen: dict[frozenset[int], int] = {}
-            for u in range(1 << t - 1):
-                examined += 1
-                first = seen.setdefault(_member_indices(k, u, u ^ full, spec), u)
-                if first != u:
-                    failures.append(f"FAIL parents: k={k} t={t} pairs "
-                                    f"{first:0{t}b} and {u:0{t}b} share a set")
+            examined += 1 << t - 1
+            # R_k(u, u XOR full) = u XOR P, so the pairs of u and u XOR d
+            # share a set exactly when d fixes P; name each pair once
+            shared = {min(d, d ^ full) for d in _stabiliser(_literal(k, t))}
+            failures += [f"FAIL parents: k={k} t={t} pairs {0:0{t}b} and "
+                         f"{d:0{t}b} share a set" for d in sorted(shared - {0})]
     notes = [
         "a recombination set contains its parents and lies in their box, so "
         "pairs sharing a set are antipodal pairs of one box, which maps onto "
         "the canonical t-bit box over any alphabet and length",
         f"all {examined} antipodal pairs of the t-bit boxes, k+2<=t<={max_n}, "
-        f"k<={max_k}, have distinct sets",
+        f"k<={max_k}, have distinct sets: the only translations fixing the "
+        "literal set R_k(0^t, 1^t) are 0^t and 1^t",
         _kernel_note(max_n, max_k, compared),
     ]
     return _result("parents", notes, failures, examined)
@@ -648,7 +643,8 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
     t positions for each t in ts, so every selected suite's largest max_n
     or t, requested or default, is checked against the budget before any
     suite runs, and so is ``om``'s max_n against its ground-set limit;
-    ``BudgetExceededError`` otherwise.
+    ``BudgetExceededError`` otherwise.  A t below 3, where r2's degree
+    histogram has no meaning, raises ``ValueError`` before any suite runs.
     """
     if name != "all" and name not in SUITES:
         known = ", ".join(list(SUITES) + ["all"])
@@ -658,7 +654,10 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
         accepted = inspect.signature(fn).parameters
         kwargs = {k: v for k, v in bounds.items() if k in accepted}
         given = {k: kwargs.get(k, p.default) for k, p in accepted.items()}
-        width = max([given.get("max_n", 0), *given.get("ts", ())])
+        ts = given.get("ts", ())
+        if min(ts, default=3) < 3:
+            raise ValueError(f"{suite} needs every t >= 3; got t={min(ts)}")
+        width = max([given.get("max_n", 0), *ts])
         if suite == "om":
             _check_ground(width)
         if width >= 1:

@@ -31,6 +31,24 @@ def test_rerender_identical(argv, name):
     assert cli.render_command(argv) == cli.render_command(argv)
 
 
+def test_benchmark_documents_match_their_recorded_digests(monkeypatch):
+    """The benchmark's fixed ``docs`` invocations render to the sha256 digests
+    recorded in ``perfbench/docs_digests.json``."""
+    import hashlib
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    digests = json.loads(workloads.DIGESTS.read_text())
+    argvs = workloads.docs_fixed()
+    assert argvs
+    for argv in argvs:
+        text = cli.render_command(argv)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            digests[" ".join(argv)]), " ".join(argv)
+
+
 class TestGoldenSpotChecks:
     """The frozen files agree with the library, not just with themselves."""
 
@@ -330,22 +348,38 @@ class TestVerifyCommand:
         assert cli.main(["verify", "r2", "--t", "4..7", "--budget", "128",
                          "--out", os.devnull]) == 0
 
+    @staticmethod
+    def _refusing(fn):
+        # same signature, so the precheck sees the same bounds
+        @functools.wraps(fn)
+        def refuse(**bounds):
+            raise AssertionError(f"{fn.__name__} ran")
+        return refuse
+
     @pytest.mark.parametrize("suite", ["om", "all"])
     def test_om_ground_set_limit_exits_2_before_any_suite(self, suite, capsys,
                                                            monkeypatch):
-        def refusing(fn):
-            # same signature, so the precheck sees the same bounds
-            @functools.wraps(fn)
-            def refuse(**bounds):
-                raise AssertionError(f"{fn.__name__} ran")
-            return refuse
-
         for name, fn in list(cli.verify_mod.SUITES.items()):
-            monkeypatch.setitem(cli.verify_mod.SUITES, name, refusing(fn))
+            monkeypatch.setitem(cli.verify_mod.SUITES, name,
+                                self._refusing(fn))
         assert cli.main(["verify", suite, "--max-n", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
             "error: space too large: ground set 11 exceeds budget 10\n")
+
+    @pytest.mark.parametrize("suite,t,least", [
+        ("r2", "2", 2), ("r2", "1", 1), ("r2", "0", 0), ("r2", "2..5", 2),
+        ("all", "2", 2),
+    ])
+    def test_t_below_3_exits_2_before_any_suite(self, suite, t, least, capsys,
+                                                 monkeypatch):
+        for name, fn in list(cli.verify_mod.SUITES.items()):
+            monkeypatch.setitem(cli.verify_mod.SUITES, name,
+                                self._refusing(fn))
+        assert cli.main(["verify", suite, "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: r2 needs every t >= 3; got t={least}\n"
+        assert captured.out == ""
 
     def test_parents_default_bound_needs_2_to_the_10(self, capsys):
         assert cli.main(["verify", "parents", "--budget", "512"]) == 2

@@ -221,12 +221,113 @@ def test_same_size_swap_fails_the_kernel_check(name, monkeypatch):
 
 
 def test_shared_set_fails_parents(monkeypatch):
-    monkeypatch.setattr(verify, "_member_indices",
-                        lambda k, xi, yi, spec: frozenset())
+    real = verify._literal
+
+    def with_translate(k, t):
+        patterns = real(k, t)
+        if (k, t) != (1, 3):
+            return patterns
+        return patterns | {p ^ 0b001 for p in patterns}
+
+    monkeypatch.setattr(verify, "_literal", with_translate)
     result = verify.check_parents(max_n=4, max_k=1)
     assert not result.passed
-    assert "FAIL parents: k=1 t=3 pairs 000 and 001 share a set" in (
-        result.details)
+    # P | (P ^ 001) is the whole 3-bit box here, so every d fixes it
+    assert [line for line in result.details
+            if line.startswith("FAIL parents")] == [
+        f"FAIL parents: k=1 t=3 pairs 000 and {d:03b} share a set"
+        for d in (1, 2, 3)]
+
+
+def test_closure_missing_a_member_fails(monkeypatch):
+    from xoverlab import crossover
+
+    real = crossover._closure_patterns
+    monkeypatch.setattr(
+        crossover, "_closure_patterns",
+        lambda k, t, limit: tuple(m for m in real(k, t, limit) if m != 1))
+    result = verify.check_closure(max_n=3, max_k=1)
+    assert not result.passed
+    assert [line for line in result.details if line.startswith("FAIL")] == [
+        f"FAIL closure: k=1 t={t}" for t in (1, 2, 3)]
+
+
+def _sweep_collisions(t, members):
+    """The per-pair oracle: each antipodal pair (u, u XOR 1^t) of the t-bit
+    box with u < 2^(t-1) whose set, ``members(u, u XOR 1^t)``, equals that
+    of an earlier pair, as (earlier u, u)."""
+    full = (1 << t) - 1
+    seen = {}
+    out = []
+    for u in range(1 << t - 1):
+        first = seen.setdefault(members(u, u ^ full), u)
+        if first != u:
+            out.append((first, u))
+    return out
+
+
+def _stabiliser_collisions(patterns, t):
+    """The same list read off the stabiliser: u XOR patterns is shared by
+    the pairs u XOR d, each named by its member below 2^(t-1)."""
+    full = (1 << t) - 1
+    stab = verify._stabiliser(patterns)
+    out = []
+    for u in range(1 << t - 1):
+        first = min(min(u ^ d, u ^ d ^ full) for d in stab)
+        if first != u:
+            out.append((first, u))
+    return out
+
+
+def _brute_stabiliser(patterns, t):
+    return [d for d in range(1 << t) if {p ^ d for p in patterns} == patterns]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stabiliser_matches_the_pair_sweep(k):
+    from xoverlab.crossover import rset
+    from xoverlab.words import AlphabetSpec, Word
+
+    for t in range(k + 2, 10):
+        spec = AlphabetSpec((2,) * t)
+
+        def members(xi, yi):
+            x, y = Word.from_index(xi, spec), Word.from_index(yi, spec)
+            return rset(k, x, y).members.indices
+
+        patterns = verify._literal(k, t)
+        assert _sweep_collisions(t, members) == _stabiliser_collisions(
+            patterns, t) == []
+        assert verify._stabiliser(patterns) == [0, (1 << t) - 1]
+
+
+def test_stabiliser_of_the_literal_sets_is_brute_force():
+    for k in range(1, 5):
+        for t in range(1, 9):
+            patterns = verify._literal(k, t)
+            assert verify._stabiliser(patterns) == _brute_stabiliser(patterns, t)
+
+
+def test_stabiliser_finds_a_planted_translate():
+    import random
+
+    rng = random.Random(20)
+    for _ in range(200):
+        t = rng.randrange(2, 9)
+        full = (1 << t) - 1
+        base = {rng.randrange(1 << t) for _ in range(rng.randrange(1, 12))}
+        # closed under complement, as every recombination set's patterns are
+        base |= {p ^ full for p in base}
+        d = rng.randrange(1, 1 << t)
+        planted = frozenset(base | {p ^ d for p in base})
+        stab = verify._stabiliser(planted)
+        assert stab == _brute_stabiliser(planted, t)
+        assert d in stab
+        assert _sweep_collisions(
+            t, lambda u, v: frozenset(u ^ p for p in planted)
+        ) == _stabiliser_collisions(planted, t)
+        lonely = frozenset(base)
+        assert verify._stabiliser(lonely) == _brute_stabiliser(lonely, t)
 
 
 class TestRunSuite:
@@ -277,6 +378,16 @@ class TestRunSuite:
         assert calls == []
         run_suite("narrow", budget=16, ts=(3, 4))
         assert calls == [("narrow", (3, 4))]
+
+    def test_t_below_3_is_refused_before_any_suite_runs(self, monkeypatch):
+        calls = []
+        self._stubs(monkeypatch, calls)
+        for ts in ((2,), (4, 1), (0,), (-1, 5)):
+            for name in ("narrow", "all"):
+                with pytest.raises(ValueError, match=(
+                        f"narrow needs every t >= 3; got t={min(ts)}")):
+                    run_suite(name, ts=ts)
+        assert calls == []
 
     def test_om_ground_set_limit_is_checked_before_any_suite_runs(
             self, monkeypatch):
