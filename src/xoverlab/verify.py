@@ -5,14 +5,14 @@ exact pass/fail with detail lines; nothing is sampled where enumeration is
 affordable, and nothing carries a tolerance.
 
 The crossover kernel builds R_k(x, y) from (k, t) patterns spread onto the
-t positions where x and y differ.  One check, ``_kernel_failures``, holds it
-to the literal definition: for every binary n <= max_n, every difference
-mask, one seeded x per mask and every k <= max_k, ``rset(k, x, x XOR mask)``
-must be x XOR the literal cut enumeration on 0^t and 1^t, spread onto the
-mask.  ``sizes``, ``partialcube``, ``vc`` and ``parents`` all run it, so the
-claims they derive from one canonical set per (k, t) hold for the sets the
-fast path returns.  ``closure`` calls ``closure`` and ``rset`` once per
-(k, t), on 0^t and 1^t.
+t positions where x and y differ.  ``sizes`` alone holds it to the literal
+definition, in ``_kernel_failures``: for every binary n <= max_n, every
+difference mask, one seeded x per mask and every k <= max_k,
+``rset(k, x, x XOR mask)`` must be x XOR the literal cut enumeration on 0^t
+and 1^t, spread onto the mask.  Its default bounds cover those of
+``partialcube`` and ``vc``, so the claims those suites, ``parents``,
+``closure`` and ``recursion`` decide once per (k, t), on 0^t and 1^t or on
+the literal set, hold for the sets the fast path returns.
 """
 
 from __future__ import annotations
@@ -131,59 +131,52 @@ def _kernel_failures(max_n: int, max_k: int,
         spec = _bspec(n)
         for mask in range(1 << n):
             xi = rng.randrange(1 << n)
-            deposits = _deposits(mask)
-            t = mask.bit_count()
+            deposits, t = _deposits(mask), mask.bit_count()
             for k in range(1, max_k + 1):
                 checked += 1
                 got = rset(k, _w(xi, spec), _w(xi ^ mask, spec)).members.indices
                 if got != frozenset(xi ^ deposits[p] for p in _literal(k, t)):
-                    failures.append(
-                        f"FAIL kernel: n={n} k={k} x={xi:0{n}b} "
-                        f"y={xi ^ mask:0{n}b}"
-                    )
+                    failures.append(f"FAIL kernel: n={n} k={k} x={xi:0{n}b} "
+                                    f"y={xi ^ mask:0{n}b}")
     return failures, checked
 
 
-def _kernel_note(max_n: int, max_k: int, checked: int) -> str:
-    return (f"rset equals the literal cut enumeration on {checked} "
-            f"(n, mask, k), one seeded x per mask, n<={max_n}, k<={max_k}")
+_KERNEL_BACKING = ("rset is checked against the literal sets by "
+                   "`verify sizes`, n<=10, k<=6")
 
 
-def check_sizes(max_n: int = 10, max_k: int = 5, seed: int = 0) -> CheckResult:
-    """Recombination set sizes match the closed form on every pair."""
+def check_sizes(max_n: int = 10, max_k: int = 6, seed: int = 0) -> CheckResult:
+    """rset is the literal set on every mask; sizes match the closed form."""
     failures, checked = _kernel_failures(max_n, max_k, random.Random(seed))
     for k in range(1, max_k + 1):
         for t in range(max_n + 1):
             size = len(_literal(k, t))
             expect = 2**t if t <= k else 2 * phi(k, t - 1)
             if size != expect or rset_size_formula(k, t) != expect:
-                failures.append(
-                    f"FAIL size: k={k} t={t} got {size} want {expect}"
-                )
+                failures.append(f"FAIL size: k={k} t={t} got {size} "
+                                f"want {expect}")
     notes = [
-        _kernel_note(max_n, max_k, checked),
+        f"rset equals the literal cut enumeration on {checked} "
+        f"(n, mask, k), one seeded x per mask, n<={max_n}, k<={max_k}",
         f"literal set sizes equal the closed form and rset_size_formula "
         f"for every t<={max_n}, k<={max_k}",
     ]
     return _result("sizes", notes, failures, checked)
 
 
-def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
+def check_recursion(max_n: int = 16, max_k: int = 4, seed: int = 0,
                     samples: int = 10) -> CheckResult:
     """The one-point recursion reproduces every recombination set."""
     failures: list[str] = []
     checked = 0
-    for n in range(1, max_n + 1):
-        spec = _bspec(n)
-        w0 = _w(0, spec)
-        for mask in range(1 << n):
-            wm = _w(mask, spec)
-            for k in range(2, max_k + 1):
-                checked += 1
-                if rset_recursive(k, w0, wm).members != rset(k, w0, wm).members:
-                    failures.append(
-                        f"FAIL recursion: n={n} k={k} mask={mask:0{n}b}"
-                    )
+    # both place the (k, t) patterns by one scatter, so 0^t, 1^t decide them
+    for t in range(max_n + 1):
+        spec = _bspec(max(t, 1))
+        x, y = _w(0, spec), _w((1 << t) - 1, spec)
+        for k in range(2, max_k + 1):
+            checked += 1
+            if rset_recursive(k, x, y).members != rset(k, x, y).members:
+                failures.append(f"FAIL recursion: k={k} t={t}")
     rng = random.Random(seed)
     mixed = [AlphabetSpec((3, 3, 3)), AlphabetSpec((2, 3, 4))]
     for spec in [_bspec(n) for n in range(2, max_n + 1)] + mixed:
@@ -195,8 +188,9 @@ def check_recursion(max_n: int = 8, max_k: int = 4, seed: int = 0,
                         f"FAIL recursion sample: spec={spec} k={k} x={x} y={y}"
                     )
     notes = [
-        f"difference-mask sweep: {checked} comparisons, n<={max_n}, "
-        f"2<=k<={max_k} (the recursion is defined from k=2 up)",
+        f"rset_recursive equals rset on 0^t, 1^t for {checked} (k, t), "
+        f"t<={max_n}, 2<=k<={max_k} (the recursion is defined from k=2 up)",
+        _KERNEL_BACKING,
         f"plus {samples} random direct pairs per (n, k)",
         f"plus {len(mixed) * max(max_k - 1, 0) * samples} random pairs "
         f"over 3,3,3 and 2,3,4, {samples} per (alphabet, k)",
@@ -342,9 +336,9 @@ def _stabiliser(patterns: frozenset[int]) -> list[int]:
                   if all(q ^ d in patterns for q in patterns))
 
 
-def check_parents(max_n: int = 10, max_k: int = 4, seed: int = 0) -> CheckResult:
+def check_parents(max_n: int = 16, max_k: int = 4) -> CheckResult:
     """Parents farther apart than k+1 are the only pair with their set."""
-    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
+    failures: list[str] = []
     examined = 0
     for k in range(1, max_k + 1):
         for t in range(k + 2, max_n + 1):
@@ -362,7 +356,7 @@ def check_parents(max_n: int = 10, max_k: int = 4, seed: int = 0) -> CheckResult
         f"all {examined} antipodal pairs of the t-bit boxes, k+2<=t<={max_n}, "
         f"k<={max_k}, have distinct sets: the only translations fixing the "
         "literal set R_k(0^t, 1^t) are 0^t and 1^t",
-        _kernel_note(max_n, max_k, compared),
+        _KERNEL_BACKING,
     ]
     return _result("parents", notes, failures, examined)
 
@@ -372,9 +366,9 @@ def _representative_graph(k: int, d: int) -> SimpleGraph:
     return transit_graph(k, _w(0, spec), _w((1 << d) - 1, spec))
 
 
-def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckResult:
+def check_partialcube(max_n: int = 7, max_k: int = 6) -> CheckResult:
     """Every recombination-set graph is an antipodal partial cube."""
-    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
+    failures: list[str] = []
     reps = 0
     for d in range(1, max_n + 1):
         for k in range(1, max_k + 1):
@@ -402,15 +396,15 @@ def check_partialcube(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckRes
     notes = [
         f"{reps} (k, distance) representative graphs embed as partial cubes "
         "with the complement antipodal map",
-        _kernel_note(max_n, max_k, compared),
+        _KERNEL_BACKING,
         "K_{2,3} and C_5 are rejected",
     ]
     return _result("partialcube", notes, failures, reps)
 
 
-def check_vc(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckResult:
+def check_vc(max_n: int = 7, max_k: int = 6) -> CheckResult:
     """VC dimension is min(k+1, d) and matches the largest cube minor."""
-    failures, compared = _kernel_failures(max_n, max_k, random.Random(seed))
+    failures: list[str] = []
     reps = 0
     for d in range(1, max_n + 1):
         for k in range(1, max_k + 1):
@@ -418,16 +412,15 @@ def check_vc(max_n: int = 7, max_k: int = 6, seed: int = 0) -> CheckResult:
             g = _representative_graph(k, d)
             vc = vc_dimension(list(g.vertices))
             if vc != min(k + 1, d):
-                failures.append(
-                    f"FAIL vc: k={k} d={d} got {vc} want {min(k + 1, d)}"
-                )
+                failures.append(f"FAIL vc: k={k} d={d} got {vc} "
+                                f"want {min(k + 1, d)}")
             emb = is_partial_cube(g)
             if emb is None or largest_cube_minor_dim(emb) != vc:
                 failures.append(f"FAIL cube minor: k={k} d={d}")
     notes = [
         f"vc = min(k+1, d) = largest cube minor on every representative, "
         f"d<={max_n}, k<={max_k}",
-        _kernel_note(max_n, max_k, compared),
+        _KERNEL_BACKING,
     ]
     return _result("vc", notes, failures, reps)
 
@@ -639,10 +632,12 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
               **bounds) -> list[CheckResult]:
     """Run one suite by name, or all of them, each with the bounds it takes.
 
-    A suite's sweeps enumerate binary spaces of up to max_n positions, or of
-    t positions for each t in ts, so every selected suite's largest max_n
-    or t, requested or default, is checked against the budget before any
-    suite runs, and so is ``om``'s max_n against its ground-set limit;
+    A named suite given a bound it does not take, other than ``seed``,
+    raises ``ValueError``; ``all`` gives each suite the bounds it takes.  A
+    suite's sweeps enumerate binary spaces of up to max_n positions, or of t
+    positions for each t in ts, so every selected suite's largest max_n or
+    t, requested or default, is checked against the budget before any suite
+    runs, and so is ``om``'s max_n against its ground-set limit;
     ``BudgetExceededError`` otherwise.  A t below 3, where r2's degree
     histogram has no meaning, raises ``ValueError`` before any suite runs.
     """
@@ -652,6 +647,9 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
     calls = []
     for suite, fn in SUITES.items() if name == "all" else [(name, SUITES[name])]:
         accepted = inspect.signature(fn).parameters
+        foreign = sorted(bounds.keys() - accepted.keys() - {"seed"})
+        if name != "all" and foreign:
+            raise ValueError(f"{suite} takes no {', '.join(foreign)}")
         kwargs = {k: v for k, v in bounds.items() if k in accepted}
         given = {k: kwargs.get(k, p.default) for k, p in accepted.items()}
         ts = given.get("ts", ())

@@ -381,9 +381,24 @@ class TestVerifyCommand:
         assert captured.err == f"error: r2 needs every t >= 3; got t={least}\n"
         assert captured.out == ""
 
-    def test_parents_default_bound_needs_2_to_the_10(self, capsys):
-        assert cli.main(["verify", "parents", "--budget", "512"]) == 2
-        assert "exceeds budget 512" in capsys.readouterr().err
+    def test_parents_default_bound_needs_2_to_the_16(self, capsys):
+        assert cli.main(["verify", "parents", "--budget", "32768"]) == 2
+        assert "exceeds budget 32768" in capsys.readouterr().err
+
+    def test_bound_a_named_suite_does_not_take_exits_2(self, capsys,
+                                                      monkeypatch):
+        for name, fn in list(cli.verify_mod.SUITES.items()):
+            monkeypatch.setitem(cli.verify_mod.SUITES, name,
+                                self._refusing(fn))
+        assert cli.main(["verify", "om", "--max-k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: om takes no max_k\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["r2", "hamming", "axioms"])
+    def test_seed_passes_to_a_suite_without_samples(self, suite):
+        # the CLI always passes --seed; these suites take none
+        assert cli.main(["verify", suite, "--out", os.devnull]) == 0
 
     def test_bounds_within_budget_pass(self):
         code, text, _ = cli._run(

@@ -1,5 +1,7 @@
 """Verification suites at reduced bounds; full bounds live in the acceptance tests."""
 
+import inspect
+
 import pytest
 
 from xoverlab import verify
@@ -188,9 +190,9 @@ class TestHelpers:
         assert checked == (2 + 4 + 8 + 16) * 3
 
 
-def _swap_one_member(monkeypatch, k=2, t=5):
-    """Make verify's rset swap one member of every R_k at distance t for a
-    non-member of the parents' box, so the set keeps its size."""
+def _swap_one_member(monkeypatch, k, n, t):
+    """Make verify's rset swap one member of every R_k over 2^n at distance
+    t for the least word of 2^n outside it, so the set keeps its size."""
     from xoverlab.crossover import RSetResult
     from xoverlab.words import WordSet
 
@@ -198,12 +200,10 @@ def _swap_one_member(monkeypatch, k=2, t=5):
 
     def fake(kk, x, y):
         result = real(kk, x, y)
-        mask = x.index ^ y.index
-        if kk != k or mask.bit_count() != t:
+        if (kk, len(x.spec.sizes), (x.index ^ y.index).bit_count()) != (k, n, t):
             return result
         members = result.members.indices
-        outside = min(x.index ^ d for d in verify._deposits(mask)
-                      if x.index ^ d not in members)
+        outside = min(set(range(1 << n)) - members)
         inside = min(members - {x.index, y.index})
         swapped = WordSet.from_indices(members - {inside} | {outside}, x.spec)
         return RSetResult(swapped, (x, y), kk)
@@ -211,13 +211,74 @@ def _swap_one_member(monkeypatch, k=2, t=5):
     monkeypatch.setattr(verify, "rset", fake)
 
 
-@pytest.mark.parametrize("name", ["sizes", "partialcube", "vc", "parents"])
+@pytest.mark.parametrize("name", ["sizes"])
 def test_same_size_swap_fails_the_kernel_check(name, monkeypatch):
-    _swap_one_member(monkeypatch)
+    _swap_one_member(monkeypatch, k=2, n=5, t=5)
     result = verify.SUITES[name](max_n=5, max_k=2)
     assert not result.passed
     assert any(line.startswith("FAIL kernel: n=5 k=2")
                for line in result.details)
+
+
+def test_same_size_swap_at_k6_fails_sizes_at_its_defaults(monkeypatch):
+    # partialcube and vc build their k <= 6, n <= 7 graphs through rset;
+    # R_6 at distance 6 is its whole box, so the swap leaves the box
+    _swap_one_member(monkeypatch, k=6, n=7, t=6)
+    result = verify.check_sizes()
+    assert not result.passed
+    fails = [line for line in result.details if line.startswith("FAIL")]
+    # one seeded x for each of the 7 six-bit masks over 2^7
+    assert len(fails) == 7
+    assert all(line.startswith("FAIL kernel: n=7 k=6 ") for line in fails)
+
+
+def test_only_sizes_sweeps_the_kernel(monkeypatch):
+    real = verify._kernel_failures
+    callers = []
+
+    def counting(*args):
+        callers.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_kernel_failures", counting)
+    for name, kwargs in REDUCED:
+        assert verify.SUITES[name](**kwargs).passed, name
+    assert callers == ["sizes"]
+
+
+def test_graph_suites_stay_within_the_kernel_sweep():
+    # partialcube and vc build their graphs through rset, which only sizes
+    # holds to the literal sets; their notes cite sizes' default bounds
+    def defaults(fn):
+        params = inspect.signature(fn).parameters
+        return params["max_n"].default, params["max_k"].default
+
+    max_n, max_k = defaults(verify.check_sizes)
+    assert verify._KERNEL_BACKING.endswith(f"n<={max_n}, k<={max_k}")
+    for fn in (verify.check_partialcube, verify.check_vc):
+        n, k = defaults(fn)
+        assert n <= max_n and k <= max_k, fn.__name__
+
+
+def test_recursion_missing_a_member_fails(monkeypatch):
+    from xoverlab.crossover import RSetResult
+    from xoverlab.words import WordSet, hamming_distance
+
+    real = verify.rset_recursive
+
+    def drop_one(k, x, y):
+        result = real(k, x, y)
+        if (k, hamming_distance(x, y)) != (3, 6):
+            return result
+        members = result.members.indices
+        kept = members - {min(members - {x.index, y.index})}
+        return RSetResult(WordSet.from_indices(kept, x.spec), (x, y), k)
+
+    monkeypatch.setattr(verify, "rset_recursive", drop_one)
+    result = verify.check_recursion()
+    assert not result.passed
+    fails = [line for line in result.details if line.startswith("FAIL")]
+    assert fails[0] == "FAIL recursion: k=3 t=6"
 
 
 def test_shared_set_fails_parents(monkeypatch):
@@ -353,6 +414,22 @@ class TestRunSuite:
         self._stubs(monkeypatch, calls)
         run_suite("all", max_n=4, seed=7, ts=(5,))
         assert calls == [("wide", 4, 2, 7), ("narrow", (5,)), ("big", 4)]
+
+    def test_named_suite_refuses_a_bound_it_does_not_take(self, monkeypatch):
+        calls = []
+        self._stubs(monkeypatch, calls)
+        for name, bounds, foreign in (
+                ("big", {"max_k": 3}, "max_k"),
+                ("narrow", {"max_n": 4, "max_k": 2}, "max_k, max_n"),
+                ("big", {"ts": (5,), "seed": 1}, "ts")):
+            with pytest.raises(ValueError, match=f"^{name} takes no {foreign}$"):
+                run_suite(name, **bounds)
+        assert calls == []
+        # seed is passed by every CLI run; all drops what a suite does not take
+        run_suite("narrow", seed=3)
+        run_suite("all", max_k=3)
+        assert calls == [("narrow", (4,)), ("wide", 3, 3, 0), ("narrow", (4,)),
+                         ("big", 10)]
 
     def test_budget_is_checked_before_any_suite_runs(self, monkeypatch):
         from xoverlab.words import BudgetExceededError
