@@ -42,9 +42,10 @@ x, the maximum of best[x - e] over e in supp x, plus one when x is itself
 a covector.  Every covector strictly below x conforms to some x - e, so
 for a covector this is its longest-chain height above the zero vector.
 The rank is the largest height and the cocircuits are the covectors of
-height 1, the atoms of the face lattice.  The lattice itself walks the
-submasks of each covector's support to list the covectors below it and
-its covers.
+height 1, the atoms of the face lattice.  The lattice looks up the
+restrictions of x to the submasks of its support in a 4^n index table, one
+matrix per support-size layer, and x covers those with no other one above
+them: n 5^n work, in blocks of about 2^12 restrictions.
 """
 
 from __future__ import annotations
@@ -204,12 +205,9 @@ def _sign_vectors(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SignVector]:
 
 def word_to_sign(w: Word) -> SignVector:
     """Binary word to full-support sign vector, 1 as + and 0 as -."""
-    for size in w.spec.sizes:
-        if size != 2:
-            raise ValueError("sign vectors encode binary words only")
-    n = w.spec.n
-    full = (1 << n) - 1
-    return SignVector(n, w.index, full & ~w.index)
+    if not w.spec.is_binary:
+        raise ValueError("sign vectors encode binary words only")
+    return SignVector(w.spec.n, w.index, ((1 << w.spec.n) - 1) & ~w.index)
 
 
 def sign_to_word(x: SignVector, spec: AlphabetSpec | None = None) -> Word:
@@ -366,6 +364,19 @@ class FaceAxiomReport:
     witness: tuple | None
 
 
+def _masks(vectors: list[SignVector]) -> tuple[int, np.ndarray, np.ndarray]:
+    """Ground size and (pos, neg) arrays of a non-empty family of one
+    length within the ground budget."""
+    count = len(vectors)
+    lengths = np.fromiter((x.n for x in vectors), np.int64, count)
+    pos = np.fromiter((x.pos for x in vectors), np.int64, count)
+    neg = np.fromiter((x.neg for x in vectors), np.int64, count)
+    if (lengths != lengths[0]).any():
+        raise ValueError("length mismatch")
+    _check_ground(int(lengths[0]))
+    return int(lengths[0]), pos, neg
+
+
 def _first_pair(pos: np.ndarray, neg: np.ndarray,
                 flag: Callable[..., np.ndarray]) -> tuple[int, int, int]:
     """(row, column, value) of the first ordered pair, row by row, for
@@ -393,12 +404,11 @@ def _layers(pos: np.ndarray, neg: np.ndarray,
     block of masks at a time."""
     keys = np.sort((pos << n) | neg)
     zeros = np.zeros(len(keys), dtype=np.int64)
-    masks = np.arange(1 << n)
     popcount = _bits(n).sum(axis=1)
     codes = (1 << 2 * n) - 1
     for p in range(1, n + 1):
         yield keys, zeros
-        layer = masks[popcount == p]
+        layer = np.flatnonzero(popcount == p)
         parent = (layer & (layer - 1)) << 2 * n
         lo = np.searchsorted(keys, parent)
         hi = np.searchsorted(keys, parent + (1 << 2 * n))
@@ -474,12 +484,7 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     given = list(vectors)
     if not given:
         return FaceAxiomReport(False, "F0", ())
-    n = given[0].n
-    if any(x.n != n for x in given):
-        raise ValueError("length mismatch")
-    _check_ground(n)
-    pos = np.fromiter((x.pos for x in given), dtype=np.int64, count=len(given))
-    neg = np.fromiter((x.neg for x in given), dtype=np.int64, count=len(given))
+    n, pos, neg = _masks(given)
     key = _keys(pos, neg, n)
     # the family in canonical order, one index into given per member
     order = np.argsort(key, kind="stable")
@@ -521,83 +526,78 @@ class FaceLattice:
     covers: tuple[tuple[int, int], ...]
     rank: int
 
-    @property
-    def top_index(self) -> int:
-        return len(self.covectors)
-
     def level_sizes(self) -> tuple[int, ...]:
-        counts = [0] * (self.rank + 2)
-        for h in self.heights:
-            counts[h] += 1
-        counts[self.rank + 1] = 1
-        return tuple(counts)
+        levels = np.bincount(self.heights, minlength=self.rank + 1)
+        return tuple(levels.tolist()) + (1,)
 
     def atoms(self) -> tuple[SignVector, ...]:
-        return tuple(
-            self.covectors[i] for i, h in enumerate(self.heights) if h == 1
-        )
+        return tuple(x for x, h in zip(self.covectors, self.heights) if h == 1)
 
     def to_dot(self) -> str:
-        lines = ["digraph face_lattice {", "  rankdir=BT;"]
-        for i, x in enumerate(self.covectors):
-            lines.append(f'  n{i} [label="{x}"];')
-        lines.append(f'  n{self.top_index} [label="1^"];')
-        for lo, hi in self.covers:
-            lines.append(f"  n{lo} -> n{hi};")
-        lines.append("}")
-        return "\n".join(lines)
+        return "\n".join(
+            ["digraph face_lattice {", "  rankdir=BT;"]
+            + [f'  n{i} [label="{x}"];' for i, x in enumerate(self.covectors)]
+            + [f'  n{len(self.covectors)} [label="1^"];']
+            + [f"  n{lo} -> n{hi};" for lo, hi in self.covers] + ["}"])
 
 
 def face_lattice(om: OrientedMatroidData) -> FaceLattice:
     """Hasse diagram of the face order with an adjoined maximum.
 
-    Raises when the order is not graded; heights are recomputed here rather
-    than trusted from the construction.
+    The covectors below x, its restrictions to proper subsets of its
+    support, are read off a 4^n index table in which a repeated vector is
+    its last copy.  Heights are recomputed here, not trusted from the
+    construction.  Raises when the order is not graded.
     """
     covectors = list(om.covectors)
     if not any(x.is_zero for x in covectors):
         raise ValueError("not a valid OM lattice")
-    # the covectors below x are exactly its restrictions to proper subsets
-    # of its support, so submask enumeration finds them all; they have
-    # smaller supports, so their heights and below lists are known when x
-    # is reached.  x covers each one that lies below no other one.
-    index = {(x.pos, x.neg): i for i, x in enumerate(covectors)}
-    below: dict[int, list[int]] = {}
-    heights = [0] * len(covectors)
-    covers: list[tuple[int, int]] = []
-    for i in sorted(range(len(covectors)), key=lambda i: covectors[i].support_size):
-        x = covectors[i]
-        bel: list[int] = []
-        sub = sup = x.support
-        while sub:
-            sub = (sub - 1) & sup
-            j = index.get((x.pos & sub, x.neg & sub))
-            if j is not None:
-                bel.append(j)
-        inner = set().union(*(below[z] for z in bel))
-        covers.extend((j, i) for j in bel if j not in inner)
-        below[i] = bel
-        heights[i] = 1 + max((heights[j] for j in bel), default=-1)
-    rank = max(heights)
+    n, pos, neg = _masks(covectors)
     top = len(covectors)
-    covers.extend(
-        (i, top) for i, x in enumerate(covectors) if x.support_size == om.ground_size
-    )
-
+    code, support = (pos << n) | neg, pos | neg
+    index = np.full(1 << 2 * n, -1, dtype=np.int32)
+    np.maximum.at(index, code, np.arange(top, dtype=np.int32))  # last copy wins
+    popcount = _bits(n).sum(axis=1)
+    size = popcount[support]
+    # heights[top] = -1 stands for an absent restriction, at index -1, until
+    # it becomes the height of the top
+    heights = np.full(top + 1, -1, dtype=np.int64)
+    maximal = np.flatnonzero(size == om.ground_size)
+    lows, highs = [maximal], [np.full(len(maximal), top)]
+    for s in range(n + 1):
+        layer = np.flatnonzero(size == s)
+        # the row of support S lists its submasks ascending, so bit j of a
+        # column picks the j-th lowest bit of S
+        supports = np.flatnonzero(popcount == s)
+        subs = np.nonzero((np.arange(1 << n) & ~supports[:, None]) == 0)[1]
+        spread = (subs << n | subs).reshape(-1, 1 << s)
+        which = np.searchsorted(supports, support[layer])
+        step = max(1, _BLOCK >> s)
+        for start in range(0, len(layer), step):
+            rows = layer[start:start + step]
+            below = index[code[rows, None] & spread[which[start:start + step]]]
+            below[:, -1] = -1  # x itself
+            heights[rows] = heights[below].max(axis=1) + 1
+            # x covers x|S' when no x|S'' with S' < S'' < supp x is a
+            # covector: count those over each one, itself included
+            above = (below >= 0).astype(np.int32)
+            for b in range(s):
+                half = above.reshape(len(rows), -1, 2, 1 << b)
+                half[:, :, 0] += half[:, :, 1]
+            r, p = np.nonzero((below >= 0) & (above == 1))
+            lows.append(below[r, p])
+            highs.append(rows[r])
+    rank = int(heights[:top].max())
+    heights[top] = rank + 1
+    lo, hi = np.concatenate(lows), np.concatenate(highs)
     # graded with the top at rank + 1: every cover steps up one height and
     # every covector lies under some cover, so each chain ends at the top
-    full_heights = heights + [rank + 1]
-    if len({lo for lo, _ in covers}) != top or any(
-        full_heights[hi] != full_heights[lo] + 1 for lo, hi in covers
-    ):
+    if (not np.bincount(lo, minlength=top).all()
+            or (heights[hi] != heights[lo] + 1).any()):
         raise ValueError("not a valid OM lattice")
-
-    return FaceLattice(
-        covectors=tuple(covectors),
-        heights=tuple(heights),
-        covers=tuple(sorted(covers)),
-        rank=rank,
-    )
+    order = np.lexsort((hi, lo))
+    covers = tuple(zip(lo[order].tolist(), hi[order].tolist()))
+    return FaceLattice(tuple(covectors), tuple(heights[:top].tolist()), covers, rank)
 
 
 def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
@@ -606,13 +606,10 @@ def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
     Decided purely by enumeration of the cocircuits.
     """
     sizes = {c.support_size for c in om.cocircuits}
-    if len(sizes) != 1:
-        return False, None
-    s = sizes.pop()
     supports = {c.support for c in om.cocircuits}
-    if len(supports) != comb(om.ground_size, s):
+    if len(sizes) != 1 or len(supports) != comb(om.ground_size, min(sizes)):
         return False, None
-    return True, s
+    return True, min(sizes)
 
 
 def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
@@ -622,16 +619,13 @@ def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
     if not tope_list:
         return False
     n = tope_list[0].n
-    for t in tope_list:
-        if t.n != n or t.support_size != n:
-            raise ValueError("topes must have full support")
-    keys = {(t.pos, t.neg) for t in tope_list}
-    if any((t.neg, t.pos) not in keys for t in tope_list):
+    if any(t.n != n or t.support_size != n for t in tope_list):
+        raise ValueError("topes must have full support")
+    masks = [t.pos for t in tope_list]
+    if set(masks) != {p ^ ((1 << n) - 1) for p in masks}:
         return False
-    d = _largest_full_projection([t.pos for t in tope_list], n)
-    if d < 1:
-        return False
-    return len(tope_list) == 2 * phi(d - 1, n - 1)
+    d = _largest_full_projection(masks, n)
+    return d >= 1 and len(masks) == 2 * phi(d - 1, n - 1)
 
 
 def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> OrientedMatroidData:
@@ -651,14 +645,16 @@ def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> Oriente
 
 def tope_graph(om: OrientedMatroidData):
     """Graph on topes with edges at separation exactly one; topes have full
-    support, so they are separated exactly where their positive masks differ."""
+    support, so they are separated exactly where their positive masks differ,
+    and a tope's neighbours are found by flipping one bit of its mask."""
     from .graphs import SimpleGraph
 
     topes = om.topes
+    index = {t.pos: i for i, t in enumerate(topes)}
     edges = [
         (i, j)
-        for i in range(len(topes))
-        for j in range(i + 1, len(topes))
-        if (topes[i].pos ^ topes[j].pos).bit_count() == 1
+        for i, t in enumerate(topes)
+        for b in range(om.ground_size)
+        if (j := index.get(t.pos ^ 1 << b, i)) > i
     ]
     return SimpleGraph(topes, edges)

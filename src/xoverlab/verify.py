@@ -10,9 +10,11 @@ definition, in ``_kernel_failures``: for every binary n <= max_n, every
 difference mask, one seeded x per mask and every k <= max_k,
 ``rset(k, x, x XOR mask)`` must be x XOR the literal cut enumeration on 0^t
 and 1^t, spread onto the mask.  Its default bounds cover those of
-``partialcube`` and ``vc``, so the claims those suites, ``parents``,
-``closure`` and ``recursion`` decide once per (k, t), on 0^t and 1^t or on
-the literal set, hold for the sets the fast path returns.
+``partialcube`` and ``vc``, so the claims those suites, ``closure`` and
+``recursion`` decide once per (k, t), on 0^t and 1^t or on the literal set,
+hold for the sets the fast path returns.  ``parents`` decides t beyond that
+bound, so it compares rset on 0^t and 1^t with the literal set at each
+(k, t) itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import comb, prod
 from pathlib import Path
 
@@ -274,18 +276,11 @@ def check_axioms_battery() -> CheckResult:
 
     # unique median: the three pairwise intervals meet in one point
     bad_triples = 0
-    for u in range(16):
-        for v in range(16):
-            for w in range(16):
-                meet = [
-                    z for z in range(16)
-                    if (z ^ u) & (z ^ v) == 0
-                    and (z ^ v) & (z ^ w) == 0
-                    and (z ^ u) & (z ^ w) == 0
-                ]
-                maj = (u & v) | (u & w) | (v & w)
-                if meet != [maj]:
-                    bad_triples += 1
+    for u, v, w in product(range(16), repeat=3):
+        meet = [z for z in range(16) if (z ^ u) & (z ^ v) == 0
+                and (z ^ v) & (z ^ w) == 0 and (z ^ u) & (z ^ w) == 0]
+        if meet != [(u & v) | (u & w) | (v & w)]:
+            bad_triples += 1
     if bad_triples:
         failures.append(f"FAIL median uniqueness: {bad_triples} triples")
     notes = [
@@ -344,9 +339,13 @@ def check_parents(max_n: int = 16, max_k: int = 4) -> CheckResult:
         for t in range(k + 2, max_n + 1):
             full = (1 << t) - 1
             examined += 1 << t - 1
+            literal, spec = _literal(k, t), _bspec(t)
+            if rset(k, _w(0, spec), _w(full, spec)).members.indices != literal:
+                failures.append(f"FAIL kernel: k={k} t={t} rset(0^t, 1^t) "
+                                "differs from the literal set")
             # R_k(u, u XOR full) = u XOR P, so the pairs of u and u XOR d
             # share a set exactly when d fixes P; name each pair once
-            shared = {min(d, d ^ full) for d in _stabiliser(_literal(k, t))}
+            shared = {min(d, d ^ full) for d in _stabiliser(literal)}
             failures += [f"FAIL parents: k={k} t={t} pairs {0:0{t}b} and "
                          f"{d:0{t}b} share a set" for d in sorted(shared - {0})]
     notes = [
@@ -356,7 +355,8 @@ def check_parents(max_n: int = 16, max_k: int = 4) -> CheckResult:
         f"all {examined} antipodal pairs of the t-bit boxes, k+2<=t<={max_n}, "
         f"k<={max_k}, have distinct sets: the only translations fixing the "
         "literal set R_k(0^t, 1^t) are 0^t and 1^t",
-        _KERNEL_BACKING,
+        "rset(0^t, 1^t) equals that literal set at each of these (k, t), so "
+        "the claim holds for the sets the kernel returns",
     ]
     return _result("parents", notes, failures, examined)
 
@@ -649,7 +649,9 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET,
         accepted = inspect.signature(fn).parameters
         foreign = sorted(bounds.keys() - accepted.keys() - {"seed"})
         if name != "all" and foreign:
-            raise ValueError(f"{suite} takes no {', '.join(foreign)}")
+            flags = ("--t" if bound == "ts" else "--" + bound.replace("_", "-")
+                     for bound in foreign)
+            raise ValueError(f"{suite} takes no {', '.join(flags)}")
         kwargs = {k: v for k, v in bounds.items() if k in accepted}
         given = {k: kwargs.get(k, p.default) for k, p in accepted.items()}
         ts = given.get("ts", ())

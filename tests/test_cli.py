@@ -392,7 +392,21 @@ class TestVerifyCommand:
                                 self._refusing(fn))
         assert cli.main(["verify", "om", "--max-k", "3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: om takes no max_k\n"
+        assert captured.err == "error: om takes no --max-k\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["parents", "--t", "5"], "--t"),
+        (["r2", "--max-n", "5", "--max-k", "2"], "--max-k, --max-n"),
+    ])
+    def test_refused_bound_is_named_by_its_flag(self, capsys, monkeypatch,
+                                                argv, flags):
+        for name, fn in list(cli.verify_mod.SUITES.items()):
+            monkeypatch.setitem(cli.verify_mod.SUITES, name,
+                                self._refusing(fn))
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[0]} takes no {flags}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("suite", ["r2", "hamming", "axioms"])

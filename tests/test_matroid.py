@@ -213,6 +213,38 @@ def literal_face_lattice(om):
     return tuple(sorted(covers)), tuple(heights), rank
 
 
+def dict_walk_face_lattice(om):
+    """(covers, heights, rank) by the submask walk over a dict from (pos,
+    neg) to the index of the last copy, or None where face_lattice must
+    reject it.  Unlike literal_face_lattice, it takes repeated vectors: a
+    repeated vector is its last copy wherever it lies below another."""
+    cov = list(om.covectors)
+    if not any(x.is_zero for x in cov):
+        return None
+    index = {(x.pos, x.neg): i for i, x in enumerate(cov)}
+    below, heights, covers = {}, [0] * len(cov), []
+    for i in sorted(range(len(cov)), key=lambda i: cov[i].support_size):
+        x, bel = cov[i], []
+        sub = sup = x.support
+        while sub:
+            sub = (sub - 1) & sup
+            j = index.get((x.pos & sub, x.neg & sub))
+            if j is not None:
+                bel.append(j)
+        inner = set().union(*(below[z] for z in bel))
+        covers += [(j, i) for j in bel if j not in inner]
+        below[i] = bel
+        heights[i] = 1 + max((heights[j] for j in bel), default=-1)
+    rank, top = max(heights), len(cov)
+    covers += [(i, top) for i, x in enumerate(cov)
+               if x.support_size == om.ground_size]
+    full = heights + [rank + 1]
+    if len({lo for lo, _ in covers}) != top or any(
+            full[hi] != full[lo] + 1 for lo, hi in covers):
+        return None
+    return tuple(sorted(covers)), tuple(heights), rank
+
+
 def assert_rank_matches_literal(om):
     """om.rank and om.cocircuits agree with literal_heights; True when the
     face order is also a graded lattice."""
@@ -770,12 +802,65 @@ class TestFaceOrderAgainstLiteral:
         assert_rank_matches_literal(om)
         assert_lattice_matches_literal(om)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_crossover_lattices_at_n7(self, k):
+        assert assert_lattice_matches_literal(om_from_rset(k, 7))
+
     def test_hand_built_families(self):
         outcomes = Counter(
             assert_lattice_matches_literal(om) for om in hand_built_oms(808, 400)
         )
         # both branches are exercised: accepted lattices and rejections
         assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+    @pytest.mark.parametrize("size", [None, 1, 3])
+    def test_repeated_vectors_match_the_dict_walk(self, monkeypatch, size):
+        # a repeated vector stands for its last copy below others, as a
+        # dict from masks to indices has it; blocks of one or three rows
+        # of submasks must not change that
+        if size is not None:
+            monkeypatch.setattr(matroid, "_BLOCK", size)
+        rng = random.Random(2222)
+        outcomes = Counter()
+        for om in hand_built_oms(2121, 300):
+            family = list(om.covectors)
+            family += rng.choices(family, k=rng.randint(1, 3))
+            rng.shuffle(family)
+            om = OrientedMatroidData(om.ground_size, tuple(family), (), (), 0)
+            want = dict_walk_face_lattice(om)
+            if want is None:
+                with pytest.raises(ValueError, match="not a valid OM lattice"):
+                    face_lattice(om)
+            else:
+                lat = face_lattice(om)
+                assert (lat.covers, lat.heights, lat.rank) == want
+            outcomes[want is None] += 1
+        assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+    def test_repeated_tope_is_a_second_element(self):
+        # each copy of + covers 0 and lies under the top, which keeps the
+        # first copy, below nothing else, in a graded order
+        om = hand_built_om(1, svs("0", "+", "-"))
+        om = OrientedMatroidData(1, om.covectors + (sv("+"),), (), (), 0)
+        lat = face_lattice(om)
+        assert lat.covers == ((0, 4), (1, 0), (1, 2), (1, 3), (2, 4), (3, 4))
+        assert lat.heights == (1, 0, 1, 1) and lat.rank == 1
+        assert lat.covers == dict_walk_face_lattice(om)[0]
+
+    @pytest.mark.parametrize("size", [1, 3, 50])
+    def test_blocks_do_not_change_the_lattice(self, monkeypatch, size):
+        want = [face_lattice(om_from_rset(k, 6)) for k in range(1, 6)]
+        monkeypatch.setattr(matroid, "_BLOCK", size)
+        assert [face_lattice(om_from_rset(k, 6)) for k in range(1, 6)] == want
+
+    def test_free_om_at_the_ground_budget(self):
+        # free: every sign vector is a covector and its height is its
+        # support size, so level h holds 2^h * C(10, h) covectors
+        lat = face_lattice(om_from_rset(9, 10))
+        assert lat.rank == 10
+        assert lat.level_sizes() == tuple(
+            2 ** h * comb(10, h) for h in range(11)) + (1,)
+        assert len(lat.covers) == 10 * 2 * 3 ** 9 + 2 ** 10
 
     @pytest.mark.parametrize("texts", [
         ("00", "+0", "++", "--"),  # a cover that skips a height
@@ -918,6 +1003,19 @@ class TestTopeGraph:
             for i, j in rg.edges
         }
         assert t_edges == r_edges
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_pair_scan(self, n):
+        # the all-pairs scan that the one-bit flips replaced
+        for k in range(1, n):
+            om = om_from_rset(k, n)
+            topes = om.topes
+            edges = [(i, j) for i in range(len(topes))
+                     for j in range(i + 1, len(topes))
+                     if (topes[i].pos ^ topes[j].pos).bit_count() == 1]
+            tg = tope_graph(om)
+            assert tg.vertices == topes
+            assert tg.edges == SimpleGraph(topes, edges).edges == tuple(edges)
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_two_point_quadrangles_count_cocircuits(self, t):

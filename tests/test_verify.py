@@ -300,6 +300,16 @@ def test_shared_set_fails_parents(monkeypatch):
         for d in (1, 2, 3)]
 
 
+def test_kernel_wrong_at_t12_fails_parents(monkeypatch):
+    # beyond sizes' n <= 10 sweep, parents alone ties rset to the literal set
+    _swap_one_member(monkeypatch, k=3, n=12, t=12)
+    result = verify.check_parents()
+    assert not result.passed
+    assert [line for line in result.details if line.startswith("FAIL")] == [
+        "FAIL kernel: k=3 t=12 rset(0^t, 1^t) differs from the literal set"]
+    assert verify.check_sizes().passed
+
+
 def test_closure_missing_a_member_fails(monkeypatch):
     from xoverlab import crossover
 
@@ -419,9 +429,9 @@ class TestRunSuite:
         calls = []
         self._stubs(monkeypatch, calls)
         for name, bounds, foreign in (
-                ("big", {"max_k": 3}, "max_k"),
-                ("narrow", {"max_n": 4, "max_k": 2}, "max_k, max_n"),
-                ("big", {"ts": (5,), "seed": 1}, "ts")):
+                ("big", {"max_k": 3}, "--max-k"),
+                ("narrow", {"max_n": 4, "max_k": 2}, "--max-k, --max-n"),
+                ("big", {"ts": (5,), "seed": 1}, "--t")):
             with pytest.raises(ValueError, match=f"^{name} takes no {foreign}$"):
                 run_suite(name, **bounds)
         assert calls == []
