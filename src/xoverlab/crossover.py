@@ -10,7 +10,7 @@ and 2**t - 1.  ``_ymask_patterns(k, mask, t)`` lists the offspring of the
 masks 0 and ``mask``; it is cached on (k, mask, t), so every pair of parents
 at distance t, at any positions and over any alphabet, shares the one entry
 (k, 2**t - 1, t).  ``_closure_patterns`` closes the parents under it once per
-(k, t).
+(k, t), and ``is_closed`` asks it whether the closure outgrows that entry.
 
 ``_scatter`` maps masks back to packed indices over any alphabet.  Position
 p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
@@ -245,9 +245,9 @@ def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
     offspring lies in the parents' box, here the 2**t masks.  Once the box
     is full no pending pair can add a member, so the fixpoint stops there;
     until then every member is reached by an actual recombination of two
-    members.  Each member is first paired with its box antipode, which
-    differs from it everywhere and so has the largest recombination set;
-    then every pair is taken in discovery order.  Raises as soon as the
+    members.  Each member, newest first, is paired with its box antipode,
+    which differs from it everywhere and so has the largest recombination
+    set; then every pair is taken in discovery order.  Raises as soon as the
     closure has more than ``limit`` members, which the member list never
     holds.
     """
@@ -258,6 +258,7 @@ def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
         raise _over_budget(limit)
     seen = bytearray(size)
     seen[0] = seen[full] = 1
+    stack = members[:]
 
     def grow(u: int, v: int) -> None:
         fresh = [w for w in map(u.__xor__, _ymask_patterns(k, u ^ v, t))
@@ -267,10 +268,12 @@ def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
         for w in fresh:
             seen[w] = 1
         members.extend(fresh)
+        stack.extend(fresh)
 
-    for u in members:
+    while stack:
         if len(members) == size:
             return range(size)
+        u = stack.pop()
         if seen[full ^ u] == 1:
             # 2 marks a member whose antipode pair has been taken
             seen[u] = 2
@@ -307,18 +310,18 @@ def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
-    """Whether the recombination set of x and y is recombination-closed.
+    """Whether the recombination set R of x and y is recombination-closed.
 
-    Scanned in the canonical pattern space, where the parents are 0 and
-    2**t - 1, until the first pair with an offspring outside the set.
+    The closure of x and y contains R, so R is closed exactly when the
+    closure, ``_closure_patterns`` with limit |R|, does not raise.
     """
     k = _validate_k(k)
-    require_same_spec(x, y)
     t = hamming_distance(x, y)
-    members = _ymask_patterns(k, (1 << t) - 1, t)
-    mset = set(members)
-    return all(u ^ m in mset for u, v in combinations(members, 2)
-               for m in _ymask_patterns(k, u ^ v, t))
+    try:
+        _closure_patterns(k, t, len(_ymask_patterns(k, (1 << t) - 1, t)))
+    except BudgetExceededError:
+        return False
+    return True
 
 
 def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]:

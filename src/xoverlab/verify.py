@@ -238,13 +238,15 @@ def check_closure(max_n: int = 8, max_k: int = 3) -> CheckResult:
             got = islice(convex_sets(table_from_rset(k, spec)), len(family) + 1)
             if tuple(got) != family:
                 failures.append(f"FAIL convexity: {spec} k={k}")
-    notes.append(
+    notes += [
         "convexity sweep: R_k and the interval function have the same "
         "prod(2^a - 1) + 1 convex sets on "
         f"{' '.join(f'({spec})' for spec in spaces)} for k<={max_k}, "
         "although R_k != I past distance k+1: Mulder's question has a "
-        "negative answer"
-    )
+        "negative answer",
+        "R_k here allows at most k cuts, and under that reading the convexity "
+        "claim also holds at k=1, while the abstract states it for k>1",
+    ]
     return _result("closure", notes, failures, checked)
 
 

@@ -451,6 +451,24 @@ class TestClosure:
                 assert is_closed(k, x, y) == (hamming_distance(x, y) <= k + 1)
 
 
+    @pytest.mark.parametrize("sizes", [(2,) * 16, (2, 3, 4) * 5 + (3,)])
+    def test_is_closed_on_boxes_and_one_cut_short_of_them(self, sizes):
+        # R_{t-1} is the whole box; R_{t-2} misses the two words with t - 1
+        # switches, which two of its members recombine into
+        spec = AlphabetSpec(sizes)
+        x = Word((0,) * 16, spec)
+        for t in range(17):
+            y = Word(tuple(a - 1 for a in sizes[:t]) + (0,) * (16 - t), spec)
+            for k in {max(t - 1, 1), max(t - 2, 1)}:
+                assert is_closed(k, x, y) == (t <= k + 1), (k, t)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_closure_of_the_16_bit_box(self, k):
+        spec = bspec(16)
+        box = closure(k, Word.from_index(0, spec), Word.from_index(2**16 - 1, spec))
+        assert box.indices == frozenset(range(2**16))
+
+
 def _toy_kernel(seed):
     """Random masks inside each difference mask, closed under complement.
 

@@ -96,6 +96,51 @@ def literal_face_axioms(vectors):
     return FaceAxiomReport(True, None, None)
 
 
+def pair_lookup_decide_f2_f3(pos, neg, table, n):
+    """matroid._decide_f2_f3 with F2 decided by lookups, not counts: each X
+    of support S, joined with every distinct restriction of the family off
+    S, is looked up in the member table, sum |L_S| * |L off S| pairs.  F3
+    is decided as the library does."""
+    support = pos | neg
+    order = np.argsort(support, kind="stable")
+    pos, neg, support = pos[order], neg[order], support[order]
+    pending = np.zeros_like(table)
+    ends = np.searchsorted(support, support, side="right")
+    for rows, cols in matroid._pairs(np.arange(1, len(support) + 1), ends,
+                                     matroid._BLOCK):
+        xp, xn, yp, yn = pos[rows], neg[rows], pos[cols], neg[cols]
+        d = (xp & yn) | (xn & yp)
+        settled = table[((xp & ~d) << n) | (xn & ~d)]
+        pending[(((xp | d) << n) | (xn | d))[~settled]] = True
+    queries = np.flatnonzero(pending)
+    sep = (queries >> n) & queries
+    wanted = (sep << 2 * n) | (queries & ~(sep << n | sep))
+    failing = np.zeros(len(table), dtype=np.int8)
+    popcount = matroid._bits(n).sum(axis=1)
+    size, sep_size = popcount[support], popcount[sep]
+    codes = (1 << 2 * n) - 1
+    for p, (keys, zeros, _) in enumerate(matroid._layers(pos, neg, n)):
+        members = np.flatnonzero(size == p)
+        s = support[members] << 2 * n
+        lo, hi = np.searchsorted(keys, s), np.searchsorted(keys, s + (1 << 2 * n))
+        x = (pos[members] << n) | neg[members]
+        for rows, cols in matroid._pairs(lo, hi, matroid._BLOCK):
+            if not table[x[rows] | (keys[cols] & codes)].all():
+                return None
+        asked = np.flatnonzero(sep_size == p)
+        missing = sep[asked] & ~zeros[np.searchsorted(keys, wanted[asked])]
+        failing[queries[asked]] = np.where(missing, n + 1 - np.frexp(missing)[1], 0)
+    return failing
+
+
+def pair_lookup_face_axioms(vectors):
+    """check_face_axioms with pair_lookup_decide_f2_f3 in place of the
+    counts; the F2 and F3 witnesses come from the same canonical rescan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroid, "_decide_f2_f3", pair_lookup_decide_f2_f3)
+        return check_face_axioms(vectors)
+
+
 def literal_covectors(topes):
     """Every sign vector X with X o T a tope for every tope T, canonically."""
     tope_set = set(topes)
@@ -671,6 +716,35 @@ class TestFaceAxioms:
             outcomes[report.axiom] += 1
         assert outcomes["F2"] >= 60 and outcomes["F3"] >= 100
         assert outcomes[None] >= 150 and outcomes["F1"] >= 30
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_f2_counts_match_the_pair_lookups_on_crossover_oms(self, n):
+        for k in range(1, n):
+            family = om_from_rset(k, n).covectors
+            report = check_face_axioms(family)
+            assert report == FaceAxiomReport(True, None, None)
+            assert pair_lookup_face_axioms(family) == report
+
+    @pytest.mark.parametrize("n,ks", [(8, range(1, 8)), (9, range(1, 7)),
+                                      (10, range(1, 5))])
+    def test_f2_counts_match_the_pair_lookups_where_only_f2_breaks(self, n, ks):
+        # removing one composition Z = X o Y and -Z breaks F2 at (X, Y)
+        # while F0 and F1 still hold
+        rng = random.Random(2323 + n)
+        for k in ks:
+            covectors = om_from_rset(k, n).covectors
+            for _ in range(2):
+                while True:
+                    x, y = rng.sample(covectors, 2)
+                    z = x.compose(y)
+                    if not z.is_zero and z not in (x, -x, y, -y):
+                        break
+                family = [w for w in covectors if w not in (z, -z)]
+                report = check_face_axioms(family)
+                assert report.axiom == "F2", (k, x, y)
+                a, b = report.witness
+                assert a.compose(b) not in family
+                assert pair_lookup_face_axioms(family) == report
 
     def test_memory_does_not_grow_with_the_pair_count(self):
         covectors = om_from_rset(8, 9).covectors
