@@ -3,14 +3,14 @@
 ``recombine`` applies one explicit cut set to two parent words.  Everything
 else runs on one kernel.  A recombination set R_k(x, y) and the closure of x
 and y depend only on k and on the t positions where the parents differ, so
-both are computed in the canonical pattern space of those positions: a
-t-bit mask whose bit j stands for the j-th differing position counted from
-the last, a set bit meaning the second parent's letter, so the parents are 0
-and 2**t - 1.  ``_ymask_patterns(k, mask, t)`` lists the offspring of the
-masks 0 and ``mask``; it is cached on (k, mask, t), so every pair of parents
-at distance t, at any positions and over any alphabet, shares the one entry
-(k, 2**t - 1, t).  ``_closure_patterns`` closes the parents under it once per
-(k, t), and ``is_closed`` asks it whether the closure outgrows that entry.
+both are computed in the canonical box of those positions: a t-bit mask
+whose bit j stands for the j-th differing position counted from the last, a
+set bit meaning the second parent's letter, so the parents are 0 and
+2**t - 1.  ``_patterns(k, t)`` lists the offspring of those two masks; it is
+cached on (k, t), so every pair of parents at distance t, at any positions
+and over any alphabet, shares the one entry.  ``_closure_patterns`` closes
+the parents by translating that entry once per (k, t), and ``is_closed``
+asks it whether the closure outgrows the entry.
 
 ``_scatter`` maps masks back to packed indices over any alphabet.  Position
 p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
@@ -126,23 +126,21 @@ def rset_by_cut_enumeration(k: int, x: Word, y: Word) -> WordSet:
 
 
 @lru_cache(maxsize=65536)
-def _ymask_patterns(k: int, mask: int, t: int) -> tuple[int, ...]:
-    """Offspring of the t-bit masks 0 and ``mask`` by at most k cuts.
+def _patterns(k: int, t: int) -> tuple[int, ...]:
+    """Offspring of the t-bit masks 0 and 2**t - 1 by at most k cuts.
 
-    Only a parent switch between consecutive set bits of ``mask`` matters: a
-    cut in a gap where the parents agree either side is a no-op.  The switch
-    just above set bit b flips the part of ``mask`` at b and below, so an
-    offspring is the XOR of at most k such parts, or its complement in
-    ``mask``.
+    The switch of parent between the c lowest bits and the rest flips the
+    suffix mask 2**c - 1, so an offspring is the XOR of at most k suffix
+    masks with 0 < c < t, or its complement.
     """
-    # the part at the top set bit and below is mask itself: no switch
-    lows = [mask & ((2 << b) - 1) for b in range(t) if mask >> b & 1][:-1]
+    full = (1 << t) - 1
+    lows = [(1 << c) - 1 for c in range(1, t)]
     out: set[int] = set()
     for count in range(min(k, len(lows)) + 1):
         for switches in combinations(lows, count):
             m = reduce(xor, switches, 0)
             out.add(m)
-            out.add(mask ^ m)
+            out.add(full ^ m)
     return tuple(sorted(out))
 
 
@@ -180,7 +178,7 @@ def _rset_packed(k: int, x: Word, y: Word) -> list[int]:
     k = _validate_k(k)
     steps = _steps(x, y)
     t = len(steps)
-    return _scatter(x.index, steps, _ymask_patterns(k, (1 << t) - 1, t))
+    return _scatter(x.index, steps, _patterns(k, t))
 
 
 def rset(k: int, x: Word, y: Word) -> RSetResult:
@@ -212,7 +210,7 @@ def rset_recursive(k: int, x: Word, y: Word) -> RSetResult:
     t = len(steps)
     full = (1 << t) - 1
     lows = [(1 << c) - 1 for c in range(t - 1, 0, -1)]
-    zs = _ymask_patterns(k - 1, full, t)
+    zs = _patterns(k - 1, t)
     acc = {0, full}
     for sides in (lows, [full ^ low for low in reversed(lows)]):
         part = zs
@@ -238,52 +236,47 @@ def _over_budget(limit: int) -> BudgetExceededError:
 
 
 @lru_cache(maxsize=256)
-def _closure_patterns(k: int, t: int, limit: int) -> range | tuple[int, ...]:
-    """Closure of the parents 0 and 2**t - 1 in the canonical pattern space.
+def _closure_patterns(k: int, t: int, limit: int) -> range:
+    """Closure of the parents 0 and 2**t - 1 in the canonical box: the box.
 
-    Every kernel pattern is a subset of its pair's difference mask, so every
-    offspring lies in the parents' box, here the 2**t masks.  Once the box
-    is full no pending pair can add a member, so the fixpoint stops there;
-    until then every member is reached by an actual recombination of two
-    members.  Each member, newest first, is paired with its box antipode,
-    which differs from it everywhere and so has the largest recombination
-    set; then every pair is taken in discovery order.  Raises as soon as the
-    closure has more than ``limit`` members, which the member list never
-    holds.
+    A member u and its antipode u XOR (2**t - 1) differ everywhere, so their
+    offspring are the translate u XOR P of P = ``_patterns(k, t)``.  The walk
+    pops members newest first and translates each one whose antipode is a
+    member, once per antipodal pair, so every member is reached by an actual
+    recombination of two members.  P is closed under complement, so each
+    translate holds the antipodes of its words and every member gets
+    translated: the members are the span of P.  For k >= 1, P holds the t
+    suffix masks 2**c - 1, a basis of the box, so the members fill the box,
+    which holds every offspring of any two of them, and the walk stops
+    there.  Raises ``BudgetExceededError`` as soon as the closure has more
+    than ``limit`` members, and ``RuntimeError`` if the walk stops short of
+    the box, which only a kernel that breaks that proof can make it do.
     """
     size = 1 << t
     full = size - 1
-    members = [0, full] if t else [0]
-    if len(members) > limit:
+    stack = [0, full] if t else [0]
+    found = len(stack)
+    if found > limit:
         raise _over_budget(limit)
+    patterns = _patterns(k, t)
     seen = bytearray(size)
     seen[0] = seen[full] = 1
-    stack = members[:]
-
-    def grow(u: int, v: int) -> None:
-        fresh = [w for w in map(u.__xor__, _ymask_patterns(k, u ^ v, t))
-                 if not seen[w]]
-        if len(members) + len(fresh) > limit:
-            raise _over_budget(limit)
-        for w in fresh:
-            seen[w] = 1
-        members.extend(fresh)
-        stack.extend(fresh)
-
     while stack:
-        if len(members) == size:
+        if found == size:
             return range(size)
         u = stack.pop()
         if seen[full ^ u] == 1:
             # 2 marks a member whose antipode pair has been taken
             seen[u] = 2
-            grow(u, full ^ u)
-    for i, u in enumerate(members):
-        for v in members[:i]:
-            if len(members) == size:
-                return range(size)
-            grow(u, v)
-    return range(size) if len(members) == size else tuple(members)
+            fresh = [w for w in map(u.__xor__, patterns) if not seen[w]]
+            found += len(fresh)
+            if found > limit:
+                raise _over_budget(limit)
+            for w in fresh:
+                seen[w] = 1
+            stack.extend(fresh)
+    raise RuntimeError(
+        f"closure walk stopped at {found} of {size} masks: k={k} t={t}")
 
 
 def _closure_packed(k: int, x: Word, y: Word, budget: int) -> list[int]:
@@ -298,12 +291,13 @@ def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     """Least set containing x, y and closed under k-point recombination.
 
     Only which positions differ matters, so the closure is computed once per
-    (k, t) in the canonical pattern space (``_closure_patterns``) and
-    scattered to packed indices like any recombination set.  The cache holds
-    256 (k, t, limit) entries; ``limit`` is the budget capped at 2**t, the
-    largest possible closure, so budgets that cannot bind share one entry,
-    and a full box is stored as a ``range``.  Raises ``BudgetExceededError``
-    exactly when the closure has more than ``budget`` members.
+    (k, t) in the canonical box (``_closure_patterns``) and
+    scattered to packed indices like any recombination set: the closure is
+    the parents' box, their geodesic interval.  The cache holds 256
+    (k, t, limit) entries, each the box as a ``range``; ``limit`` is the
+    budget capped at 2**t, the box's size, so budgets that cannot bind share
+    one entry.  Raises ``BudgetExceededError`` exactly when the box has more
+    than ``budget`` members.
     """
     spec = require_same_spec(x, y)
     return WordSet.from_indices(_closure_packed(k, x, y, budget), spec)
@@ -312,13 +306,14 @@ def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
 def is_closed(k: int, x: Word, y: Word) -> bool:
     """Whether the recombination set R of x and y is recombination-closed.
 
-    The closure of x and y contains R, so R is closed exactly when the
-    closure, ``_closure_patterns`` with limit |R|, does not raise.
+    The closure of x and y contains R and is their box, so R is closed
+    exactly when the box has no more than |R| members, which is when
+    ``_closure_patterns`` with limit |R| does not raise.
     """
     k = _validate_k(k)
     t = hamming_distance(x, y)
     try:
-        _closure_patterns(k, t, len(_ymask_patterns(k, (1 << t) - 1, t)))
+        _closure_patterns(k, t, len(_patterns(k, t)))
     except BudgetExceededError:
         return False
     return True

@@ -140,8 +140,6 @@ def word_graph(words: WordSet) -> SimpleGraph:
     """
     members = words.members
     spec = words.spec
-    if spec is None:
-        return SimpleGraph([], [])
     index_of = {w.index: i for i, w in enumerate(members)}
     strides = spec._strides
     edges = []

@@ -29,9 +29,9 @@ W o W' = X o Y.  So (W, W') makes the elimination demand of (X, Y), and
 the unordered pairs of equal support raise every demand.  Both axioms read
 the restrictions of the family off a mask s from one table per popcount of
 s, so two layers are alive at once, and pairs go in blocks of about 2^12
-gathered across classes.  Only a family that fails is scanned pair by pair
-in canonical order, so the reported witness is the first in that order
-whichever way it was found.
+gathered across classes.  A failing family is scanned in canonical order,
+for F2 from the first member whose two counts differ, for F3 pair by pair,
+so the reported witness is the first in that order.
 
 The order on sign vectors is the face order: X <= Y when X agrees with Y on
 the support of X.  Canonical sorting is lexicographic per coordinate with
@@ -70,10 +70,10 @@ _CHARS = {1: "+", 0: "0", -1: "-"}
 _VALUES = {"+": 1, "0": 0, "-": -1}
 
 
-def _check_ground(n: int, budget: int = DEFAULT_GROUND_BUDGET) -> None:
-    if n > budget:
-        raise BudgetExceededError(
-            f"space too large: ground set {n} exceeds budget {budget}")
+def _check_ground(n: int) -> None:
+    if n > DEFAULT_GROUND_BUDGET:
+        raise BudgetExceededError(f"space too large: ground set {n} exceeds "
+                                  f"budget {DEFAULT_GROUND_BUDGET}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,9 +282,7 @@ def _zero_set_covectors(tope: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def covectors_from_topes(
-    topes: Iterable[SignVector], budget: int = DEFAULT_GROUND_BUDGET
-) -> OrientedMatroidData:
+def covectors_from_topes(topes: Iterable[SignVector]) -> OrientedMatroidData:
     """All sign vectors whose composition with every tope is a tope.
 
     Input topes must have full support and be closed under negation; the
@@ -304,7 +302,7 @@ def covectors_from_topes(
     masks = {t.pos for t in tope_set}
     if any(full ^ p not in masks for p in masks):
         raise ValueError("tope set not centrally symmetric")
-    _check_ground(n, budget)
+    _check_ground(n)
 
     # the 3^n grid in canonical order, so that the key of a vector is its
     # index: each coordinate, most significant first, splits every vector
@@ -375,13 +373,13 @@ def _masks(vectors: list[SignVector]) -> tuple[int, np.ndarray, np.ndarray]:
     return int(lengths[0]), pos, neg
 
 
-def _first_pair(pos: np.ndarray, neg: np.ndarray,
+def _first_pair(pos: np.ndarray, neg: np.ndarray, start: int,
                 flag: Callable[..., np.ndarray]) -> tuple[int, int, int]:
-    """(row, column, value) of the first ordered pair, row by row, for
-    which flag(X o Y masks, D) is nonzero."""
+    """(row, column, value) of the first ordered pair, row by row from row
+    ``start``, for which flag(X o Y masks, D) is nonzero."""
     m = len(pos)
     step = max(1, _BLOCK // m)
-    for lo in range(0, m, step):
+    for lo in range(start, m, step):
         xp, xn = pos[lo:lo + step, None], neg[lo:lo + step, None]
         free = ~(xp | xn)
         value = flag(xp | (pos & free), xn | (neg & free), (xp & neg) | (xn & pos))
@@ -430,9 +428,9 @@ def _layers(pos: np.ndarray, neg: np.ndarray,
 
 
 def _decide_f2_f3(pos: np.ndarray, neg: np.ndarray, table: np.ndarray,
-                  n: int) -> np.ndarray | None:
-    """None when F2 fails, else a 4^n table holding, at each F3 query, the
-    first coordinate e of its separator D with no eliminator, or 0.
+                  n: int) -> tuple[int | None, np.ndarray]:
+    """The first row failing F2, or None, and a 4^n table holding, at each F3
+    query, the first coordinate e of its separator D with no eliminator, or 0.
 
     F2 holds at X of support S when the count at key (~S, X) of layer
     n - |S| equals the number of keys of S in layer |S|.
@@ -470,7 +468,7 @@ def _decide_f2_f3(pos: np.ndarray, neg: np.ndarray, table: np.ndarray,
         missing = sep[asked] & ~zeros[np.searchsorted(keys, wanted[asked])]
         # e sits at bit n - e, so the first missing e is the top bit
         failing[queries[asked]] = np.where(missing, n + 1 - np.frexp(missing)[1], 0)
-    return None if unmet.any() else failing
+    return (int(order[unmet != 0].min()) if unmet.any() else None), failing
 
 
 def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
@@ -479,7 +477,8 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
 
     The report, witness included, is the first violation in canonical
     order: pairs (X, Y) row by row, then separating positions ascending.
-    A family that fails F2 or F3 is rescanned pair by pair for it.
+    A family that fails F2 is rescanned from the first row failing it, one
+    that fails F3 pair by pair.
     """
     given = list(vectors)
     if not given:
@@ -498,9 +497,9 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     if not negated.all():
         return FaceAxiomReport(False, "F1", (given[order[np.argmin(negated)]],))
 
-    failing = _decide_f2_f3(pos, neg, table, n)
-    if failing is None:
-        i, j, _ = _first_pair(pos, neg, lambda cp, cn, d: ~table[(cp << n) | cn])
+    row, failing = _decide_f2_f3(pos, neg, table, n)
+    if row is not None:
+        i, j, _ = _first_pair(pos, neg, row, lambda cp, cn, d: ~table[(cp << n) | cn])
         return FaceAxiomReport(False, "F2", (given[order[i]], given[order[j]]))
     if not failing.any():
         return FaceAxiomReport(True, None, None)
@@ -508,7 +507,7 @@ def check_face_axioms(vectors: Iterable[SignVector]) -> FaceAxiomReport:
     # a violation exists; rescan all pairs in canonical order so the
     # witness does not depend on the reduction above
     i, j, e = _first_pair(
-        pos, neg, lambda cp, cn, d: failing[((cp | d) << n) | (cn | d)])
+        pos, neg, 0, lambda cp, cn, d: failing[((cp | d) << n) | (cn | d)])
     return FaceAxiomReport(False, "F3", (given[order[i]], given[order[j]], e))
 
 
@@ -628,11 +627,11 @@ def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
     return d >= 1 and len(masks) == 2 * phi(d - 1, n - 1)
 
 
-def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> OrientedMatroidData:
+def om_from_rset(k: int, n: int) -> OrientedMatroidData:
     """Oriented matroid of the k-point crossover set on an antipodal pair."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    _check_ground(n, budget)
+    _check_ground(n)
     from .crossover import rset
 
     spec = AlphabetSpec((2,) * n)
@@ -640,7 +639,7 @@ def om_from_rset(k: int, n: int, budget: int = DEFAULT_GROUND_BUDGET) -> Oriente
     topes = [word_to_sign(w) for w in pair.members]
     if not uniform_tope_check(topes):
         raise RuntimeError("crossover topes failed the tope count test")
-    return covectors_from_topes(topes, budget=budget)
+    return covectors_from_topes(topes)
 
 
 def tope_graph(om: OrientedMatroidData):

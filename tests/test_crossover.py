@@ -129,17 +129,17 @@ class TestRSetAgainstDefinition:
     def test_patterns_are_cached_per_k_and_distance(self):
         # parents at the same distance share one pattern entry, whatever
         # their positions and alphabet
-        crossover_mod._ymask_patterns.cache_clear()
+        crossover_mod._patterns.cache_clear()
         try:
             rset(2, bword("0011010"), bword("1010011"))
-            misses = crossover_mod._ymask_patterns.cache_info().misses
+            misses = crossover_mod._patterns.cache_info().misses
             assert misses == 1
             spec = AlphabetSpec((3, 2, 4, 3, 2))
             rset(2, Word((0, 1, 3, 2, 0), spec), Word((2, 1, 1, 2, 1), spec))
-            info = crossover_mod._ymask_patterns.cache_info()
+            info = crossover_mod._patterns.cache_info()
             assert (info.misses, info.hits) == (misses, 1)
         finally:
-            crossover_mod._ymask_patterns.cache_clear()
+            crossover_mod._patterns.cache_clear()
 
     def test_translation_invariance(self):
         # shifting both parents by the same mask shifts the whole set
@@ -254,7 +254,7 @@ def literal_one_point_union(k, t):
     full = (1 << t) - 1
     lows = [(1 << c) - 1 for c in range(1, t)]
     sides = lows + [full ^ low for low in lows]
-    zs = crossover_mod._ymask_patterns(k - 1, full, t)
+    zs = crossover_mod._patterns(k - 1, t)
     acc = {0, full}
     for side in sides:
         acc.update(map(side.__and__, zs))
@@ -328,7 +328,7 @@ class TestRecursion:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_one_kernel_lookup(self, k):
         # only R_{k-1} comes from the kernel; the one-point step is literal
-        patterns = crossover_mod._ymask_patterns
+        patterns = crossover_mod._patterns
         spec = bspec(14)
         x, y = Word.parse("01101100101101", spec), Word.parse("10010101010010", spec)
         assert hamming_distance(x, y) == 12
@@ -337,7 +337,7 @@ class TestRecursion:
             rset_recursive(k, x, y)
             info = patterns.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
-            patterns(k - 1, 2 ** 12 - 1, 12)
+            patterns(k - 1, 12)
             assert patterns.cache_info().hits == info.hits + 1
         finally:
             patterns.cache_clear()
@@ -469,39 +469,15 @@ class TestClosure:
         assert box.indices == frozenset(range(2**16))
 
 
-def _toy_kernel(seed):
-    """Random masks inside each difference mask, closed under complement.
-
-    Unlike crossover, whose closure is always the whole box, these kernels
-    mostly leave the box partly empty.
-    """
-    @lru_cache(maxsize=None)
-    def patterns(k, diff, t):
-        rng = random.Random(seed * 1_000_003 + diff)
-        subs = [m for m in range(diff + 1) if m & diff == m]
-        out = {0, diff}
-        if rng.random() < 0.5:
-            for m in rng.sample(subs, min(k, len(subs))):
-                out |= {m, diff ^ m}
-        return tuple(sorted(out))
-    return patterns
+def half_box_kernel(k, t, patterns=crossover_mod._patterns):
+    """The (k, t) patterns whose two lowest bits agree: closed under
+    complement, but they span only half of the box for t >= 2."""
+    return tuple(m for m in patterns(k, t) if not (m ^ m >> 1) & 1)
 
 
-def pairwise_pattern_closure(kernel, k, t):
-    members = {0, (1 << t) - 1}
-    pending = [(0, (1 << t) - 1)]
-    while pending:
-        u, v = pending.pop()
-        for w in (u ^ m for m in kernel(k, u ^ v, t)):
-            if w not in members:
-                pending.extend((w, s) for s in members)
-                members.add(w)
-    return members
-
-
-class TestClosureFixpoint:
-    """The pattern-space fixpoint is exact for any kernel inside the box, so
-    its result is the closure whether or not the box fills."""
+class TestClosureWalk:
+    """The closure walk fills the box because the kernel is closed under
+    complement and holds the t suffix masks, a basis of the box."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -509,21 +485,32 @@ class TestClosureFixpoint:
         yield
         crossover_mod._closure_patterns.cache_clear()
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_pairwise_fixpoint_on_toy_kernels(self, monkeypatch, seed):
-        kernel = _toy_kernel(seed)
-        monkeypatch.setattr(crossover_mod, "_ymask_patterns", kernel)
-        filled = 0
-        for k in (1, 2):
-            for t in range(0, 8):
-                expect = pairwise_pattern_closure(kernel, k, t)
-                got = crossover_mod._closure_patterns(k, t, 1 << t)
-                assert sorted(got) == sorted(expect), (k, t)
-                filled += len(expect) == 1 << t
-                if len(expect) > 1:
-                    with pytest.raises(BudgetExceededError):
-                        crossover_mod._closure_patterns(k, t, len(expect) - 1)
-        assert 0 < filled < 16
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_patterns_hold_the_premise(self, k):
+        for t in range(17):
+            full = (1 << t) - 1
+            patterns = set(crossover_mod._patterns(k, t))
+            assert {full ^ m for m in patterns} == patterns, (k, t)
+            assert {(1 << c) - 1 for c in range(t + 1)} <= patterns, (k, t)
+
+    def test_walk_short_of_the_box_raises(self, monkeypatch):
+        monkeypatch.setattr(crossover_mod, "_patterns", half_box_kernel)
+        assert crossover_mod._closure_patterns(1, 1, 2) == range(2)
+        for k, t in ((1, 2), (2, 5), (3, 8)):
+            with pytest.raises(RuntimeError, match=(
+                    f"closure walk stopped at {2 ** (t - 1)} of {2 ** t} "
+                    f"masks: k={k} t={t}$")):
+                crossover_mod._closure_patterns(k, t, 1 << t)
+
+    def test_walk_short_of_the_box_fails_verify(self, monkeypatch):
+        from xoverlab import verify
+
+        monkeypatch.setattr(crossover_mod, "_patterns", half_box_kernel)
+        result = verify.check_closure(max_n=4, max_k=2)
+        assert not result.passed
+        assert [line for line in result.details
+                if line.startswith("FAIL closure:")] == [
+            f"FAIL closure: k={k} t={t}" for t in (2, 3, 4) for k in (1, 2)]
 
 
 class TestParents:

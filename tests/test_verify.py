@@ -11,7 +11,7 @@ from xoverlab.verify import CheckResult, run_suite
 
 REDUCED = [
     ("sizes", {"max_n": 5, "max_k": 3}),
-    ("recursion", {"max_n": 5, "max_k": 3, "samples": 5}),
+    ("recursion", {"max_n": 5, "max_k": 3}),
     ("closure", {"max_n": 5, "max_k": 2}),
     ("axioms", {}),
     ("hamming", {"max_n": 3}),
