@@ -17,13 +17,13 @@ p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
 subset-sum table per byte of the mask adds a byte's steps in one lookup.
 ``rset``, ``rset_recursive``, ``closure`` and ``find_parents`` all go through
 these two functions, and so do the axiom tables, which take the packed
-indices as they are.  ``rset_recursive`` asks the kernel for R_{k-1} only
-and takes its one-point step as literal prefix/suffix splits of the masks,
-read off nested prefix and suffix sets, so comparing it with ``rset`` checks
-the kernel at k against the kernel at k - 1.  ``rset_by_cut_enumeration``
-(the literal all-cut-subsets definition) shares none of it, and the test
-suite checks the two routes against each other before anything else relies
-on the kernel.
+indices as they are; a returned ``WordSet`` decodes its words on first read.
+``rset_recursive`` asks the kernel for R_{k-1} only and takes its one-point
+step as literal prefix/suffix splits of the masks, read off nested prefix
+and suffix sets, so comparing it with ``rset`` checks the kernel at k
+against the kernel at k - 1.  ``rset_by_cut_enumeration`` (the literal
+all-cut-subsets definition) shares none of it, and the test suite checks
+the two routes against each other before anything else relies on it.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ _set_n, _set_pos, _set_neg = (
 
 def _sign_vectors(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SignVector]:
     """SignVectors on masks known to be valid, so unchecked, built with the
-    collector paused, as WordSet.from_indices builds words."""
+    collector paused, as a WordSet decodes its words."""
     new = object.__new__
     out = []
     enabled = gc.isenabled()
@@ -634,9 +634,10 @@ def om_from_rset(k: int, n: int) -> OrientedMatroidData:
     _check_ground(n)
     from .crossover import rset
 
-    spec = AlphabetSpec((2,) * n)
-    pair = rset(k, Word.from_index(0, spec), Word.from_index((1 << n) - 1, spec))
-    topes = [word_to_sign(w) for w in pair.members]
+    spec, full = AlphabetSpec((2,) * n), (1 << n) - 1
+    pair = rset(k, Word.from_index(0, spec), Word.from_index(full, spec))
+    # a binary word's packed index is its + mask, so no word is decoded
+    topes = [SignVector(n, i, full ^ i) for i in pair.members.sorted_indices]
     if not uniform_tope_check(topes):
         raise RuntimeError("crossover topes failed the tope count test")
     return covectors_from_topes(topes)

@@ -7,26 +7,27 @@ is kept in that order so identical inputs give byte-identical output.
 
 Inside the package a word set is a set of packed mixed-radix indices
 (``AlphabetSpec.index_of``).  Position 1 is the most significant digit, so
-sorting the indices is sorting the words, and a ``WordSet`` keys and orders
-its members by index.  Indices become ``Word`` objects only at the
-``WordSet`` boundary, through one table decoder per alphabet: the positions
-are split into runs whose alphabet product is at most 256, each run's letter
+sorting the indices is sorting the words.  A ``WordSet`` holds its alphabet
+and its sorted indices, and ``WordSet.from_indices`` checks once, at
+construction, that every index lies in [0, size).  Length and equality read
+the sorted indices, ``indices`` and membership a frozenset built on first
+use.  The ``Word`` objects are built once, when ``members``, iteration, text
+or hashing first asks, by one table decoder per alphabet: the positions are
+split into runs whose alphabet product is at most 256, each run's letter
 tuples are tabulated in index order, and a word is its runs' table entries
-concatenated.  ``WordSet.from_indices`` checks once per set that every index
-lies in [0, size); every in-range index decodes to valid letters, so its
-words skip the per-letter check that ``Word(letters, spec)``, ``Word.parse``
-and ``Word.from_index`` apply to input from outside.  ``Word`` is slotted,
-one collector-tracked object per word, and ``from_indices`` sets its slots
-with the cyclic collector paused, so fresh words are not traversed again
-and again by young-generation collections while a set is decoded.
+concatenated.  Every in-range index has valid letters, so these words skip
+the per-letter check that ``Word(letters, spec)``, ``Word.parse`` and
+``Word.from_index`` apply to input from outside, and their slots are set
+with the cyclic collector paused.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
-from itertools import product
+from itertools import product, repeat
 from math import comb, prod
 from operator import add, ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -213,9 +214,24 @@ class Word:
         return self.letters < other.letters
 
 
-# Slot setters, which bypass the frozen __setattr__, for WordSet.from_indices
+# Slot setters, which bypass the frozen __setattr__, for _decode_words
 _set_letters, _set_spec, _set_index = (
     Word.letters.__set__, Word.spec.__set__, Word.index.__set__)
+
+
+def _decode_words(indices: Sequence[int], spec: AlphabetSpec) -> tuple[Word, ...]:
+    """Words of in-range indices, unchecked, one ``map`` per slot, collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        words = tuple(map(object.__new__, repeat(Word, len(indices))))
+        deque(map(_set_letters, words, _decoder(spec.sizes)(indices)), maxlen=0)
+        deque(map(_set_spec, words, repeat(spec)), maxlen=0)
+        deque(map(_set_index, words, indices), maxlen=0)
+    finally:
+        if enabled:
+            gc.enable()
+    return words
 
 
 def require_same_spec(x: Word, y: Word) -> AlphabetSpec:
@@ -227,9 +243,10 @@ def require_same_spec(x: Word, y: Word) -> AlphabetSpec:
 
 
 class WordSet:
-    """A set of words over one alphabet, iterated in canonical order."""
+    """A set of words over one alphabet, iterated in canonical order; its
+    ``Word``s are decoded on first read (see the module docstring)."""
 
-    __slots__ = ("_members", "_index_set", "_spec")
+    __slots__ = ("_spec", "_order", "_index_set", "_members")
 
     def __init__(self, members: Iterable[Word], spec: AlphabetSpec | None = None):
         seen: dict[int, Word] = {}
@@ -245,36 +262,20 @@ class WordSet:
             raise ValueError("empty WordSet needs an explicit alphabet")
         self._spec = spec
         # Index order is the canonical (lexicographic) order.
-        self._members = tuple(map(seen.__getitem__, sorted(seen)))
-        self._index_set = frozenset(seen)
+        self._order = tuple(sorted(seen))
+        self._members: tuple[Word, ...] | None = tuple(map(seen.get, self._order))
+        self._index_set: frozenset[int] | None = None
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], spec: AlphabetSpec) -> "WordSet":
-        """The words with the given packed indices, each decoded once.
-
-        One range check covers the whole set; the decoded words skip the
-        per-letter check, since every in-range index has valid letters.  The
-        collector is paused while they are built, then left as it was.
-        """
-        idxs = sorted(set(indices))
-        if idxs:
-            spec.check_index(idxs[0])
-            spec.check_index(idxs[-1])
-        new = object.__new__
-        members = []
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for i, letters in zip(idxs, _decoder(spec.sizes)(idxs)):
-                w = new(Word)
-                _set_letters(w, letters)
-                _set_spec(w, spec)
-                _set_index(w, i)
-                members.append(w)
-        finally:
-            if enabled:
-                gc.enable()
-        return cls(members, spec)
+        """The words with the given packed indices, decoded on first read;
+        one range check covers the whole set, here at construction."""
+        out = cls((), spec)
+        out._order = tuple(sorted(set(indices)))
+        for end in out._order[:1] + out._order[-1:]:
+            spec.check_index(end)
+        out._members = None
+        return out
 
     @property
     def spec(self) -> AlphabetSpec:
@@ -282,31 +283,39 @@ class WordSet:
 
     @property
     def members(self) -> tuple[Word, ...]:
+        if self._members is None:
+            self._members = _decode_words(self._order, self._spec)
         return self._members
 
     @property
     def indices(self) -> frozenset[int]:
+        if self._index_set is None:
+            self._index_set = frozenset(self._order)
         return self._index_set
 
+    @property
+    def sorted_indices(self) -> tuple[int, ...]:
+        return self._order
+
     def to_text(self) -> list[str]:
-        return [str(w) for w in self._members]
+        return [str(w) for w in self.members]
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._order)
 
     def __contains__(self, w: object) -> bool:
-        return isinstance(w, Word) and w.spec == self._spec and w.index in self._index_set
+        return isinstance(w, Word) and w.spec == self._spec and w.index in self.indices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordSet):
             return NotImplemented
-        return self._members == other._members
+        return self._order == other._order and self._spec == other._spec
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.members)
 
     def __repr__(self) -> str:
         return f"WordSet({{{', '.join(self.to_text())}}})"

@@ -605,6 +605,16 @@ class TestCovectorsFromTopes:
             topes = [SignVector(n, p, full & ~p) for q in half for p in (q, full & ~q)]
             assert covectors_from_topes(topes) == literal_tope_filter(topes)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_topes_come_from_the_indices_in_word_order(self, n, monkeypatch):
+        # om_from_rset reads the set's sorted indices; the topes must be the
+        # word_to_sign images of its words, in the same order
+        seen = []
+        monkeypatch.setattr(matroid, "covectors_from_topes", seen.append)
+        for k in range(1, n):
+            om_from_rset(k, n)
+            assert seen.pop() == antipodal_topes(k, n), k
+
     def test_zero_set_blocks_do_not_change_the_result(self, monkeypatch):
         want = om_from_rset(3, 6)
         for size in (1, 50):  # one zero set per block, and a few per block

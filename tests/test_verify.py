@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from xoverlab import verify
+from xoverlab import verify, words
 from xoverlab.axioms import TransitTable
 from xoverlab.verify import CheckResult, run_suite
 
@@ -244,6 +244,17 @@ def test_only_sizes_sweeps_the_kernel(monkeypatch):
     for name, kwargs in REDUCED:
         assert verify.SUITES[name](**kwargs).passed, name
     assert callers == ["sizes"]
+
+
+def test_kernel_sweeps_decode_no_words(monkeypatch):
+    # sizes and recursion compare packed index sets; decoding a set's words
+    # there would cost more than the comparisons themselves
+    calls = []
+    monkeypatch.setattr(words, "_decode_words",
+                        lambda indices, spec: calls.append(len(indices)))
+    assert verify.check_sizes(max_n=6, max_k=3).passed
+    assert verify.check_recursion(max_n=8, max_k=3).passed
+    assert calls == []
 
 
 def test_graph_suites_stay_within_the_kernel_sweep():

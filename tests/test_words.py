@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import xoverlab
-
+import xoverlab.words as words_mod
+from xoverlab.crossover import (
+    closure,
+    lex_extreme_path_vertices,
+    rset,
+    rset_recursive,
+)
+from xoverlab.graphs import hamming_graph
 from xoverlab.words import (
     AlphabetSpec,
     BudgetExceededError,
@@ -190,7 +197,8 @@ class TestDecoder:
             want = [reference_letters(i, sizes) for i in idxs]
         ws = WordSet.from_indices(reversed(idxs), s)
         assert [w.letters for w in ws] == want
-        assert [w.index for w in ws] == idxs
+        assert [w.index for w in ws] == list(ws.sorted_indices) == idxs
+        assert all(w.spec is s for w in ws)
         assert [Word.from_index(i, s).letters for i in idxs] == want
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 4), (2,) * 20])
@@ -232,7 +240,7 @@ class TestDecoder:
                 gc.enable()
             else:
                 gc.disable()
-            assert len(WordSet.from_indices(range(s.size), s)) == s.size
+            assert len(WordSet.from_indices(range(s.size), s).members) == s.size
             assert gc.isenabled() is enabled
             for bad in ([-1, 0], [s.size]):
                 with pytest.raises(ValueError, match="out of range"):
@@ -262,6 +270,113 @@ class TestDecoder:
         assert decoded == built and hash(decoded) == hash(built)
         for w in decoded:
             assert w == Word(w.letters, s) and hash(w) == hash(Word(w.letters, s))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Calls of the set decoder, counted: one per WordSet whose words are built."""
+    calls = []
+    real = words_mod._decode_words
+
+    def counting(indices, spec):
+        calls.append(len(indices))
+        return real(indices, spec)
+
+    monkeypatch.setattr(words_mod, "_decode_words", counting)
+    return calls
+
+
+def _binary(text):
+    return Word.parse(text, spec_of(*[2] * len(text)))
+
+
+LAZY_PRODUCERS = {
+    "rset": lambda: rset(3, _binary("0000000000"), _binary("1011011101")).members,
+    "rset_n12": lambda: rset(3, _binary("0" * 12), _binary("1" * 12)).members,
+    "rset_n16": lambda: rset(
+        4, _binary("0110100110010110"), _binary("1001011011101001")).members,
+    "rset_recursive": lambda: rset_recursive(
+        3, _binary("0000000000"), _binary("1011011101")).members,
+    "closure": lambda: closure(2, _binary("00000000"), _binary("11101110")),
+    "lex_paths": lambda: lex_extreme_path_vertices(
+        _binary("0110100"), _binary("1011001")),
+    "interval": lambda: interval(Word((0, 1, 2), spec_of(3, 3, 4)),
+                                 Word((2, 1, 0), spec_of(3, 3, 4))),
+}
+
+
+class TestLazyDecoding:
+    @pytest.mark.parametrize("name", sorted(LAZY_PRODUCERS))
+    def test_producers_decode_on_first_read_and_once(self, name, decodes):
+        ws = LAZY_PRODUCERS[name]()
+        assert decodes == []
+        assert len(ws) > 1 and len(ws.indices) == len(ws.sorted_indices) == len(ws)
+        assert decodes == []
+        first = ws.members
+        assert decodes == [len(ws)]
+        assert ws.members is first
+        for i, w in zip(ws.sorted_indices, first, strict=True):
+            assert w.index == i and w.spec is ws.spec
+            assert w.letters == reference_letters(i, ws.spec.sizes)
+        assert list(ws) == list(first) and ws.to_text() == [str(w) for w in first]
+        hash(ws), repr(ws)
+        assert decodes == [len(ws)]
+
+    def test_hamming_graph_decodes_its_set_once(self, decodes):
+        # word_graph is the set's first and only reader
+        g = hamming_graph(spec_of(2, 3, 2))
+        assert g.n == 12 and decodes == [12]
+
+    def test_empty_set_decodes_to_nothing(self, decodes):
+        ws = WordSet.from_indices([], spec_of(2, 3))
+        assert len(ws) == 0 and ws.indices == frozenset() and decodes == []
+        assert ws.members == () and list(ws) == [] and ws.to_text() == []
+        assert ws == WordSet([], spec=spec_of(2, 3))
+
+    def test_out_of_range_raises_at_construction(self, decodes):
+        s = spec_of(2, 3)
+        for bad in ([0, -1], [s.size], [2, s.size + 3, 1]):
+            with pytest.raises(ValueError, match="out of range"):
+                WordSet.from_indices(bad, s)
+        assert decodes == []
+
+    def test_words_given_are_kept_as_members(self, decodes):
+        s = spec_of(2, 3)
+        given_words = [Word((1, 2), s), Word((0, 1), s)]
+        ws = WordSet(given_words)
+        assert all(a is b for a, b in zip(ws.members, given_words[::-1]))
+        assert decodes == []
+
+
+class TestWordSetEquality:
+    @pytest.mark.parametrize("sizes", [(2,) * 6, (3, 2, 4), (300, 2)])
+    def test_built_from_words_or_indices_equal_and_hash_equal(self, sizes, decodes):
+        s = AlphabetSpec(sizes)
+        idxs = random.Random(3).sample(range(s.size), 20)
+        packed = WordSet.from_indices(idxs, s)
+        built = WordSet([Word(reference_letters(i, sizes), s) for i in idxs])
+        assert packed == built and built == packed and not packed != built
+        assert decodes == []  # equality reads the indices only
+        assert hash(packed) == hash(built) == hash(built.members)
+
+    def test_same_indices_over_other_specs_unequal(self):
+        a = WordSet.from_indices([1, 5], spec_of(2, 2, 2))
+        b = WordSet.from_indices([1, 5], spec_of(2, 4))
+        c = WordSet.from_indices([1, 5], spec_of(2, 2, 2))
+        assert a != b and a == c and a.indices == b.indices
+        assert WordSet.from_indices([1], spec_of(2, 2, 2)) != a
+
+    @pytest.mark.parametrize("sizes", [(2,) * 5, (3, 2, 4)])
+    def test_len_and_membership_agree_with_the_members(self, sizes):
+        s = AlphabetSpec(sizes)
+        ws = WordSet.from_indices(random.Random(5).sample(range(s.size), 11), s)
+        inside = set(ws.members)
+        assert len(ws) == len(ws.members) == len(inside)
+        for w in s.iter_words():
+            assert (w in ws) == (w in inside)
+        other = AlphabetSpec(sizes + (2,))
+        assert Word.from_index(ws.sorted_indices[0], other) not in ws
+        assert ws.sorted_indices[0] not in ws and "0" not in ws
 
 
 def test_hamming_distance_basic():
