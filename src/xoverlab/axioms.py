@@ -265,7 +265,7 @@ def table_from_closure(
 ) -> TransitTable:
     """Recombination closures of every pair of words over the given alphabet."""
     return _pair_table(f"closure:{k}", spec, budget,
-                       lambda x, y: crossover._closure_packed(k, x, y, budget))
+                       lambda x, y: crossover._box_packed(k, x, y, budget))
 
 
 def table_from_interval(graph: SimpleGraph) -> TransitTable:

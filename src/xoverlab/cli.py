@@ -40,7 +40,7 @@ from .partialcube import (
     largest_cube_minor_dim,
     vc_dimension,
 )
-from .words import DEFAULT_BUDGET, AlphabetSpec, Word, hamming_distance
+from .words import DEFAULT_BUDGET, AlphabetSpec, Word, hamming_distance, _spec_runs
 
 # colorbrewer Dark2 + Set1, fixed order; cut class c gets entry c mod 12
 PALETTE = (
@@ -69,6 +69,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _parse_spec(args, word_text: str | None = None) -> AlphabetSpec:
     if args.spec is not None:
+        # n positions make at least 2**n words, over the budget exactly when
+        # n reaches its bit length: refuse before parse lists the positions
+        n = sum(count for _, count in _spec_runs(args.spec))
+        if n >= max(args.budget, 0).bit_length():
+            raise CliError(f"space too large: --spec {args.spec} has {n} "
+                           f"positions, over budget {args.budget}")
         return AlphabetSpec.parse(args.spec)
     if word_text is None:
         raise CliError("this command needs --spec")

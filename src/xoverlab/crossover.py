@@ -8,16 +8,17 @@ whose bit j stands for the j-th differing position counted from the last, a
 set bit meaning the second parent's letter, so the parents are 0 and
 2**t - 1.  ``_patterns(k, t)`` lists the offspring of those two masks; it is
 cached on (k, t), so every pair of parents at distance t, at any positions
-and over any alphabet, shares the one entry.  ``_closure_patterns`` closes
-the parents by translating that entry once per (k, t), and ``is_closed``
-asks it whether the closure outgrows the entry.
+and over any alphabet, shares the one entry.  The closure of the parents is
+their whole box, every t-bit mask, so ``closure`` scatters ``range(2**t)``
+and ``is_closed`` asks whether the closed-form size of R_k is 2**t.
 
 ``_scatter`` maps masks back to packed indices over any alphabet.  Position
 p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
 subset-sum table per byte of the mask adds a byte's steps in one lookup.
-``rset``, ``rset_recursive``, ``closure`` and ``find_parents`` all go through
-these two functions, and so do the axiom tables, which take the packed
-indices as they are; a returned ``WordSet`` decodes its words on first read.
+``rset``, ``rset_recursive`` and ``find_parents`` go through both
+functions, ``closure`` through ``_scatter`` alone, and so do the axiom
+tables, which take the packed indices as they are; a returned ``WordSet``
+decodes its words on first read.
 ``rset_recursive`` asks the kernel for R_{k-1} only and takes its one-point
 step as literal prefix/suffix splits of the masks, read off nested prefix
 and suffix sets, so comparing it with ``rset`` checks the kernel at k
@@ -231,92 +232,34 @@ def rset_size_formula(k: int, t: int) -> int:
     return 2 * phi(k, t - 1)
 
 
-def _over_budget(limit: int) -> BudgetExceededError:
-    return BudgetExceededError(f"space too large: closure exceeded budget {limit}")
-
-
-@lru_cache(maxsize=256)
-def _closure_patterns(k: int, t: int, limit: int) -> range:
-    """Closure of the parents 0 and 2**t - 1 in the canonical box: the box.
-
-    A member u and its antipode u XOR (2**t - 1) differ everywhere, so their
-    offspring are the translate u XOR P of P = ``_patterns(k, t)``.  The walk
-    pops members newest first and translates each one whose antipode is a
-    member, once per antipodal pair, so every member is reached by an actual
-    recombination of two members.  P is closed under complement, so each
-    translate holds the antipodes of its words and every member gets
-    translated: the members are the span of P.  For k >= 1, P holds the t
-    suffix masks 2**c - 1, a basis of the box, so the members fill the box,
-    which holds every offspring of any two of them, and the walk stops
-    there.  Raises ``BudgetExceededError`` as soon as the closure has more
-    than ``limit`` members, and ``RuntimeError`` if the walk stops short of
-    the box, which only a kernel that breaks that proof can make it do.
-    """
-    size = 1 << t
-    full = size - 1
-    stack = [0, full] if t else [0]
-    found = len(stack)
-    if found > limit:
-        raise _over_budget(limit)
-    patterns = _patterns(k, t)
-    seen = bytearray(size)
-    seen[0] = seen[full] = 1
-    while stack:
-        if found == size:
-            return range(size)
-        u = stack.pop()
-        if seen[full ^ u] == 1:
-            # 2 marks a member whose antipode pair has been taken
-            seen[u] = 2
-            fresh = [w for w in map(u.__xor__, patterns) if not seen[w]]
-            found += len(fresh)
-            if found > limit:
-                raise _over_budget(limit)
-            for w in fresh:
-                seen[w] = 1
-            stack.extend(fresh)
-    raise RuntimeError(
-        f"closure walk stopped at {found} of {size} masks: k={k} t={t}")
-
-
-def _closure_packed(k: int, x: Word, y: Word, budget: int) -> list[int]:
-    """Packed indices of closure(k, x, y): the (k, t) closure, scattered."""
-    k = _validate_k(k)
+def _box_packed(k: int, x: Word, y: Word, budget: int) -> list[int]:
+    """Packed indices of closure(k, x, y): every mask of the t differing
+    positions, scattered; ``BudgetExceededError`` if 2**t > budget."""
+    _validate_k(k)
     steps = _steps(x, y)
-    t = len(steps)
-    return _scatter(x.index, steps, _closure_patterns(k, t, min(budget, 1 << t)))
+    if 1 << len(steps) > budget:
+        raise BudgetExceededError(f"space too large: closure exceeded budget {budget}")
+    return _scatter(x.index, steps, range(1 << len(steps)))
 
 
 def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     """Least set containing x, y and closed under k-point recombination.
 
-    Only which positions differ matters, so the closure is computed once per
-    (k, t) in the canonical box (``_closure_patterns``) and
-    scattered to packed indices like any recombination set: the closure is
-    the parents' box, their geodesic interval.  The cache holds 256
-    (k, t, limit) entries, each the box as a ``range``; ``limit`` is the
-    budget capped at 2**t, the box's size, so budgets that cannot bind share
-    one entry.  Raises ``BudgetExceededError`` exactly when the box has more
-    than ``budget`` members.
+    It is the parents' box, their geodesic interval, for every k: the (k, t)
+    patterns are closed under complement and hold the t suffix masks, a
+    basis of the box, so recombining members with their antipodes spans
+    it, as ``verify closure`` re-derives.  Raises ``BudgetExceededError``
+    exactly when the box has more than ``budget`` members.
     """
     spec = require_same_spec(x, y)
-    return WordSet.from_indices(_closure_packed(k, x, y, budget), spec)
+    return WordSet.from_indices(_box_packed(k, x, y, budget), spec)
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
-    """Whether the recombination set R of x and y is recombination-closed.
-
-    The closure of x and y contains R and is their box, so R is closed
-    exactly when the box has no more than |R| members, which is when
-    ``_closure_patterns`` with limit |R| does not raise.
-    """
-    k = _validate_k(k)
+    """Whether the recombination set R of x and y is recombination-closed:
+    the closure contains R and is the box, so whether |R| is 2**t."""
     t = hamming_distance(x, y)
-    try:
-        _closure_patterns(k, t, len(_patterns(k, t)))
-    except BudgetExceededError:
-        return False
-    return True
+    return rset_size_formula(k, t) == 1 << t
 
 
 def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]:

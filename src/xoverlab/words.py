@@ -104,22 +104,23 @@ class AlphabetSpec:
     @classmethod
     def parse(cls, text: str) -> "AlphabetSpec":
         """Parse '2^4', '3,3', '2,3' or mixtures such as '2^3,3'."""
-        sizes: list[int] = []
-        for token in text.strip().split(","):
-            token = token.strip()
-            if not token:
-                raise ValueError(f"empty token in alphabet spec {text!r}")
-            if "^" in token:
-                base, _, count = token.partition("^")
-                if int(count) < 1:
-                    raise ValueError(f"repeat count below 1 in alphabet spec {text!r}")
-                sizes.extend([int(base)] * int(count))
-            else:
-                sizes.append(int(token))
-        return cls(tuple(sizes))
+        return cls(tuple(a for a, count in _spec_runs(text) for _ in range(count)))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.sizes)
+
+
+def _spec_runs(text: str) -> Iterator[tuple[int, int]]:
+    """(alphabet size, repeat count) per token of an alphabet spec."""
+    for token in text.strip().split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"empty token in alphabet spec {text!r}")
+        base, caret, count = token.partition("^")
+        repeat_count = int(count) if caret else 1
+        if repeat_count < 1:
+            raise ValueError(f"repeat count below 1 in alphabet spec {text!r}")
+        yield int(base), repeat_count
 
 
 @lru_cache(maxsize=64)

@@ -133,6 +133,19 @@ class TestErrors:
         assert cli.main(argv) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--source", "rset:1", "--spec", "2^10000000000000000000"],
+        ["rset", "-k", "1", "-x", "01", "-y", "10",
+         "--spec", f"2^{2 ** 63},3", "--budget", str(2 ** 64)],
+    ])
+    def test_huge_repeat_count_exits_2_before_parse(self, argv, capsys):
+        # the count alone exceeds the budget; listing its positions would
+        # overflow or exhaust memory
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: space too large: --spec ")
+        assert captured.out == ""
+
     def test_unknown_axiom_lists_catalog(self, capsys):
         cli.main(["axioms", "--source", "rset:1", "--spec", "2^2",
                   "--check", "QQ"])
@@ -193,6 +206,13 @@ class TestMain:
                          "--spec", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["members"] == ["0", "1"]
+
+    def test_rset_over_64_positions_with_a_raised_budget(self, capsys):
+        # is_closed is a size test, so the 2^64-word box is never enumerated
+        assert cli.main(["rset", "-k", "2", "-x", "0" * 64, "-y", "1" * 64,
+                         "--budget", str(2 ** 64)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["closed"], doc["size"]) == (False, 4034)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "doc.json"

@@ -462,6 +462,13 @@ class TestClosure:
             for k in {max(t - 1, 1), max(t - 2, 1)}:
                 assert is_closed(k, x, y) == (t <= k + 1), (k, t)
 
+    def test_is_closed_at_64_positions(self):
+        # a size test: nothing of the 2^64-word box is enumerated
+        spec = bspec(64)
+        x, y = Word((0,) * 64, spec), Word((1,) * 64, spec)
+        assert not is_closed(2, x, y)
+        assert is_closed(63, x, y)
+
     @pytest.mark.parametrize("k", [4, 6])
     def test_closure_of_the_16_bit_box(self, k):
         spec = bspec(16)
@@ -476,14 +483,9 @@ def half_box_kernel(k, t, patterns=crossover_mod._patterns):
 
 
 class TestClosureWalk:
-    """The closure walk fills the box because the kernel is closed under
-    complement and holds the t suffix masks, a basis of the box."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        crossover_mod._closure_patterns.cache_clear()
-        yield
-        crossover_mod._closure_patterns.cache_clear()
+    """The closure walk of ``verify closure`` fills the box because the
+    kernel is closed under complement and holds the t suffix masks, a basis
+    of the box."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_patterns_hold_the_premise(self, k):
@@ -493,14 +495,15 @@ class TestClosureWalk:
             assert {full ^ m for m in patterns} == patterns, (k, t)
             assert {(1 << c) - 1 for c in range(t + 1)} <= patterns, (k, t)
 
-    def test_walk_short_of_the_box_raises(self, monkeypatch):
-        monkeypatch.setattr(crossover_mod, "_patterns", half_box_kernel)
-        assert crossover_mod._closure_patterns(1, 1, 2) == range(2)
+    def test_walk_stops_short_of_the_box(self):
+        from xoverlab import verify
+
+        walk = verify._closure_walk
+        assert walk(frozenset(half_box_kernel(1, 1)), 1) == {0, 1}
         for k, t in ((1, 2), (2, 5), (3, 8)):
-            with pytest.raises(RuntimeError, match=(
-                    f"closure walk stopped at {2 ** (t - 1)} of {2 ** t} "
-                    f"masks: k={k} t={t}$")):
-                crossover_mod._closure_patterns(k, t, 1 << t)
+            assert len(walk(frozenset(half_box_kernel(k, t)), t)) == 2 ** (t - 1)
+            kernel = frozenset(crossover_mod._patterns(k, t))
+            assert walk(kernel, t) == set(range(2 ** t)), (k, t)
 
     def test_walk_short_of_the_box_fails_verify(self, monkeypatch):
         from xoverlab import verify

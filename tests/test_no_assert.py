@@ -9,7 +9,7 @@ PACKAGE = Path(xoverlab.__file__).parent
 
 
 def test_no_assert_statements_in_the_package():
-    modules = sorted(PACKAGE.glob("*.py"))
+    modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = [
         f"{path.name}:{node.lineno}"

@@ -39,6 +39,7 @@ BOUNDED = [
     ("sizes", {"max_k": 0, "max_n": 3}),
     ("recursion", {"max_k": 1, "max_n": 3}),
     ("closure", {"max_n": 0}),
+    ("closure", {"max_n": -1}),
     ("hamming", {"max_n": 0}),
     ("parents", {"max_n": 2, "max_k": 1}),
     ("partialcube", {"max_n": 0}),
@@ -322,12 +323,20 @@ def test_kernel_wrong_at_t12_fails_parents(monkeypatch):
 
 
 def test_closure_missing_a_member_fails(monkeypatch):
-    from xoverlab import crossover
+    real = verify._closure_walk
+    monkeypatch.setattr(verify, "_closure_walk",
+                        lambda patterns, t: real(patterns, t) - {1})
+    result = verify.check_closure(max_n=3, max_k=1)
+    assert not result.passed
+    assert [line for line in result.details if line.startswith("FAIL")] == [
+        f"FAIL closure: k=1 t={t}" for t in (1, 2, 3)]
 
-    real = crossover._closure_patterns
-    monkeypatch.setattr(
-        crossover, "_closure_patterns",
-        lambda k, t, limit: tuple(m for m in real(k, t, limit) if m != 1))
+
+def test_library_closure_short_of_the_box_fails(monkeypatch):
+    # the walk fills the box, but the library's closure drops the mask 1
+    real = verify.closure
+    monkeypatch.setattr(verify, "closure", lambda k, x, y: (
+        words.WordSet.from_indices(real(k, x, y).indices - {1}, x.spec)))
     result = verify.check_closure(max_n=3, max_k=1)
     assert not result.passed
     assert [line for line in result.details if line.startswith("FAIL")] == [
