@@ -6,6 +6,9 @@ induced structure, om builds the sign-vector data, verify reruns the named
 result suites.  Every JSON document carries tool_version, config and
 command header fields; all orders are canonical, so identical invocations
 emit identical bytes.  The seed only influences suites that sample.
+The axioms, matroid and verify layers (and with them numpy) are imported
+inside the commands that use them, so rset, closure and graph start
+without them.
 """
 
 from __future__ import annotations
@@ -17,20 +20,9 @@ import os
 import sys
 from functools import lru_cache
 
-from . import __version__, verify as verify_mod
-from .axioms import (
-    AXIOM_IDS,
-    DEFAULT_SIX_VAR_LIMIT,
-    SIX_VAR_AXIOMS,
-    check_all,
-    check_axiom,
-    table_from_closure,
-    table_from_interval,
-    table_from_rset,
-)
+from . import __version__
 from .crossover import closure, is_closed, rset, transit_graph
 from .graphs import hamming_graph
-from .matroid import face_lattice, is_uniform, om_from_rset, uniform_tope_check
 from .partialcube import (
     cut_sizes,
     degree_profile,
@@ -40,7 +32,9 @@ from .partialcube import (
     largest_cube_minor_dim,
     vc_dimension,
 )
-from .words import DEFAULT_BUDGET, AlphabetSpec, Word, hamming_distance, _spec_runs
+from .words import (
+    DEFAULT_BUDGET, AlphabetSpec, Word, _number, _spec_runs, hamming_distance,
+)
 
 # colorbrewer Dark2 + Set1, fixed order; cut class c gets entry c mod 12
 PALETTE = (
@@ -71,7 +65,10 @@ def _parse_spec(args, word_text: str | None = None) -> AlphabetSpec:
     if args.spec is not None:
         # n positions make at least 2**n words, over the budget exactly when
         # n reaches its bit length: refuse before parse lists the positions
-        n = sum(count for _, count in _spec_runs(args.spec))
+        try:
+            n = sum(count for _, count in _spec_runs(args.spec))
+        except ValueError as err:
+            raise CliError(f"--spec: {err}") from err
         if n >= max(args.budget, 0).bit_length():
             raise CliError(f"space too large: --spec {args.spec} has {n} "
                            f"positions, over budget {args.budget}")
@@ -88,7 +85,14 @@ def _parse_spec(args, word_text: str | None = None) -> AlphabetSpec:
 def _parse_pair(args) -> tuple[Word, Word]:
     spec = _parse_spec(args, args.x)
     spec.check_budget(args.budget)
-    return Word.parse(args.x, spec), Word.parse(args.y, spec)
+    return _parse_word("-x", args.x, spec), _parse_word("-y", args.y, spec)
+
+
+def _parse_word(flag: str, text: str, spec: AlphabetSpec) -> Word:
+    try:
+        return Word.parse(text, spec)
+    except ValueError as err:
+        raise CliError(f"{flag}: {err}") from err
 
 
 def _config(args) -> dict:
@@ -162,6 +166,9 @@ def cmd_closure(args) -> tuple[int, str]:
 
 
 def _build_table(source: str, spec: AlphabetSpec, budget: int):
+    # axioms loads numpy; only the axioms command pays for it
+    from .axioms import table_from_closure, table_from_interval, table_from_rset
+
     kind, _, rest = source.partition(":")
     if kind == "interval" and not rest:
         g = hamming_graph(spec, budget)
@@ -176,6 +183,11 @@ def _build_table(source: str, spec: AlphabetSpec, budget: int):
 
 
 def cmd_axioms(args) -> tuple[int, str]:
+    # axioms loads numpy; rset, closure and graph start without it
+    from .axioms import (
+        AXIOM_IDS, DEFAULT_SIX_VAR_LIMIT, SIX_VAR_AXIOMS, check_all, check_axiom,
+    )
+
     spec = _parse_spec(args)
     if args.check is None or args.check == "all":
         names = None
@@ -301,6 +313,9 @@ def cmd_graph(args) -> tuple[int, str]:
 
 
 def cmd_om(args) -> tuple[int, str]:
+    # matroid loads numpy; only the om command pays for it
+    from .matroid import face_lattice, is_uniform, om_from_rset, uniform_tope_check
+
     AlphabetSpec((2,) * args.n).check_budget(args.budget)
     om = om_from_rset(args.k, args.n)
     uniform, support = is_uniform(om)
@@ -345,23 +360,27 @@ def cmd_om(args) -> tuple[int, str]:
 
 def _parse_t_range(text: str) -> tuple[int, ...]:
     out: list[int] = []
+    where = f"--t {text!r}"
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, _, hi = part.partition("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_number(lo, where), _number(hi, where) + 1))
         elif part:
-            out.append(int(part))
+            out.append(_number(part, where))
     if not out:
         raise CliError(f"empty t range {text!r}")
     return tuple(out)
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    # verify imports every layer; only the verify command pays for them
+    from .verify import run_suite
+
     given = {"seed": args.seed, "max_n": args.max_n, "max_k": args.max_k,
              "ts": None if args.t is None else _parse_t_range(args.t)}
     bounds = {k: v for k, v in given.items() if v is not None}
-    results = verify_mod.run_suite(args.suite, budget=args.budget, **bounds)
+    results = run_suite(args.suite, budget=args.budget, **bounds)
     doc = _doc(
         args, "verify",
         suite=args.suite,

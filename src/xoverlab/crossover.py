@@ -8,9 +8,13 @@ whose bit j stands for the j-th differing position counted from the last, a
 set bit meaning the second parent's letter, so the parents are 0 and
 2**t - 1.  ``_patterns(k, t)`` lists the offspring of those two masks; it is
 cached on (k, t), so every pair of parents at distance t, at any positions
-and over any alphabet, shares the one entry.  The closure of the parents is
-their whole box, every t-bit mask, so ``closure`` scatters ``range(2**t)``
-and ``is_closed`` asks whether the closed-form size of R_k is 2**t.
+and over any alphabet, shares the one entry.  An offspring by j cuts
+switches parent j times, so under the switch map D(w) = w ^ (w >> 1) on
+the low t - 1 bits (linear, 2-to-1, kernel {0, 2**t - 1}) the table is
+D⁻¹(B(0, k)), the preimage of the Hamming ball of radius k about 0.  The
+closure of the parents is their whole box, every t-bit mask, so
+``closure`` scatters ``range(2**t)`` and ``is_closed`` asks whether the
+closed-form size of R_k is 2**t.
 
 ``_scatter`` maps masks back to packed indices over any alphabet.  Position
 p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
@@ -30,9 +34,9 @@ the two routes against each other before anything else relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import sub, xor
+from operator import sub
 from typing import Iterable, Sequence
 
 from .graphs import SimpleGraph, word_graph
@@ -128,21 +132,27 @@ def rset_by_cut_enumeration(k: int, x: Word, y: Word) -> WordSet:
 
 @lru_cache(maxsize=65536)
 def _patterns(k: int, t: int) -> tuple[int, ...]:
-    """Offspring of the t-bit masks 0 and 2**t - 1 by at most k cuts.
+    """Offspring of the t-bit masks 0 and 2**t - 1 by at most k cuts, ascending.
 
     The switch of parent between the c lowest bits and the rest flips the
-    suffix mask 2**c - 1, so an offspring is the XOR of at most k suffix
-    masks with 0 < c < t, or its complement.
+    suffix mask 2**c - 1, so an offspring is a mask with at most k switches
+    (bits j and j - 1 differ); with k >= t - 1 that is every mask.  The
+    table is built by its highest switch.  Let lo[j] hold the ascending
+    masks below 2**(s - 1) with at most j switches among s bits.  At s + 1
+    bits, lo[j] gains the masks with bit s - 1 set, a switch below the top
+    bit: the complements within s bits of lo[j - 1], reversed so that they
+    stay ascending.  The upper half of the table complements the lower.
     """
     full = (1 << t) - 1
-    lows = [(1 << c) - 1 for c in range(1, t)]
-    out: set[int] = set()
-    for count in range(min(k, len(lows)) + 1):
-        for switches in combinations(lows, count):
-            m = reduce(xor, switches, 0)
-            out.add(m)
-            out.add(full ^ m)
-    return tuple(sorted(out))
+    if k >= t - 1:
+        return tuple(range(full + 1))
+    lo = [[0] for _ in range(k + 1)]
+    for s in range(1, t):
+        flip = (1 << s) - 1
+        for j in range(k, 0, -1):
+            lo[j] += [flip ^ w for w in reversed(lo[j - 1])]
+    low = lo[k]
+    return tuple(low + [full ^ w for w in reversed(low)])
 
 
 def _steps(x: Word, y: Word) -> list[int]:

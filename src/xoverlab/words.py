@@ -112,15 +112,24 @@ class AlphabetSpec:
 
 def _spec_runs(text: str) -> Iterator[tuple[int, int]]:
     """(alphabet size, repeat count) per token of an alphabet spec."""
+    where = f"alphabet spec {text!r}"
     for token in text.strip().split(","):
         token = token.strip()
         if not token:
-            raise ValueError(f"empty token in alphabet spec {text!r}")
+            raise ValueError(f"empty token in {where}")
         base, caret, count = token.partition("^")
-        repeat_count = int(count) if caret else 1
+        repeat_count = _number(count, where) if caret else 1
         if repeat_count < 1:
-            raise ValueError(f"repeat count below 1 in alphabet spec {text!r}")
-        yield int(base), repeat_count
+            raise ValueError(f"repeat count below 1 in {where}")
+        yield _number(base, where), repeat_count
+
+
+def _number(token: str, where: str) -> int:
+    """int(token), or a ValueError that names the token and where it stood."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not a number in {where}") from None
 
 
 @lru_cache(maxsize=64)
@@ -197,14 +206,15 @@ class Word:
 
     @classmethod
     def parse(cls, text: str, spec: AlphabetSpec) -> "Word":
+        where = f"word {text!r}"
         if "," in text:
-            letters = tuple(int(tok) for tok in text.split(","))
+            letters = tuple(_number(tok, where) for tok in text.split(","))
         else:
             if not spec.compact_text:
                 raise ValueError(
                     f"alphabet {spec} needs comma-separated words, got {text!r}"
                 )
-            letters = tuple(int(ch) for ch in text)
+            letters = tuple(_number(ch, where) for ch in text)
         return cls(letters, spec)
 
     def __str__(self) -> str:

@@ -18,7 +18,7 @@ from golden_manifest import GOLDEN, GOLDEN_DIR
 
 from xoverlab import cli
 from xoverlab.matroid import face_lattice, om_from_rset
-from xoverlab.verify import CheckResult
+from xoverlab.verify import SUITES, CheckResult
 
 
 @pytest.mark.parametrize("argv,name", GOLDEN, ids=[g[1] for g in GOLDEN])
@@ -144,6 +144,24 @@ class TestErrors:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: space too large: --spec ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rset", "-k", "1", "-x", "0a", "-y", "11", "--spec", "2^2"],
+         "-x: 'a' is not a number in word '0a'"),
+        (["rset", "-k", "1", "-x", "0,x", "-y", "1,1", "--spec", "3,3"],
+         "-x: 'x' is not a number in word '0,x'"),
+        (["axioms", "--source", "rset:1", "--spec", "2^"],
+         "--spec: '' is not a number in alphabet spec '2^'"),
+        (["axioms", "--source", "rset:1", "--spec", "x,2"],
+         "--spec: 'x' is not a number in alphabet spec 'x,2'"),
+        (["verify", "sizes", "--t", "3..x"],
+         "'x' is not a number in --t '3..x'"),
+    ])
+    def test_malformed_number_names_flag_and_text(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_unknown_axiom_lists_catalog(self, capsys):
@@ -310,6 +328,53 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestColdStart:
+    """Each command imports only the layers it runs: numpy comes in with
+    axioms and matroid, and only the commands that use them load them."""
+
+    LAZY = ("numpy", "xoverlab.axioms", "xoverlab.matroid", "xoverlab.verify")
+
+    @staticmethod
+    def _loaded_after(argv) -> set[str]:
+        code = (
+            "import contextlib, io, sys\n"
+            "from xoverlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = cli.main({argv!r})\n"
+            "    except SystemExit as exit:\n"
+            "        code = exit.code\n"
+            "print(code, *sorted(sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        status, *modules = proc.stdout.split()
+        assert status == "0", proc.stderr
+        return set(modules)
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["rset", "-k", "2", "-x", "0000", "-y", "1111"],
+        ["closure", "-k", "1", "-x", "000", "-y", "111"],
+        ["graph", "-k", "2", "-x", "0000", "-y", "1111", "--format", "dot"],
+        ["graph", "-k", "2", "-x", "0000", "-y", "1111"],
+    ])
+    def test_pair_commands_load_no_numpy(self, argv):
+        loaded = self._loaded_after(argv)
+        assert "xoverlab.cli" in loaded
+        assert not loaded & set(self.LAZY)
+
+    @pytest.mark.parametrize("argv,needed", [
+        (["axioms", "--source", "rset:1", "--spec", "2^3"], "xoverlab.axioms"),
+        (["om", "-k", "1", "-n", "3"], "xoverlab.matroid"),
+    ])
+    def test_numpy_commands_load_only_their_layer(self, argv, needed):
+        loaded = self._loaded_after(argv)
+        assert {"numpy", needed} <= loaded
+        assert not loaded & (set(self.LAZY) - {"numpy", needed})
+
+
 class TestVerifyCommand:
     def test_named_suite_passes(self):
         code, text, _ = cli._run(["verify", "r2", "--t", "4..5"])
@@ -329,7 +394,7 @@ class TestVerifyCommand:
         def stub():
             return CheckResult("stub", False, ("FAIL forced",))
 
-        monkeypatch.setitem(cli.verify_mod.SUITES, "stub", stub)
+        monkeypatch.setitem(SUITES, "stub", stub)
         code, text, _ = cli._run(["verify", "stub"])
         assert code == 1
         assert json.loads(text)["passed"] is False
@@ -379,9 +444,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["om", "all"])
     def test_om_ground_set_limit_exits_2_before_any_suite(self, suite, capsys,
                                                            monkeypatch):
-        for name, fn in list(cli.verify_mod.SUITES.items()):
-            monkeypatch.setitem(cli.verify_mod.SUITES, name,
-                                self._refusing(fn))
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, self._refusing(fn))
         assert cli.main(["verify", suite, "--max-n", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
@@ -393,9 +457,8 @@ class TestVerifyCommand:
     ])
     def test_t_below_3_exits_2_before_any_suite(self, suite, t, least, capsys,
                                                  monkeypatch):
-        for name, fn in list(cli.verify_mod.SUITES.items()):
-            monkeypatch.setitem(cli.verify_mod.SUITES, name,
-                                self._refusing(fn))
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, self._refusing(fn))
         assert cli.main(["verify", suite, "--t", t]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: r2 needs every t >= 3; got t={least}\n"
@@ -407,9 +470,8 @@ class TestVerifyCommand:
 
     def test_bound_a_named_suite_does_not_take_exits_2(self, capsys,
                                                       monkeypatch):
-        for name, fn in list(cli.verify_mod.SUITES.items()):
-            monkeypatch.setitem(cli.verify_mod.SUITES, name,
-                                self._refusing(fn))
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, self._refusing(fn))
         assert cli.main(["verify", "om", "--max-k", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: om takes no --max-k\n"
@@ -421,9 +483,8 @@ class TestVerifyCommand:
     ])
     def test_refused_bound_is_named_by_its_flag(self, capsys, monkeypatch,
                                                 argv, flags):
-        for name, fn in list(cli.verify_mod.SUITES.items()):
-            monkeypatch.setitem(cli.verify_mod.SUITES, name,
-                                self._refusing(fn))
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, self._refusing(fn))
         assert cli.main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {argv[0]} takes no {flags}\n"

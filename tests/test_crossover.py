@@ -126,6 +126,15 @@ class TestRSetAgainstDefinition:
             k = rng.randint(1, 4)
             assert rset(k, x, y).members == rset_by_cut_enumeration(k, x, y)
 
+    @pytest.mark.parametrize("t", range(13))
+    def test_patterns_are_the_masks_with_at_most_k_switches(self, t):
+        # D(w) = w ^ (w >> 1) on the low t - 1 bits marks w's switches
+        low = (1 << t >> 1) - 1
+        switches = [((w ^ w >> 1) & low).bit_count() for w in range(2 ** t)]
+        for k in (*range(1, t + 3), 10 ** 6):
+            expected = tuple(w for w, s in enumerate(switches) if s <= k)
+            assert crossover_mod._patterns(k, t) == expected, (k, t)
+
     def test_patterns_are_cached_per_k_and_distance(self):
         # parents at the same distance share one pattern entry, whatever
         # their positions and alphabet
