@@ -38,6 +38,23 @@ becomes a few row operations plus a lowest-set-bit lookup:
 
 ``table_closure`` (once per distinct mask) and ``convex_sets`` share one
 hull: the least superset of a mask holding the entry of each pair in it.
+A table that is already closed is its own closed table, so CGp on it reads
+the table's own rows.
+
+Base point.  Over a whole word space every catalog table (``rset:k``,
+``closure:k`` and ``interval``, any alphabet) is invariant under the
+translations of the space: the cyclic letter shift of one position,
+letter -> letter + 1 mod a, maps E(x, y) onto E(g x, g y).  These shifts
+generate Z_{a_1} x ... x Z_{a_n}, which moves any word to any other, and
+every axiom is stated through E alone, so a violating tuple moves to one
+whose first variable is the all-zero word, index 0.  Canonical order
+minimises the first variable first, so the first witness, if any, starts
+at index 0, and each finder scans first variables below ``_head`` only:
+1 on such a table, v on any other.  ``_head`` checks the invariance on the
+table's rows, one shift per position, and trusts nothing else.  The
+closure keeps every automorphism of the table, so CGp uses the table's
+``_head``; MM and AX stop at the first mask or edge that starts at
+``_head``, and AX builds its rows only as the scan reaches them.
 
 AX and AXp are the same predicate as written: AXp spells out the three
 parallelism tests of AX entry by entry, so both catalog entries share one
@@ -217,7 +234,46 @@ class TransitTable:
 
     @cached_property
     def _closure(self) -> "TransitTable":
-        return table_closure(self)
+        """The closed table; the table itself when it is already closed."""
+        closed = table_closure(self)
+        return self if closed._entry == self._entry else closed
+
+    @cached_property
+    def _head(self) -> int:
+        """How many first-variable values a finder scans, from index 0.
+
+        1 when the carrier is every word of one alphabet in index order and
+        each position's cyclic letter shift g (letter -> letter + 1 mod a)
+        is an automorphism, E(g x, g y) = g E(x, y); otherwise v.  Packed
+        row x holds E(x, y) in block y, so g acts on it twice by the same
+        two shifts, on the bits of every block and on the blocks.
+        """
+        carrier, v = self._carrier, len(self._carrier)
+        spec = getattr(carrier[0], "spec", None)
+        if not (isinstance(spec, AlphabetSpec) and spec.size == v and all(
+                isinstance(w, Word) and w.index == i and w.spec == spec
+                for i, w in enumerate(carrier))):
+            return v
+        width = (v + 7) // 8
+        stride = 8 * width
+        rows = [_packed(row, width) for row in self._entry]
+        ones = _packed([1] * v, width)
+        full = (1 << v) - 1
+        every = full * ones
+        for a, s in zip(spec.sizes, spec._strides):
+            # top: the words whose letter at this position is a - 1
+            top = sum(1 << i for i in range(v) if i // s % a == a - 1)
+            back = (a - 1) * s
+            bits_top = top * ones
+            blocks_top = _packed([full * (top >> y & 1) for y in range(v)], width)
+            bits_rest, blocks_rest = every ^ bits_top, every ^ blocks_top
+            for x, row in enumerate(rows):
+                row = (row & bits_rest) << s | (row & bits_top) >> back
+                row = ((row & blocks_rest) << s * stride
+                       | (row & blocks_top) >> back * stride)
+                if row != rows[x - back if top >> x & 1 else x + s]:
+                    return v
+        return 1
 
     @cached_property
     def _intervals(self) -> list[list[int]]:
@@ -383,7 +439,7 @@ def _resolve_sizes(t: TransitTable, n, a, sizes) -> tuple[int, ...] | None:
 # scan of the axiom's body; the tests keep the bodies and check this.
 
 def _find_T1(t: TransitTable):
-    for x, row in enumerate(t._entry):
+    for x, row in enumerate(t._entry[:t._head]):
         for y, e in enumerate(row):
             if not (e >> x & 1 and e >> y & 1):
                 return (x, y)
@@ -392,7 +448,7 @@ def _find_T1(t: TransitTable):
 
 def _find_T2(t: TransitTable):
     entry = t._entry
-    for x, row in enumerate(entry):
+    for x, row in enumerate(entry[:t._head]):
         for y, e in enumerate(row):
             if e != entry[y][x]:
                 return (x, y)
@@ -400,7 +456,7 @@ def _find_T2(t: TransitTable):
 
 
 def _find_T3(t: TransitTable):
-    for x, row in enumerate(t._entry):
+    for x, row in enumerate(t._entry[:t._head]):
         if row[x] != 1 << x:
             return (x,)
     return None
@@ -408,7 +464,8 @@ def _find_T3(t: TransitTable):
 
 def _find_GW4(t: TransitTable):
     # bad z: in E(x, y), with |E(x, z)| above |E(x, y)|.
-    for x, (ex, sx, lx) in enumerate(zip(t._entry, t._size, t._larger)):
+    for x, (ex, sx, lx) in enumerate(
+            zip(t._entry[:t._head], t._size, t._larger)):
         for y, e in enumerate(ex):
             bad = e & lx[sx[y]]
             if bad:
@@ -419,7 +476,7 @@ def _find_GW4(t: TransitTable):
 def _find_GW3(t: TransitTable):
     # bad v: in E(x, y), with |E(u, v)| above |E(x, y)|.
     larger, members = t._larger, t._members
-    for x, (ex, sx) in enumerate(zip(t._entry, t._size)):
+    for x, (ex, sx) in enumerate(zip(t._entry[:t._head], t._size)):
         for y, e in enumerate(ex):
             for u in members[e]:
                 bad = e & larger[u][sx[y]]
@@ -430,7 +487,7 @@ def _find_GW3(t: TransitTable):
 
 def _find_B1(t: TransitTable):
     # y in E(x, z) is z in cols[x][y], so bad z = E(x, y) & cols[x][y] - y.
-    for x, (ex, colx) in enumerate(zip(t._entry, t._cols)):
+    for x, (ex, colx) in enumerate(zip(t._entry[:t._head], t._cols)):
         for y, e in enumerate(ex):
             bad = e & colx[y] & ~(1 << y)
             if bad:
@@ -440,7 +497,7 @@ def _find_B1(t: TransitTable):
 
 def _find_B2(t: TransitTable):
     members = t._members
-    for x, ex in enumerate(t._entry):
+    for x, ex in enumerate(t._entry[:t._head]):
         for y, e in enumerate(ex):
             for z in members[e]:
                 if ex[z] & ~e:
@@ -451,7 +508,7 @@ def _find_B2(t: TransitTable):
 def _find_B3(t: TransitTable):
     # z in E(w, y) is w in cols[y][z], so bad w = E(x, z) & ~cols[y][z].
     cols, members = t._cols, t._members
-    for x, ex in enumerate(t._entry):
+    for x, ex in enumerate(t._entry[:t._head]):
         for y, e in enumerate(ex):
             for z in members[e]:
                 bad = ex[z] & ~cols[y][z]
@@ -465,7 +522,7 @@ def _find_M(t: TransitTable):
     # is scanned once; a mask that passes is kept in good.
     entry = t._entry
     good: set[int] = set()
-    for x, ex in enumerate(entry):
+    for x, ex in enumerate(entry[:t._head]):
         for y, e in enumerate(ex):
             if e in good:
                 continue
@@ -484,7 +541,9 @@ def _find_MM(t: TransitTable):
     # whose mask has a failing partner, followed by that partner's least
     # pair.  Masks are taken in order of their first pair; a failing partner
     # met before mask i would already have been reported, so mask i is
-    # tested against the later masks only.
+    # tested against the later masks only.  The scan stops at the first
+    # mask whose first pair starts at _head: every mask before it starts
+    # below _head too.
     first: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(t._entry):
         for j in range(i, len(row)):
@@ -492,6 +551,8 @@ def _find_MM(t: TransitTable):
     masks = list(first)
     allowed = t._value_set | {0}
     for i, m in enumerate(masks):
+        if first[m][0] >= t._head:
+            break
         later = masks[i + 1:]
         if all(map(allowed.__contains__, map(m.__and__, later))):
             continue
@@ -502,7 +563,7 @@ def _find_MM(t: TransitTable):
 
 def _find_MG(t: TransitTable):
     iv = t._intervals
-    for x, ex in enumerate(t._entry):
+    for x, ex in enumerate(t._entry[:t._head]):
         for y, e in enumerate(ex):
             if e & ~iv[x][y]:
                 return (x, y)
@@ -516,7 +577,7 @@ def _find_CG(t: TransitTable):
     # chain set S[x] & T[y] that disagrees with E(x,y).
     v, members = len(t), t._members
     full = (1 << v) - 1
-    for a, (ea, col) in enumerate(zip(t._entry, t._cols)):
+    for a, (ea, col) in enumerate(zip(t._entry[:t._head], t._cols)):
         S = [reduce(and_, map(col.__getitem__, members[mask]), full) for mask in ea]
         T = _transpose(S, v)
         for x, (sx, ex) in enumerate(zip(S, t._entry)):
@@ -532,7 +593,7 @@ def _find_CGp(t: TransitTable):
     # y in col[x], and the first failing z is the lowest bit where
     # col[x] & E'(a,y) and E'(x,y) disagree.
     cc = t._closure
-    for a, (ea, col) in enumerate(zip(cc._entry, cc._cols)):
+    for a, (ea, col) in enumerate(zip(cc._entry[:t._head], cc._cols)):
         for x, (cx, ex) in enumerate(zip(col, cc._entry)):
             for y in _bits(cx):
                 bad = (cx & ea[y]) ^ ex[y]
@@ -551,8 +612,9 @@ def _find_Pa(t: TransitTable):
     # symmetric, so (p, a, b, a1, b1) fails exactly when (p, b, a, b1, a1)
     # does: a failing b < a would make (p, b) fail first, so good and row p
     # start at block a.  Each a scans only the p below the least failing p
-    # so far, which keeps the canonical first witness.  hits is built for
-    # as many a at a time as fit in _PA_BLOCK_BYTES.
+    # so far, which keeps the canonical first witness, and no p from _head
+    # on.  hits is built for as many a at a time as fit in _PA_BLOCK_BYTES,
+    # and only one block of it is alive at a time.
     v = len(t)
     entry, members = t._entry, t._members
     width = (v + 7) // 8
@@ -564,8 +626,9 @@ def _find_Pa(t: TransitTable):
     number = {m: i for i, m in enumerate(members)}
     ids = np.array([list(map(number.__getitem__, row)) for row in entry])
     best = None
-    limit = v
+    limit = t._head
     for a0 in range(0, v, span):
+        hits = None  # the last block goes before the next is filled
         part = [h >> a0 * stride & keep for h in t._holders]
         hits = np.fromiter(
             (reduce(or_, map(part.__getitem__, zs), 0).to_bytes(span * width, "little")
@@ -594,7 +657,7 @@ def _find_Pa(t: TransitTable):
 
 def _find_C4(t: TransitTable):
     entry, members = t._entry, t._members
-    for x, ex in enumerate(entry):
+    for x, ex in enumerate(entry[:t._head]):
         for y, e in enumerate(ex):
             for z in members[e]:
                 if ex[z] & entry[z][y] != 1 << z:
@@ -604,7 +667,7 @@ def _find_C4(t: TransitTable):
 
 def _find_MO(t: TransitTable):
     entry = t._entry
-    for x, ex in enumerate(entry):
+    for x, ex in enumerate(entry[:t._head]):
         for y, exy in enumerate(ex):
             ey = entry[y]
             for z, exz in enumerate(ex):
@@ -617,7 +680,7 @@ def _find_S1(t: TransitTable):
     # z: y in E(x, z), that is cols[x][y].  bad w: a neighbour of z in
     # E(x, z) with x in E(y, w) (cols[y][x]) and z not (cols[y][z]).
     entry, adj, cols = t._entry, t._adj, t._cols
-    for x, (ex, colx) in enumerate(zip(entry, cols)):
+    for x, (ex, colx) in enumerate(zip(entry[:t._head], cols)):
         for y in _bits(adj[x]):
             coly = cols[y]
             for z in _bits(colx[y]):
@@ -631,7 +694,7 @@ def _find_S2(t: TransitTable):
     # bad w: a neighbour of y with y not in E(x, w) (outside cols[x][y]),
     # w not in E(x, z) and z not in E(y, w) (outside cols[y][z]).
     entry, adj, cols = t._entry, t._adj, t._cols
-    for x, (ex, colx) in enumerate(zip(entry, cols)):
+    for x, (ex, colx) in enumerate(zip(entry[:t._head], cols)):
         for y in _bits(adj[x]):
             open_w = adj[y] & ~colx[y]
             if not (open_w and ex[y] >> y & 1):
@@ -645,7 +708,7 @@ def _find_S2(t: TransitTable):
 
 def _find_A1(t: TransitTable):
     adj, size = t._adj, t._size
-    for x, ax in enumerate(adj):
+    for x, ax in enumerate(adj[:t._head]):
         nx = list(_bits(ax))
         for u in nx:
             au = adj[u]
@@ -676,7 +739,7 @@ def _find_A2p(t: TransitTable, n, a, sizes):
 
 def _find_A3(t: TransitTable):
     s, adj = t._size, t._adj
-    for x, ax in enumerate(adj):
+    for x, ax in enumerate(adj[:t._head]):
         for y in _bits(ax):
             common = ax & adj[y]
             members = list(_bits(common))
@@ -690,7 +753,7 @@ def _find_A3(t: TransitTable):
 
 def _find_A4(t: TransitTable):
     s, adj = t._size, t._adj
-    for x, (ax, sx) in enumerate(zip(adj, s)):
+    for x, (ax, sx) in enumerate(zip(adj[:t._head], s)):
         for y, sxy in enumerate(sx):
             if sxy <= 2:
                 continue
@@ -713,34 +776,41 @@ def _find_A4(t: TransitTable):
 def _find_AX(t: TransitTable):
     # par(a, b, c, d) says b, c lie in E(a, d) and a, d lie in E(b, c).  For
     # an edge ab and a d with b in E(a, d), the c completing it are
-    # cols[b][a] & cols[b][d] & E(a, d), cut to the neighbours of d.  rows[i]
-    # is the set of edge numbers cd parallel to edge i; whether every cd in
-    # a row has its own row inside it depends on the row alone, so a row
-    # found closed is not scanned again.
+    # cols[b][a] & cols[b][d] & E(a, d), cut to the neighbours of d.  row(i)
+    # is the set of edge numbers cd parallel to edge i, built on first use;
+    # whether every cd in a row has its own row inside it depends on the
+    # row alone, so a row found closed is not scanned again.  Only the
+    # edges ab with a below _head are scanned.
     v = len(t)
     adj = t._adj
     entry = t._entry
     cols = t._cols
     edges = [(a, b) for a in range(v) for b in _bits(adj[a])]
     number = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for a, b in edges:
-        colb = cols[b]
-        ea = entry[a]
-        from_b = colb[a]
-        row = 0
-        for d in _bits(cols[a][b]):
-            for cc in _bits(from_b & colb[d] & ea[d] & adj[d]):
-                row |= 1 << number[cc, d]
-        rows.append(row)
+    rows: list[int | None] = [None] * len(edges)
+
+    def row_of(i: int) -> int:
+        if rows[i] is None:
+            a, b = edges[i]
+            colb = cols[b]
+            ea = entry[a]
+            from_b = colb[a]
+            row = 0
+            for d in _bits(cols[a][b]):
+                for cc in _bits(from_b & colb[d] & ea[d] & adj[d]):
+                    row |= 1 << number[cc, d]
+            rows[i] = row
+        return rows[i]
+
     closed: set[int] = set()
-    for i, row in enumerate(rows):
+    for i in range(sum(m.bit_count() for m in adj[:t._head])):
+        row = row_of(i)
         if row in closed:
             continue
         rest = row
         while rest:
             j = _low(rest)
-            bad = rows[j] & ~row
+            bad = row_of(j) & ~row
             if bad:
                 return edges[i] + edges[j] + edges[_low(bad)]
             rest &= rest - 1
@@ -761,7 +831,7 @@ def _find_H3(t: TransitTable):
     ], width)
     full = (1 << v) - 1
     inside: dict[int, int] = {}  # built once per distinct mask
-    for x, (ex, sx) in enumerate(zip(entry, t._size)):
+    for x, (ex, sx) in enumerate(zip(entry[:t._head], t._size)):
         for y, e in enumerate(ex):
             if x == y or sx[y] <= 4:
                 continue

@@ -72,7 +72,10 @@ def _parse_spec(args, word_text: str | None = None) -> AlphabetSpec:
         if n >= max(args.budget, 0).bit_length():
             raise CliError(f"space too large: --spec {args.spec} has {n} "
                            f"positions, over budget {args.budget}")
-        return AlphabetSpec.parse(args.spec)
+        try:
+            return AlphabetSpec.parse(args.spec)
+        except ValueError as err:
+            raise CliError(f"--spec: {err}") from err
     if word_text is None:
         raise CliError("this command needs --spec")
     if "," not in word_text and set(word_text) <= {"0", "1"} and word_text:
@@ -313,6 +316,8 @@ def cmd_graph(args) -> tuple[int, str]:
 
 
 def cmd_om(args) -> tuple[int, str]:
+    if args.spec is not None:
+        raise CliError("om takes no --spec: -n sets the binary ground set")
     # matroid loads numpy; only the om command pays for it
     from .matroid import face_lattice, is_uniform, om_from_rset, uniform_tope_check
 

@@ -11,6 +11,7 @@ costliest finders are frozen as the nested-loop finders gave them.
 
 import itertools
 import random
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -556,6 +557,82 @@ class TestFinderSoundness:
         assert not rep.holds and rep.witness == ()
 
 
+def relabelled(table, perm):
+    """The same function with carrier element perm[i] moved to index i."""
+    v = len(table)
+    where = {old: new for new, old in enumerate(perm)}
+
+    def moved(mask):
+        return sum(1 << where[z] for z in range(v) if mask >> z & 1)
+
+    entry = [[moved(table._entry[i][j]) for j in perm] for i in perm]
+    carrier = tuple(table.carrier[i] for i in perm)
+    return TransitTable._from_rows(carrier, entry, table.name)
+
+
+class TestBasePoint:
+    """On a table invariant under the translations of its word space the
+    finders try only index 0 as the first variable (``_head`` is 1); every
+    other table takes the full scan (``_head`` is v)."""
+
+    def assert_brute_force(self, table):
+        for axiom in AXIOM_IDS:
+            expect = brute_force(table, axiom)
+            got = check_axiom(table, axiom)
+            assert got.holds == (expect is None), axiom
+            if expect is not None:
+                assert got.witness == tuple(table.carrier[i] for i in expect), axiom
+
+    @pytest.mark.parametrize("spec", ["2^4", "2,3", "3,3", "2,3,3"])
+    @pytest.mark.parametrize(
+        "source", ["rset:1", "rset:2", "closure:1", "interval"])
+    def test_same_reports_as_the_full_scan(self, source, spec):
+        table = table_of(source, AlphabetSpec.parse(spec))
+        v = len(table)
+        ints = TransitTable._from_rows(tuple(range(v)), table._entry, table.name)
+        assert (table._head, ints._head) == (1, v)
+        for axiom in AXIOM_IDS:
+            got, want = check_axiom(table, axiom), check_axiom(ints, axiom)
+            if got.witness is not None:
+                got = replace(got, witness=tuple(w.index for w in got.witness))
+            assert got == want, axiom
+
+    # Entries of rset:1 over 2,3 (word index 3 * l1 + l2) cut down to one
+    # member, none in row 0, so T1 fails only at a first variable past 0,
+    # and T1's first witness.  The second keeps the shift of position 1
+    # (the pair 01 02 and its image 11 12), the third the shift of
+    # position 2 (the orbit 10 11, 11 12, 12 10); neither keeps both.
+    BROKEN = [
+        ({(1, 4): 1}, (1, 4)),
+        ({(1, 2): 1, (4, 5): 4}, (1, 2)),
+        ({(3, 4): 3, (4, 5): 4, (3, 5): 5}, (3, 4)),
+    ]
+
+    @pytest.mark.parametrize("cut,first", BROKEN)
+    def test_broken_pairs_past_index_0_take_the_full_scan(self, cut, first):
+        table = table_from_rset(1, AlphabetSpec.parse("2,3"))
+        entry = [row[:] for row in table._entry]
+        for (i, j), member in cut.items():
+            entry[i][j] = entry[j][i] = 1 << member
+        broken = TransitTable._from_rows(table.carrier, entry, "broken")
+        assert broken._head == len(broken)
+        assert brute_force(broken, "T1") == first
+        self.assert_brute_force(broken)
+
+    def test_carrier_out_of_index_order_takes_the_full_scan(self):
+        # reversing the carrier complements every letter, so the moved
+        # table is translation-invariant in carrier indices as well
+        table = table_from_closure(1, AlphabetSpec.parse("2,3"))
+        moved = relabelled(table, list(reversed(range(len(table)))))
+        assert moved._head == len(moved)
+        self.assert_brute_force(moved)
+
+    def test_cycle_takes_the_full_scan(self):
+        table = table_from_interval(cycle_graph(6))
+        assert table._head == 6
+        self.assert_brute_force(table)
+
+
 def witness_refails(table, report):
     """Re-evaluate the axiom body on the reported witness."""
     if report.axiom == "CGp":
@@ -815,26 +892,44 @@ class TestTableRows:
         assert calls["packed"] == len(table) + 1
         assert calls["_holders"] == calls["_members"] == 1
 
+    @pytest.mark.parametrize("spec", ["2^4", "3,3", "2,3,3"])
+    def test_closed_tables_are_their_own_closure(self, spec):
+        spec = AlphabetSpec.parse(spec)
+        for source in ("closure:1", "closure:2", "interval"):
+            table = table_of(source, spec)
+            assert table._closure is table, source
+        for k in (1, 2):
+            table = table_from_rset(k, spec)
+            closed = table_closure(table)
+            if closed._entry == table._entry:
+                assert table._closure is table
+            else:
+                self.assert_same_table(table._closure, closed)
+        rset1 = table_from_rset(1, B4)
+        assert rset1._closure is not rset1
+
     def test_pa_memory_is_bounded_by_its_block_budget(self, monkeypatch):
         # rset:1 over 2^6 has M = 1,840 distinct masks, so hits for every a
-        # at once would take M * v * width = 0.94 MB.  Under a 64 KiB budget
-        # Pa holds at most two budgets of hits (the last block while the
-        # next is built) plus rows and tables of size v^2 or M.
+        # at once would take M * v * width = 0.94 MB.  Pa holds one budget of
+        # hits at a time, the last block dropped before the next is built,
+        # plus rows and tables of size v^2 or M.  The 512 KiB budget fills
+        # two blocks of nearly one budget each, so holding both at once
+        # (1.2 MiB measured) breaks the bound.
         import tracemalloc
         import xoverlab.axioms as ax
 
-        budget = 1 << 16
-        monkeypatch.setattr(ax, "_PA_BLOCK_BYTES", budget)
-        table = table_from_rset(1, AlphabetSpec.parse("2^6"))
-        table._holders, table._members  # rows prebuilt
-        tracemalloc.start()
-        try:
-            report = check_axiom(table, "Pa")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.holds
-        assert peak < 2 * budget + (1 << 19), peak
+        for budget in (1 << 16, 1 << 19):
+            monkeypatch.setattr(ax, "_PA_BLOCK_BYTES", budget)
+            table = table_from_rset(1, AlphabetSpec.parse("2^6"))
+            table._holders, table._members, table._head  # rows prebuilt
+            tracemalloc.start()
+            try:
+                report = check_axiom(table, "Pa")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.holds
+            assert peak < budget + (1 << 19), (budget, peak)
 
 
 def literal_convex_sets(table):

@@ -164,6 +164,28 @@ class TestErrors:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["rset", "-k", "1", "-x", "0", "-y", "1", "--spec", "1"],
+        ["axioms", "--source", "rset:1", "--spec", "2,1"],
+        ["graph", "-k", "1", "-x", "00", "-y", "11", "--spec", "2^1,0"],
+    ])
+    def test_alphabet_errors_name_the_flag(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --spec: every alphabet size must be at least 2\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec", ["x", "2^3"])
+    def test_om_refuses_spec(self, spec, capsys):
+        # -n alone sets the ground set, so any --spec, even a well-formed
+        # one, would be ignored
+        assert cli.main(["om", "-k", "1", "-n", "3", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: om takes no --spec: -n sets the binary ground set\n")
+        assert captured.out == ""
+
     def test_unknown_axiom_lists_catalog(self, capsys):
         cli.main(["axioms", "--source", "rset:1", "--spec", "2^2",
                   "--check", "QQ"])

@@ -1,10 +1,11 @@
 """Verification suites at reduced bounds; full bounds live in the acceptance tests."""
 
 import inspect
+import json
 
 import pytest
 
-from xoverlab import verify, words
+from xoverlab import axioms, cli, verify, words
 from xoverlab.axioms import TransitTable
 from xoverlab.verify import CheckResult, run_suite
 
@@ -163,6 +164,47 @@ def test_om_flags_wrong_closed_form():
     assert flagged
     assert "2*C(n, k-1)" in flagged[0]
     assert "enumeration" in flagged[0]
+
+
+class TestPlantedFinderFaults:
+    """A finder that reports a witness where its axiom holds, or none where
+    it fails, makes its suite exit 1 with the suite's FAIL lines."""
+
+    @staticmethod
+    def fail_lines(argv, capsys):
+        assert cli.main(argv) == 1
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert not result["passed"]
+        return [line for line in result["details"] if line.startswith("FAIL")]
+
+    def test_false_witness_fails_axioms(self, monkeypatch, capsys):
+        monkeypatch.setitem(axioms._FINDERS, "Pa", lambda t: (0, 0, 0, 0, 0))
+        assert self.fail_lines(["verify", "axioms"], capsys) == [
+            "FAIL rset:1 on 2,2,2,2: Pa expected holds",
+            "FAIL rset:2 on 2,2,2,2: Pa expected holds",
+        ]
+
+    def test_missed_witness_fails_axioms(self, monkeypatch, capsys):
+        monkeypatch.setitem(axioms._FINDERS, "MO", lambda t: None)
+        assert self.fail_lines(["verify", "axioms"], capsys) == [
+            "FAIL closure:1 on 3,3: MO expected fails"]
+
+    def test_false_witness_fails_hamming(self, monkeypatch, capsys):
+        monkeypatch.setitem(axioms._FINDERS, "A3", lambda t: (0, 0, 0, 0))
+        assert self.fail_lines(["verify", "hamming", "--max-n", "2"], capsys) == [
+            "FAIL hamming: closure:1 over 3,3",
+            "FAIL hamming with sizes: 3,3",
+            "FAIL hamming: closure:1 over 2,3",
+            "FAIL hamming with sizes: 2,3",
+        ]
+
+    def test_missed_witnesses_fail_hamming(self, monkeypatch, capsys):
+        # the 6-cycle fails both A1 and A2; with neither found it passes
+        # as a hypercube
+        for axiom in ("A1", "A2"):
+            monkeypatch.setitem(axioms._FINDERS, axiom, lambda t, *counts: None)
+        assert self.fail_lines(["verify", "hamming", "--max-n", "2"], capsys) == [
+            "FAIL negative control: C_6 accepted"]
 
 
 class TestHelpers:
