@@ -36,6 +36,10 @@ becomes a few row operations plus a lowest-set-bit lookup:
   mask E(x, y) alone, so each distinct mask is scanned once.  M, GW3, B2,
   B3, C4, CG and Pa read a mask's members from its shared tuple.
 
+The closure of two words is their box for every k, their interval in the
+Hamming graph, so ``table_from_closure`` is the interval table of
+``hamming_graph(spec)``; only ``table_from_rset`` calls the crossover kernel.
+
 ``table_closure`` (once per distinct mask) and ``convex_sets`` share one
 hull: the least superset of a mask holding the entry of each pair in it.
 A table that is already closed is its own closed table, so CGp on it reads
@@ -77,7 +81,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _bits, _low, is_connected
+from .graphs import SimpleGraph, _bits, _low, hamming_graph, is_connected
 from .words import AlphabetSpec, DEFAULT_BUDGET, Word
 from . import crossover
 
@@ -285,11 +289,10 @@ class TransitTable:
         return max(m.bit_count() for m in self._adj)
 
 
-def _pair_table(
-    name: str, spec: AlphabetSpec, budget: int,
-    pair_indices: Callable[[Word, Word], Iterable[int]],
+def table_from_rset(
+    k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
 ) -> TransitTable:
-    """Entries pair_indices(x, y) for every pair of words over the alphabet.
+    """Recombination sets of every pair of words over the given alphabet.
 
     ``iter_words`` yields words in index order, so a carrier index is a
     packed index, and packed indices from the crossover kernel are members.
@@ -302,26 +305,21 @@ def _pair_table(
         entry[i][i] = 1 << i
         for j in range(i + 1, v):
             mask = 0
-            for m in pair_indices(x, words[j]):
+            for m in crossover._rset_packed(k, x, words[j]):
                 mask |= 1 << m
             entry[i][j] = entry[j][i] = mask
-    return TransitTable._from_rows(words, entry, f"{name} on {spec}")
-
-
-def table_from_rset(
-    k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
-) -> TransitTable:
-    """Recombination sets of every pair of words over the given alphabet."""
-    return _pair_table(f"rset:{k}", spec, budget,
-                       lambda x, y: crossover._rset_packed(k, x, y))
+    return TransitTable._from_rows(words, entry, f"rset:{k} on {spec}")
 
 
 def table_from_closure(
     k: int, spec: AlphabetSpec, budget: int = DEFAULT_BUDGET
 ) -> TransitTable:
-    """Recombination closures of every pair of words over the given alphabet."""
-    return _pair_table(f"closure:{k}", spec, budget,
-                       lambda x, y: crossover._box_packed(k, x, y, budget))
+    """Recombination closures of every pair of words over the given alphabet:
+    the interval table of ``hamming_graph(spec)``, since a closure is the
+    pair's box (``crossover.closure``), named ``closure:k``."""
+    graph = hamming_graph(spec, budget)
+    crossover._validate_k(k)
+    return table_from_interval(graph).renamed(f"closure:{k} on {spec}")
 
 
 def table_from_interval(graph: SimpleGraph) -> TransitTable:

@@ -379,6 +379,8 @@ def _parse_t_range(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    if args.spec is not None:
+        raise CliError("verify takes no --spec: each suite sets its own alphabets")
     # verify imports every layer; only the verify command pays for them
     from .verify import run_suite
 

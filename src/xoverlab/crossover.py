@@ -19,10 +19,12 @@ closed-form size of R_k is 2**t.
 ``_scatter`` maps masks back to packed indices over any alphabet.  Position
 p contributes the index step (y_p - x_p) * stride_p, and one 256-entry
 subset-sum table per byte of the mask adds a byte's steps in one lookup.
-``rset``, ``rset_recursive`` and ``find_parents`` go through both
-functions, ``closure`` through ``_scatter`` alone, and so do the axiom
-tables, which take the packed indices as they are; a returned ``WordSet``
-decodes its words on first read.
+``rset``, ``rset_recursive``, ``find_parents`` and the ``rset:k`` axiom
+tables, which take the packed indices as they are, go through both
+functions, and ``closure``, their only caller on the whole box, through
+``_scatter`` alone; a returned ``WordSet`` decodes its words on first read.
+``find_parents`` reads no letters: a packed index is linear in them, so in
+the parents' box the antipode of index i is K - i, K their index sum.
 ``rset_recursive`` asks the kernel for R_{k-1} only and takes its one-point
 step as literal prefix/suffix splits of the masks, read off nested prefix
 and suffix sets, so comparing it with ``rset`` checks the kernel at k
@@ -36,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import sub
 from typing import Iterable, Sequence
 
 from .graphs import SimpleGraph, word_graph
@@ -242,16 +243,6 @@ def rset_size_formula(k: int, t: int) -> int:
     return 2 * phi(k, t - 1)
 
 
-def _box_packed(k: int, x: Word, y: Word, budget: int) -> list[int]:
-    """Packed indices of closure(k, x, y): every mask of the t differing
-    positions, scattered; ``BudgetExceededError`` if 2**t > budget."""
-    _validate_k(k)
-    steps = _steps(x, y)
-    if 1 << len(steps) > budget:
-        raise BudgetExceededError(f"space too large: closure exceeded budget {budget}")
-    return _scatter(x.index, steps, range(1 << len(steps)))
-
-
 def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     """Least set containing x, y and closed under k-point recombination.
 
@@ -262,7 +253,11 @@ def closure(k: int, x: Word, y: Word, budget: int = DEFAULT_BUDGET) -> WordSet:
     exactly when the box has more than ``budget`` members.
     """
     spec = require_same_spec(x, y)
-    return WordSet.from_indices(_box_packed(k, x, y, budget), spec)
+    _validate_k(k)
+    steps = _steps(x, y)
+    if 1 << len(steps) > budget:
+        raise BudgetExceededError(f"space too large: closure exceeded budget {budget}")
+    return WordSet.from_indices(_scatter(x.index, steps, range(1 << len(steps))), spec)
 
 
 def is_closed(k: int, x: Word, y: Word) -> bool:
@@ -275,26 +270,21 @@ def is_closed(k: int, x: Word, y: Word) -> bool:
 def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]:
     """All unordered pairs inside s whose recombination set is exactly s.
 
-    A recombination set contains its parents and lies in their box, so
-    parents of s differ exactly where s varies, each taking one of the two
-    letters there: u's only candidate partner is u with every varying
-    position flipped, and a position with three letters rules out all.
+    A recombination set lies in its parents' box and holds, with each
+    member, its antipode there.  A packed index is linear in the letters,
+    so the antipode of index i is K - i, K the set's least plus greatest
+    index, and the j-th least member pairs with the j-th greatest; a set
+    that is no recombination set fails every comparison with R_k.
     """
     k = _validate_k(k)
     target = s if isinstance(s, WordSet) else WordSet(s)
-    columns = [set(letters) for letters in zip(*(w.letters for w in target))]
-    if any(len(col) > 2 for col in columns):
-        return []
-    # u_p + v_p is the same for every antipodal pair u, v
-    sums = [min(col) + max(col) for col in columns]
-    by_letters = {w.letters: w for w in target}
-    out: list[tuple[Word, Word]] = []
-    for u in target:
-        v = by_letters.get(tuple(map(sub, sums, u.letters)))
-        if (v is not None and u.index <= v.index
-                and frozenset(_rset_packed(k, u, v)) == target.indices):
-            out.append((u, v))
-    return out
+    order, members = target.sorted_indices, target.members
+    half = (len(order) + 1) // 2
+    return [
+        (u, v) for u, v, i, j in zip(members[:half], members[::-1], order, order[::-1])
+        if i + j == order[0] + order[-1]
+        and frozenset(_rset_packed(k, u, v)) == target.indices
+    ]
 
 
 def median(x: Word, y: Word, z: Word) -> Word:

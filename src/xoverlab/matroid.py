@@ -50,8 +50,8 @@ them: n 5^n work, in blocks of about 2^12 restrictions.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -59,7 +59,7 @@ import numpy as np
 
 # vc_dimension stays bound here: perfbench's spans rebind it in this namespace
 from .partialcube import _largest_full_projection, vc_dimension  # noqa: F401
-from .words import AlphabetSpec, BudgetExceededError, Word, phi
+from .words import AlphabetSpec, BudgetExceededError, Word, _unchecked, phi
 
 DEFAULT_GROUND_BUDGET = 10
 # pairs, masked topes or restrictions per block; larger ones raise the peak
@@ -176,31 +176,6 @@ class SignVector:
 
     def __repr__(self) -> str:
         return f"SignVector({str(self)!r})"
-
-
-# Slot setters, which bypass the frozen __setattr__, for _sign_vectors
-_set_n, _set_pos, _set_neg = (
-    SignVector.n.__set__, SignVector.pos.__set__, SignVector.neg.__set__)
-
-
-def _sign_vectors(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SignVector]:
-    """SignVectors on masks known to be valid, so unchecked, built with the
-    collector paused, as a WordSet decodes its words."""
-    new = object.__new__
-    out = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for p, q in zip(pos.tolist(), neg.tolist()):
-            x = new(SignVector)
-            _set_n(x, n)
-            _set_pos(x, p)
-            _set_neg(x, q)
-            out.append(x)
-    finally:
-        if enabled:
-            gc.enable()
-    return out
 
 
 def word_to_sign(w: Word) -> SignVector:
@@ -336,10 +311,12 @@ def covectors_from_topes(topes: Iterable[SignVector]) -> OrientedMatroidData:
             np.maximum(below, best[codes & ~((1 << b) << n | 1 << b)], out=below)
         best[codes] = below + is_covector[layer]
     heights = best[(pos << n) | neg]
-    covectors = _sign_vectors(n, pos, neg)
+    # valid masks from the grid, so the vectors skip their checks
+    covectors = _unchecked(SignVector, len(pos), lambda: {
+        "n": repeat(n), "pos": pos.tolist(), "neg": neg.tolist()})
     return OrientedMatroidData(
         ground_size=n,
-        covectors=tuple(covectors),
+        covectors=covectors,
         topes=tuple(covectors[i] for i in np.flatnonzero(maximal).tolist()),
         cocircuits=tuple(covectors[i] for i in np.flatnonzero(heights == 1).tolist()),
         rank=int(heights.max()),

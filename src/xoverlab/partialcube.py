@@ -127,28 +127,6 @@ def is_antipodal(g: SimpleGraph) -> dict | None:
     return out
 
 
-def _masks_and_length(words: Iterable) -> tuple[list[int], int]:
-    masks: list[int] = []
-    n = -1
-    for w in words:
-        if isinstance(w, Word):
-            for size in w.spec.sizes:
-                if size != 2:
-                    raise ValueError("VC dimension needs binary words")
-            mask, length = w.index, w.spec.n
-        else:
-            text = str(w)
-            if text and set(text) - {"0", "1"}:
-                raise ValueError("VC dimension needs binary words")
-            mask, length = int(text, 2) if text else 0, len(text)
-        if n < 0:
-            n = length
-        elif n != length:
-            raise ValueError("words must share a common length")
-        masks.append(mask)
-    return masks, max(n, 0)
-
-
 def _largest_full_projection(masks: list[int], n: int) -> int:
     """Largest t with some t-subset of bit positions realizing all patterns.
 
@@ -170,14 +148,20 @@ def _largest_full_projection(masks: list[int], n: int) -> int:
     return best
 
 
-def vc_dimension(words) -> int:
+def vc_dimension(words: Iterable[Word]) -> int:
     """Largest coordinate set shattered by the given binary words.
 
-    Accepts Words or 0/1 strings of a common length; the empty family has
-    dimension -1 by convention.
+    Takes ``Word``s over one binary alphabet, read as their packed indices;
+    anything else, such as a 0/1 string, raises ``ValueError``.  The empty
+    family has dimension -1 by convention.
     """
-    masks, n = _masks_and_length(words)
-    return _largest_full_projection(masks, n)
+    words = list(words)
+    if not all(isinstance(w, Word) and w.spec.is_binary for w in words):
+        raise ValueError("VC dimension needs binary words")
+    lengths = {w.spec.n for w in words}
+    if len(lengths) > 1:
+        raise ValueError("words must share a common length")
+    return _largest_full_projection([w.index for w in words], max(lengths, default=0))
 
 
 def largest_cube_minor_dim(e: PartialCubeEmbedding) -> int:

@@ -82,13 +82,27 @@ class TestTableBasics:
         assert table.size_of(i, j) == 6
 
     def test_closure_factory_equals_interval_table(self):
-        closed = table_from_closure(1, B3)
-        cube = table_from_interval(hamming_graph(B3))
-        assert closed.carrier == cube.carrier
-        v = len(closed)
-        for i in range(v):
-            for j in range(i, v):
-                assert closed.entry_mask(i, j) == cube.entry_mask(i, j)
+        specs = ("2", "3", "2^2", "2^3", "2^4", "2^5", "2^6",
+                 "2,3", "3,3", "2,3,3", "2,3,4", "4,4", "3,3,3")
+        for spec, k in itertools.product(map(AlphabetSpec.parse, specs), (1, 2, 3)):
+            closed = table_from_closure(k, spec)
+            cube = table_from_interval(hamming_graph(spec))
+            assert closed.name == f"closure:{k} on {spec}"
+            assert closed.carrier == cube.carrier
+            words = closed.carrier
+            for i, x in enumerate(words):
+                for j in range(i, len(words)):
+                    assert closed.entry_mask(i, j) == cube.entry_mask(i, j)
+                    # the pair's closure as the crossover kernel builds it
+                    assert closed.entry_indices(i, j) == closure(k, x, words[j]).indices
+            reports = [replace(r, function=None) for r in check_all(closed)]
+            assert reports == [replace(r, function=None) for r in check_all(cube)]
+
+    def test_closure_factory_checks_the_budget_before_k(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            table_from_closure(0, B3)
+        with pytest.raises(BudgetExceededError):
+            table_from_closure(0, B4, budget=8)
 
     def test_interval_table_of_disconnected_graph_has_empty_entries(self):
         g = SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)])

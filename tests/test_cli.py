@@ -128,6 +128,7 @@ class TestErrors:
          "repeat count"),
         (["rset", "-k", "1", "-x", "0", "-y", "1", "--spec", "2^0,3"],
          "repeat count"),
+        (["verify", "axioms", "--spec", "2^3"], "verify takes no --spec"),
     ])
     def test_exit_2_with_message(self, argv, fragment, capsys):
         assert cli.main(argv) == 2
@@ -184,6 +185,21 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == (
             "error: om takes no --spec: -n sets the binary ground set\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["all", "axioms"])
+    def test_verify_refuses_spec_before_any_suite_runs(self, suite, capsys,
+                                                       monkeypatch):
+        import xoverlab.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_suite", refuse)
+        assert cli.main(["verify", suite, "--spec", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: verify takes no --spec: each suite sets its own alphabets\n")
         assert captured.out == ""
 
     def test_unknown_axiom_lists_catalog(self, capsys):

@@ -2,6 +2,7 @@
 literal cut-enumeration definition before anything else trusts it."""
 
 import itertools
+import operator
 import random
 from functools import lru_cache
 
@@ -523,6 +524,65 @@ class TestClosureWalk:
         assert [line for line in result.details
                 if line.startswith("FAIL closure:")] == [
             f"FAIL closure: k={k} t={t}" for t in (2, 3, 4) for k in (1, 2)]
+
+
+def letters_find_parents(k, s):
+    """Reference scan on letters: parents of s differ exactly where s varies,
+    each taking one of the two letters there, so u's only candidate partner
+    is u with every varying position flipped, and a position with three
+    letters rules out every pair."""
+    target = s if isinstance(s, WordSet) else WordSet(s)
+    columns = [set(letters) for letters in zip(*(w.letters for w in target))]
+    if any(len(col) > 2 for col in columns):
+        return []
+    sums = [min(col) + max(col) for col in columns]
+    by_letters = {w.letters: w for w in target}
+    out = []
+    for u in target:
+        v = by_letters.get(tuple(map(operator.sub, sums, u.letters)))
+        if v is not None and u.index <= v.index and rset(k, u, v).members == target:
+            out.append((u, v))
+    return out
+
+
+class TestParentsAgainstLetters:
+    """find_parents pairs indices summing to the set's least plus greatest
+    index; the letters-based scan above is its reference."""
+
+    @pytest.mark.parametrize("sizes", [(2,) * n for n in range(1, 9)] + [
+        (3, 3, 3), (2, 3, 4), (3, 2, 3, 2), (5, 2)])
+    def test_recombination_sets_and_neighbours(self, sizes):
+        spec = AlphabetSpec(sizes)
+        rng = random.Random(str(sizes))
+        found = 0
+        for _ in range(12):
+            x, y = (Word.from_index(rng.randrange(spec.size), spec) for _ in "xy")
+            for k in range(1, min(spec.n, 4) + 1):
+                members = rset(k, x, y).members.sorted_indices
+                less = list(members)
+                del less[rng.randrange(len(less))]
+                outside = sorted(set(range(spec.size)) - set(members))
+                more = [members + (rng.choice(outside),)] if outside else []
+                for indices in [members, less] + more:
+                    target = WordSet.from_indices(indices, spec)
+                    want = letters_find_parents(k, target)
+                    assert find_parents(k, target) == want, (k, x, y, indices)
+                    found += bool(want)
+        assert found >= 12 * min(spec.n, 4)
+
+    def test_random_small_subsets(self):
+        rng = random.Random(29)
+        for sizes in ((2,) * 4, (3, 3), (2, 3, 4), (3, 2, 3, 2), (5, 2)):
+            spec = AlphabetSpec(sizes)
+            for _ in range(150):
+                count = rng.randint(1, min(8, spec.size))
+                target = WordSet.from_indices(rng.sample(range(spec.size), count), spec)
+                for k in (1, 2):
+                    assert find_parents(k, target) == letters_find_parents(k, target)
+
+    def test_empty_set(self):
+        empty = WordSet.from_indices([], bspec(3))
+        assert find_parents(1, empty) == letters_find_parents(1, empty) == []
 
 
 class TestParents:

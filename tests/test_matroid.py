@@ -548,6 +548,19 @@ class TestCovectorsFromTopes:
             by_size[c.support_size] = by_size.get(c.support_size, 0) + 1
         assert by_size == {0: 1, 2: 12, 3: 24, 4: 14}
 
+    def test_unchecked_covectors_equal_validated_ones(self):
+        # the covectors skip SignVector's checks; rebuilding each through
+        # them must give an equal vector of plain ints
+        for n in range(2, 8):
+            for k in range(1, n):
+                om = om_from_rset(k, n)
+                for c in om.covectors:
+                    assert {type(c.n), type(c.pos), type(c.neg)} == {int}
+                    checked = SignVector(n, c.pos, c.neg)
+                    assert c == checked and hash(c) == hash(checked), (k, n, c)
+                    assert c.key == checked.key and str(c) == str(checked)
+                assert set(om.topes) | set(om.cocircuits) <= set(om.covectors)
+
     def test_not_centrally_symmetric(self):
         with pytest.raises(ValueError, match="not centrally symmetric"):
             covectors_from_topes(svs("++", "--", "+-"))

@@ -50,6 +50,10 @@ def rgraph(k, n):
     return transit_graph(k, Word.parse("0" * n, spec), Word.parse("1" * n, spec))
 
 
+def bwords(*texts):
+    return [Word.parse(t, AlphabetSpec.parse(f"2^{len(t)}")) for t in texts]
+
+
 def label_masks(emb):
     return {v: int(lbl, 2) if lbl else 0 for v, lbl in emb.labels.items()}
 
@@ -474,12 +478,19 @@ class TestVcDimension:
     def test_empty_family(self):
         assert vc_dimension([]) == -1
 
-    def test_string_input(self):
-        assert vc_dimension(["00", "01", "10", "11"]) == 2
-        assert vc_dimension(["000", "011", "101", "110"]) == 2
+    def test_word_input(self):
+        assert vc_dimension(bwords("00", "01", "10", "11")) == 2
+        assert vc_dimension(bwords("000", "011", "101", "110")) == 2
 
     def test_singleton(self):
-        assert vc_dimension(["0101"]) == 0
+        assert vc_dimension(bwords("0101")) == 0
+
+    @pytest.mark.parametrize("family", [["00", "01"], ["0101"], [""]])
+    def test_rejects_strings(self, family):
+        with pytest.raises(ValueError, match="binary words"):
+            vc_dimension(family)
+        with pytest.raises(ValueError, match="binary words"):
+            vc_dimension(bwords("11") + family)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="binary"):
@@ -490,7 +501,7 @@ class TestVcDimension:
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError, match="common length"):
-            vc_dimension(["00", "111"])
+            vc_dimension(bwords("00", "111"))
 
     def test_rset_formula_small_sweep(self):
         # dimension min(k+1, d) for crossover sets, exhaustive over d at n=5
@@ -526,7 +537,8 @@ class TestVcDimensionAgainstLiteral:
         for _ in range(300):
             n = rng.randint(1, 8)
             size = rng.randint(1, min(1 << n, rng.choice((4, 16, 64, 256))))
-            family = [format(m, f"0{n}b") for m in rng.sample(range(1 << n), size)]
+            spec = AlphabetSpec.parse(f"2^{n}")
+            family = [Word.from_index(m, spec) for m in rng.sample(range(1 << n), size)]
             want = literal_vc_dimension(family)
             assert vc_dimension(family) == want, family
             dims[want] += 1
@@ -545,7 +557,9 @@ class TestCubeMinor:
     def test_agrees_with_vc_of_labels(self):
         for g in (cyc(6), cyc(10), rgraph(1, 4), rgraph(2, 4), rgraph(3, 6)):
             emb = is_partial_cube(g)
-            assert largest_cube_minor_dim(emb) == vc_dimension(emb.labels.values())
+            spec = AlphabetSpec.parse(f"2^{emb.word_length}")
+            labels = [Word.parse(lbl, spec) for lbl in emb.labels.values()]
+            assert largest_cube_minor_dim(emb) == vc_dimension(labels)
 
     def test_agrees_with_vc_of_members(self):
         for k, n in ((1, 3), (1, 5), (2, 4), (2, 6), (3, 5)):
