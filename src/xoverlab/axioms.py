@@ -32,9 +32,8 @@ becomes a few row operations plus a lowest-set-bit lookup:
   block per partner b >= a (by symmetry no first witness has b < a), so a
   whole (p, a) prefix is tested at once;
 - MM compares distinct entry masks, each keyed to the first pair carrying
-  it, instead of all pairs of pairs; M's verdict at (x, y) depends on the
-  mask E(x, y) alone, so each distinct mask is scanned once.  M, GW3, B2,
-  B3, C4, CG and Pa read a mask's members from its shared tuple.
+  it, instead of all pairs of pairs.  M, GW3, B2, B3, C4, CG and Pa read a
+  mask's members from its shared tuple.
 
 The closure of two words is their box for every k, their interval in the
 Hamming graph, so ``table_from_closure`` is the interval table of
@@ -516,20 +515,14 @@ def _find_B3(t: TransitTable):
 
 
 def _find_M(t: TransitTable):
-    # The verdict at (x, y) depends on the mask E(x, y) alone, so each mask
-    # is scanned once; a mask that passes is kept in good.
     entry = t._entry
-    good: set[int] = set()
     for x, ex in enumerate(entry[:t._head]):
         for y, e in enumerate(ex):
-            if e in good:
-                continue
             members = t._members[e]
             for u in members:
                 eu = entry[u]
                 if reduce(or_, map(eu.__getitem__, members)) & ~e:
                     return (x, y, u, next(v for v in members if eu[v] & ~e))
-            good.add(e)
     return None
 
 
@@ -775,10 +768,8 @@ def _find_AX(t: TransitTable):
     # par(a, b, c, d) says b, c lie in E(a, d) and a, d lie in E(b, c).  For
     # an edge ab and a d with b in E(a, d), the c completing it are
     # cols[b][a] & cols[b][d] & E(a, d), cut to the neighbours of d.  row(i)
-    # is the set of edge numbers cd parallel to edge i, built on first use;
-    # whether every cd in a row has its own row inside it depends on the
-    # row alone, so a row found closed is not scanned again.  Only the
-    # edges ab with a below _head are scanned.
+    # is the set of edge numbers cd parallel to edge i, built on first use.
+    # Only the edges ab with a below _head are scanned.
     v = len(t)
     adj = t._adj
     entry = t._entry
@@ -800,19 +791,12 @@ def _find_AX(t: TransitTable):
             rows[i] = row
         return rows[i]
 
-    closed: set[int] = set()
     for i in range(sum(m.bit_count() for m in adj[:t._head])):
         row = row_of(i)
-        if row in closed:
-            continue
-        rest = row
-        while rest:
-            j = _low(rest)
+        for j in _bits(row):
             bad = row_of(j) & ~row
             if bad:
                 return edges[i] + edges[j] + edges[_low(bad)]
-            rest &= rest - 1
-        closed.add(row)
     return None
 
 
@@ -828,15 +812,13 @@ def _find_H3(t: TransitTable):
         for u, row in enumerate(entry)
     ], width)
     full = (1 << v) - 1
-    inside: dict[int, int] = {}  # built once per distinct mask
     for x, (ex, sx) in enumerate(zip(entry[:t._head], t._size)):
         for y, e in enumerate(ex):
             if x == y or sx[y] <= 4:
                 continue
-            if e not in inside:
-                inside[e] = open_pairs & ~reduce(
-                    or_, map(holders.__getitem__, _bits(full & ~e)), 0)
-            bad = inside[e] & ~(1 << x * stride + y | 1 << y * stride + x)
+            inside = open_pairs & ~reduce(
+                or_, map(holders.__getitem__, _bits(full & ~e)), 0)
+            bad = inside & ~(1 << x * stride + y | 1 << y * stride + x)
             if bad:
                 return (x, y) + divmod(_low(bad), stride)
     return None
@@ -961,7 +943,6 @@ def recognize_hamming(
     n: int | None = None,
     a: int | None = None,
     sizes: Sequence[int] | None = None,
-    six_var_limit: int = DEFAULT_SIX_VAR_LIMIT,
 ) -> bool:
     """Whether the underlying graph is a product of complete graphs.
 
@@ -975,5 +956,5 @@ def recognize_hamming(
     return (
         check_axiom(table, "A1").holds
         and check_axiom(table, "A3").holds
-        and check_axiom(table, "A4", six_var_limit=six_var_limit).holds
+        and check_axiom(table, "A4").holds
     )

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from typing import Iterable
 
 from . import __version__
 from .crossover import closure, is_closed, rset, transit_graph
@@ -117,7 +118,8 @@ def _doc(args, command: str, **payload) -> dict:
     }
 
 
-def _render_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+def _render_table(headers: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:
+    rows = list(rows)
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(headers)
@@ -138,7 +140,7 @@ def _render(args, doc: dict, table_rows, table_headers) -> str:
 
 
 def _member_payload(args, command: str, k: int, x: Word, y: Word,
-                    members) -> tuple[dict, list, tuple]:
+                    members) -> tuple[dict, Iterable, tuple]:
     words = [str(w) for w in members]
     doc = _doc(
         args, command,
@@ -148,7 +150,8 @@ def _member_payload(args, command: str, k: int, x: Word, y: Word,
         closed=is_closed(k, x, y) if command == "rset" else True,
         members=words,
     )
-    rows = [(str(w.index), str(w)) for w in members]
+    # a generator: only a table reads the rows, and each word renders once
+    rows = ((str(w.index), text) for w, text in zip(members, words))
     return doc, rows, ("index", "word")
 
 
@@ -172,10 +175,10 @@ def _build_table(source: str, spec: AlphabetSpec, budget: int):
     # axioms loads numpy; only the axioms command pays for it
     from .axioms import table_from_closure, table_from_interval, table_from_rset
 
-    kind, _, rest = source.partition(":")
-    if kind == "interval" and not rest:
+    if source == "interval":
         g = hamming_graph(spec, budget)
         return table_from_interval(g).renamed(f"interval on {spec}")
+    kind, _, rest = source.partition(":")
     if kind in ("rset", "closure") and rest.isdigit():
         k = int(rest)
         builder = table_from_rset if kind == "rset" else table_from_closure
@@ -240,6 +243,9 @@ def cmd_axioms(args) -> tuple[int, str]:
 
 def _graph_stats(g, emb, binary: bool, names: list[str]) -> dict:
     anti = is_antipodal(g)
+    # binary words sit isometrically in the cube, and a partial cube's cube
+    # embedding is unique up to coordinate symmetries: labels shatter as words
+    vc = vc_dimension(list(g.vertices)) if binary and g.n else None
     try:
         quad, faces = is_planar_quadrangulation(g)
     except ValueError:
@@ -256,11 +262,9 @@ def _graph_stats(g, emb, binary: bool, names: list[str]) -> dict:
                              for v, w in anti.items()))
         ),
         "planar_quadrangulation": {"holds": quad, "quadrangles": faces},
-        "vc_dimension": (
-            vc_dimension(list(g.vertices)) if binary and g.n else None
-        ),
+        "vc_dimension": vc,
         "cube_minor_dim": (
-            largest_cube_minor_dim(emb) if emb is not None else None
+            None if emb is None else vc if binary else largest_cube_minor_dim(emb)
         ),
     }
 
@@ -319,8 +323,10 @@ def cmd_om(args) -> tuple[int, str]:
     if args.spec is not None:
         raise CliError("om takes no --spec: -n sets the binary ground set")
     # matroid loads numpy; only the om command pays for it
-    from .matroid import face_lattice, is_uniform, om_from_rset, uniform_tope_check
+    from .matroid import (_check_k, face_lattice, is_uniform, om_from_rset,
+                          uniform_tope_check)
 
+    _check_k(args.k, args.n)
     AlphabetSpec((2,) * args.n).check_budget(args.budget)
     om = om_from_rset(args.k, args.n)
     uniform, support = is_uniform(om)

@@ -42,7 +42,6 @@ from typing import Iterable, Sequence
 
 from .graphs import SimpleGraph, word_graph
 from .words import (
-    AlphabetSpec,
     BudgetExceededError,
     DEFAULT_BUDGET,
     Word,

@@ -9,7 +9,9 @@ the bitmask of the vertices at distance r from v.  They are grown for all
 sources at once, since the ball of radius r + 1 around v is the union of the
 radius-r balls of v and its neighbours: O(diam * E) big-integer ORs of V
 bits.  Connectivity, diameter, geodesic intervals, distance half-spaces and
-antipodes are all read off these spheres.
+antipodes are all read off these spheres.  ``_hamming_edges`` finds the
+pairs one letter apart on packed indices for ``word_graph`` (so for
+``hamming_graph`` and ``transit_graph``) and ``matroid.tope_graph``.
 """
 
 from __future__ import annotations
@@ -132,23 +134,28 @@ def hamming_graph(spec: AlphabetSpec, budget: int = DEFAULT_BUDGET) -> SimpleGra
     return word_graph(WordSet.from_indices(range(spec.size), spec))
 
 
+def _hamming_edges(indices: Sequence[int], sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j) of positions in indices whose packed indices over these
+    alphabet sizes differ in one letter.  Adding d * s to v raises its letter
+    of place value s and size a by d, keeping the rest, iff
+    v % (s * a) + d * s < s * a."""
+    at = {v: i for i, v in enumerate(indices)}
+    edges: list[tuple[int, int]] = []
+    stride = 1
+    for a in reversed(sizes):
+        span = stride * a
+        for step in range(stride, span, stride):
+            edges += [(i, j) for v, i in at.items()
+                      if v % span + step < span and (j := at.get(v + step)) is not None]
+        stride = span
+    return edges
+
+
 def word_graph(words: WordSet) -> SimpleGraph:
     """Graph on a word set with edges between members at Hamming distance 1.
 
     Same result as inducing the full Hamming graph on the set, without
-    materialising the ambient space.
+    materialising the ambient space or reading letters.
     """
-    members = words.members
-    spec = words.spec
-    index_of = {w.index: i for i, w in enumerate(members)}
-    strides = spec._strides
-    edges = []
-    for i, w in enumerate(members):
-        base = w.index
-        for pos, (letter, a) in enumerate(zip(w.letters, spec.sizes)):
-            stride = strides[pos]
-            for other in range(letter + 1, a):
-                j = index_of.get(base + (other - letter) * stride)
-                if j is not None:
-                    edges.append((i, j))
-    return SimpleGraph(members, edges)
+    return SimpleGraph(words.members,
+                       _hamming_edges(words.sorted_indices, words.spec.sizes))

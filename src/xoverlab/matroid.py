@@ -45,7 +45,9 @@ The rank is the largest height and the cocircuits are the covectors of
 height 1, the atoms of the face lattice.  The lattice looks up the
 restrictions of x to the submasks of its support in a 4^n index table, one
 matrix per support-size layer, and x covers those with no other one above
-them: n 5^n work, in blocks of about 2^12 restrictions.
+them: n 5^n work, in blocks of about 2^12 restrictions.  The tope graph
+takes its edges from ``graphs._hamming_edges``, the word graphs' edge
+finder, on the topes' positive masks.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ def _check_ground(n: int) -> None:
     if n > DEFAULT_GROUND_BUDGET:
         raise BudgetExceededError(f"space too large: ground set {n} exceeds "
                                   f"budget {DEFAULT_GROUND_BUDGET}")
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -606,8 +613,7 @@ def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
 
 def om_from_rset(k: int, n: int) -> OrientedMatroidData:
     """Oriented matroid of the k-point crossover set on an antipodal pair."""
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    _check_k(k, n)
     _check_ground(n)
     from .crossover import rset
 
@@ -623,15 +629,10 @@ def om_from_rset(k: int, n: int) -> OrientedMatroidData:
 def tope_graph(om: OrientedMatroidData):
     """Graph on topes with edges at separation exactly one; topes have full
     support, so they are separated exactly where their positive masks differ,
-    and a tope's neighbours are found by flipping one bit of its mask."""
-    from .graphs import SimpleGraph
+    and ``graphs._hamming_edges`` reads the edges off those masks as binary
+    packed indices."""
+    from .graphs import SimpleGraph, _hamming_edges
 
     topes = om.topes
-    index = {t.pos: i for i, t in enumerate(topes)}
-    edges = [
-        (i, j)
-        for i, t in enumerate(topes)
-        for b in range(om.ground_size)
-        if (j := index.get(t.pos ^ 1 << b, i)) > i
-    ]
-    return SimpleGraph(topes, edges)
+    return SimpleGraph(topes, _hamming_edges([t.pos for t in topes],
+                                             (2,) * om.ground_size))

@@ -129,6 +129,8 @@ class TestErrors:
         (["rset", "-k", "1", "-x", "0", "-y", "1", "--spec", "2^0,3"],
          "repeat count"),
         (["verify", "axioms", "--spec", "2^3"], "verify takes no --spec"),
+        (["om", "-k", "1", "-n", "0"], "need 1 <= k < n"),
+        (["axioms", "--source", "interval:", "--spec", "2^3"], "bad source"),
     ])
     def test_exit_2_with_message(self, argv, fragment, capsys):
         assert cli.main(argv) == 2
@@ -577,3 +579,28 @@ class TestSources:
         ))
         assert doc["stats"]["vc_dimension"] is None
         assert doc["stats"]["vertices"] == 4
+
+    @pytest.mark.parametrize("x,y,text,label_searches", [
+        ("0,1", "1,2", "3,3", 1),
+        ("000110", "111001", "2^6", 0),
+    ])
+    def test_cube_minor_dim_searches_the_labels_off_binary(
+            self, x, y, text, label_searches, monkeypatch):
+        # a binary graph reports its one VC search for both fields
+        from xoverlab.crossover import transit_graph
+        from xoverlab.partialcube import is_partial_cube, largest_cube_minor_dim
+        from xoverlab.words import AlphabetSpec, Word
+
+        calls = []
+
+        def counted(emb):
+            calls.append(emb)
+            return largest_cube_minor_dim(emb)
+
+        monkeypatch.setattr(cli, "largest_cube_minor_dim", counted)
+        stats = json.loads(cli.render_command(
+            ["graph", "-k", "1", "-x", x, "-y", y, "--spec", text]))["stats"]
+        assert len(calls) == label_searches
+        spec = AlphabetSpec.parse(text)
+        g = transit_graph(1, Word.parse(x, spec), Word.parse(y, spec))
+        assert stats["cube_minor_dim"] == largest_cube_minor_dim(is_partial_cube(g))

@@ -14,6 +14,7 @@ from xoverlab.graphs import (
     word_graph,
 )
 from xoverlab.axioms import table_from_interval
+from xoverlab.crossover import rset
 from xoverlab.words import AlphabetSpec, Word, WordSet, hamming_distance
 
 
@@ -201,3 +202,54 @@ def test_word_graph_matches_induced_subgraph():
     assert direct.edges == ambient.edges
     for u, v in direct.edges:
         assert hamming_distance(direct.vertices[u], direct.vertices[v]) == 1
+
+
+def literal_word_graph(words):
+    """The letter walk: for every member and position, each larger letter
+    looked up by its packed index.  The oracle for ``word_graph``'s stride
+    arithmetic on packed indices."""
+    members = words.members
+    spec = words.spec
+    index_of = {w.index: i for i, w in enumerate(members)}
+    strides = spec._strides
+    edges = []
+    for i, w in enumerate(members):
+        base = w.index
+        for pos, (letter, a) in enumerate(zip(w.letters, spec.sizes)):
+            stride = strides[pos]
+            for other in range(letter + 1, a):
+                j = index_of.get(base + (other - letter) * stride)
+                if j is not None:
+                    edges.append((i, j))
+    return SimpleGraph(members, edges)
+
+
+def word_sets_for_the_edge_oracle(seed=30):
+    """Binary R_k on antipodal pairs for n <= 10; the whole spaces 3^4,
+    2,3,4 and 3,2,3,2,3 with their R_2 sets; seeded random subsets."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 11):
+        spec = AlphabetSpec((2,) * n)
+        zero, one = Word.from_index(0, spec), Word.from_index(2 ** n - 1, spec)
+        out += [rset(k, zero, one).members for k in range(1, max(n, 2))]
+    for text in ("3^4", "2,3,4", "3,2,3,2,3", "2^7"):
+        spec = AlphabetSpec.parse(text)
+        out.append(WordSet.from_indices(range(spec.size), spec))
+        top = Word(tuple(a - 1 for a in spec.sizes), spec)
+        out.append(rset(2, Word.from_index(0, spec), top).members)
+        out.append(rset(2, Word.from_index(rng.randrange(spec.size), spec),
+                        Word.from_index(rng.randrange(spec.size), spec)).members)
+        for _ in range(6):
+            size = rng.randint(1, spec.size)
+            out.append(WordSet.from_indices(rng.sample(range(spec.size), size), spec))
+    return out
+
+
+def test_word_graph_matches_the_letter_walk():
+    sets = word_sets_for_the_edge_oracle()
+    assert len(sets) > 80
+    for words in sets:
+        got, want = word_graph(words), literal_word_graph(words)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges, words

@@ -1117,6 +1117,21 @@ class TestTopeGraph:
             assert tg.vertices == topes
             assert tg.edges == SimpleGraph(topes, edges).edges == tuple(edges)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_bit_flips(self, n):
+        # the one-bit flip of each tope's mask, tope_graph's own loop before
+        # it shared the word graphs' edge finder
+        for k in range(1, n):
+            om = om_from_rset(k, n)
+            index = {t.pos: i for i, t in enumerate(om.topes)}
+            edges = [(i, j) for i, t in enumerate(om.topes) for b in range(n)
+                     if (j := index.get(t.pos ^ 1 << b, i)) > i]
+            assert tope_graph(om).edges == SimpleGraph(om.topes, edges).edges
+
+    def test_empty_ground_set(self):
+        om = covectors_from_topes([SignVector(0, 0, 0)])
+        assert tope_graph(om).n == 1 and tope_graph(om).m == 0
+
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_two_point_quadrangles_count_cocircuits(self, t):
         om = om_from_rset(2, t)

@@ -568,6 +568,29 @@ class TestCubeMinor:
             emb = is_partial_cube(transit_graph(k, r.parents[0], r.parents[1]))
             assert largest_cube_minor_dim(emb) == vc_dimension(r.members), (k, n)
 
+    def test_binary_transit_graphs_need_one_search(self):
+        # the graph document reports a binary graph's VC dimension as its
+        # cube-minor dimension too: the words sit isometrically in the cube,
+        # and the partial-cube labels are those coordinates up to symmetry
+        rng = random.Random(30)
+        graphs = 0
+        for n in range(1, 10):
+            spec = AlphabetSpec((2,) * n)
+            for k in range(1, 8):
+                pairs = [(0, 2 ** n - 1)]
+                for _ in range(3):
+                    x = rng.randrange(2 ** n)
+                    # y keeps at least one of x's positions constant
+                    pairs.append((x, x ^ rng.randrange(2 ** n) & ~(1 << rng.randrange(n))))
+                for x, y in pairs:
+                    r = rset(k, Word.from_index(x, spec), Word.from_index(y, spec))
+                    emb = is_partial_cube(transit_graph(k, r.parents[0], r.parents[1]))
+                    assert emb is not None
+                    assert vc_dimension(r.members) == largest_cube_minor_dim(emb), (
+                        n, k, x, y)
+                    graphs += 1
+        assert graphs == 252
+
 
 class TestDegrees:
     def test_r2_profiles(self):
