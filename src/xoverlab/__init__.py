@@ -17,12 +17,10 @@ from .words import (
 from .crossover import (
     CutSet,
     RSetResult,
-    block_count,
     closure,
     find_parents,
     is_closed,
     lex_extreme_path_vertices,
-    median,
     recombine,
     rset,
     rset_by_cut_enumeration,
@@ -44,12 +42,10 @@ __all__ = [
     "phi",
     "CutSet",
     "RSetResult",
-    "block_count",
     "closure",
     "find_parents",
     "is_closed",
     "lex_extreme_path_vertices",
-    "median",
     "recombine",
     "rset",
     "rset_by_cut_enumeration",

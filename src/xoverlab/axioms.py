@@ -65,8 +65,7 @@ finder and always give the same verdict and witness; ``check_all`` runs it
 once for both.
 
 The six-variable axioms A4, AX and AXp are refused on carriers above
-DEFAULT_SIX_VAR_LIMIT = 256 elements (the 2^8 binary space) unless the
-caller raises the limit.
+DEFAULT_SIX_VAR_LIMIT = 256 elements, the 2^8 binary space.
 """
 
 from __future__ import annotations
@@ -172,15 +171,6 @@ class TransitTable:
 
     def __len__(self) -> int:
         return len(self._carrier)
-
-    def entry_mask(self, i: int, j: int) -> int:
-        return self._entry[i][j]
-
-    def entry_indices(self, i: int, j: int) -> frozenset[int]:
-        return frozenset(_bits(self._entry[i][j]))
-
-    def size_of(self, i: int, j: int) -> int:
-        return self._size[i][j]
 
     def underlying_graph(self) -> SimpleGraph:
         """Edges are exactly the distinct pairs whose entry is the pair itself."""
@@ -846,22 +836,18 @@ def check_axiom(
     n: int | None = None,
     a: int | None = None,
     sizes: Sequence[int] | None = None,
-    six_var_limit: int = DEFAULT_SIX_VAR_LIMIT,
 ) -> AxiomReport:
     """Exhaustively check one axiom, returning the first counterexample.
 
     n/a/sizes parametrize the two counting conditions A2 and A2p; everything
     else ignores them.  Six-variable axioms raise SixVarLimitError on
-    carriers larger than six_var_limit; raise the limit explicitly to
-    override.
+    carriers larger than DEFAULT_SIX_VAR_LIMIT.
     """
     if axiom not in _FINDERS:
         raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
-    if axiom in SIX_VAR_AXIOMS and len(table) > six_var_limit:
-        raise SixVarLimitError(
-            f"{axiom} on a carrier of {len(table)} exceeds the six-variable "
-            f"limit {six_var_limit}; pass six_var_limit to override"
-        )
+    if axiom in SIX_VAR_AXIOMS and len(table) > DEFAULT_SIX_VAR_LIMIT:
+        raise SixVarLimitError(f"{axiom} on a carrier of {len(table)} exceeds "
+                               f"the six-variable limit {DEFAULT_SIX_VAR_LIMIT}")
     counts = (n, a, sizes) if axiom in ("A2", "A2p") else ()
     witness_idx = _FINDERS[axiom](table, *counts)
     function = f"closure of {table.name}" if axiom == "CGp" else table.name
@@ -881,14 +867,7 @@ _IMPLICATIONS = (
 )
 
 
-def check_all(
-    table: TransitTable,
-    *,
-    n: int | None = None,
-    a: int | None = None,
-    sizes: Sequence[int] | None = None,
-    six_var_limit: int = DEFAULT_SIX_VAR_LIMIT,
-) -> list[AxiomReport]:
+def check_all(table: TransitTable) -> list[AxiomReport]:
     """Run the whole catalog, sorted by axiom id.
 
     Known implications between axioms are re-verified on transit tables
@@ -900,8 +879,7 @@ def check_all(
         if ax == "AXp":  # AX's own predicate, so AX's report
             reports[ax] = replace(reports["AX"], axiom=ax)
         else:
-            reports[ax] = check_axiom(
-                table, ax, n=n, a=a, sizes=sizes, six_var_limit=six_var_limit)
+            reports[ax] = check_axiom(table, ax)
     verdict = {ax: r.holds for ax, r in reports.items()}
     if verdict["T1"] and verdict["T2"] and verdict["T3"]:
         for premise, consequence in _IMPLICATIONS:

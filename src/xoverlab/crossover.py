@@ -286,18 +286,6 @@ def find_parents(k: int, s: WordSet | Iterable[Word]) -> list[tuple[Word, Word]]
     ]
 
 
-def median(x: Word, y: Word, z: Word) -> Word:
-    """Coordinatewise majority of three binary words."""
-    spec = require_same_spec(x, y)
-    require_same_spec(x, z)
-    if not spec.is_binary:
-        raise ValueError("median is defined for binary words only")
-    letters = tuple(
-        1 if a + b + c >= 2 else 0 for a, b, c in zip(x.letters, y.letters, z.letters)
-    )
-    return Word(letters, spec)
-
-
 def _greedy_lex_path(start: int, goal: int, pick_max: bool) -> list[int]:
     """Shortest start-goal path of packed binary indices, greedily extreme
     in the start-based labels ``index ^ start``.
@@ -330,23 +318,6 @@ def lex_extreme_path_vertices(x: Word, y: Word) -> WordSet:
     lo = _greedy_lex_path(start, goal, pick_max=False)
     hi = _greedy_lex_path(start, goal, pick_max=True)
     return WordSet.from_indices(lo + hi, spec)
-
-
-def block_count(w: Word, reference: Word) -> int:
-    """Number of maximal constant runs of w after relabeling by a parent.
-
-    The relabeling sends the reference word to the all-zero word; for binary
-    words this is positionwise XOR.
-    """
-    spec = require_same_spec(w, reference)
-    if not spec.is_binary:
-        raise ValueError("block counting is defined for binary words")
-    bits = [a ^ b for a, b in zip(w.letters, reference.letters)]
-    runs = 1
-    for prev, cur in zip(bits, bits[1:]):
-        if cur != prev:
-            runs += 1
-    return runs
 
 
 def transit_graph(k: int, x: Word, y: Word) -> SimpleGraph:

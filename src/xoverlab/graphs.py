@@ -57,7 +57,7 @@ class SimpleGraph:
         for i, j in self._edges:
             adj[i].append(j)
             adj[j].append(i)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(map(tuple, adj))
         self._dist: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -81,9 +81,6 @@ class SimpleGraph:
             return self._index[payload]
         except KeyError:
             raise ValueError(f"vertex {payload!r} not in graph") from None
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
 
     def degree(self, i: int) -> int:
         return len(self._adj[i])

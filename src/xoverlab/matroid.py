@@ -69,7 +69,6 @@ DEFAULT_GROUND_BUDGET = 10
 _BLOCK = 1 << 12
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
-_VALUES = {"+": 1, "0": 0, "-": -1}
 
 
 def _check_ground(n: int) -> None:
@@ -103,20 +102,6 @@ class SignVector:
     @classmethod
     def zero(cls, n: int) -> "SignVector":
         return cls(n, 0, 0)
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignVector":
-        n = len(text)
-        pos = neg = 0
-        for i, ch in enumerate(text):
-            if ch not in _VALUES:
-                raise ValueError(f"bad sign character {ch!r} at position {i + 1}")
-            bit = 1 << (n - 1 - i)
-            if ch == "+":
-                pos |= bit
-            elif ch == "-":
-                neg |= bit
-        return cls(n, pos, neg)
 
     def entry(self, e: int) -> int:
         """Sign at 1-based position e as an integer in {-1, 0, 1}."""
@@ -190,17 +175,6 @@ def word_to_sign(w: Word) -> SignVector:
     if not w.spec.is_binary:
         raise ValueError("sign vectors encode binary words only")
     return SignVector(w.spec.n, w.index, ((1 << w.spec.n) - 1) & ~w.index)
-
-
-def sign_to_word(x: SignVector, spec: AlphabetSpec | None = None) -> Word:
-    if x.support_size != x.n:
-        raise ValueError("only full-support sign vectors encode words")
-    if spec is None:
-        spec = AlphabetSpec((2,) * x.n)
-    if spec.sizes != (2,) * x.n:
-        raise ValueError(f"sign vectors of length {x.n} encode binary words "
-                         f"of length {x.n} only, not words over {spec}")
-    return Word.from_index(x.pos, spec)
 
 
 @dataclass(frozen=True)
@@ -512,9 +486,6 @@ class FaceLattice:
     def level_sizes(self) -> tuple[int, ...]:
         levels = np.bincount(self.heights, minlength=self.rank + 1)
         return tuple(levels.tolist()) + (1,)
-
-    def atoms(self) -> tuple[SignVector, ...]:
-        return tuple(x for x, h in zip(self.covectors, self.heights) if h == 1)
 
     def to_dot(self) -> str:
         return "\n".join(

@@ -60,6 +60,7 @@ from .matroid import (
     is_uniform,
     om_from_rset,
     tope_graph,
+    uniform_tope_check,
 )
 from .partialcube import (
     cut_sizes,
@@ -441,9 +442,14 @@ def check_vc(max_n: int = 7, max_k: int = 6) -> CheckResult:
             emb = is_partial_cube(g)
             if emb is None or largest_cube_minor_dim(emb) != vc:
                 failures.append(f"FAIL cube minor: k={k} d={d}")
+    failures += [f"FAIL vc control: weight<={d} words of 2^6" for d in range(4)
+                 if vc_dimension([_w(i, _bspec(6)) for i in range(64)
+                                  if i.bit_count() <= d]) != d]
     notes = [
         f"vc = min(k+1, d) = largest cube minor on every representative, "
         f"d<={max_n}, k<={max_k}",
+        "control without crossover: the words of weight <= d in 2^6 have "
+        "vc = d for d<=3",
         _KERNEL_BACKING,
     ]
     return _result("vc", notes, failures, reps)
@@ -479,6 +485,11 @@ def check_r2(ts: tuple[int, ...] = (4, 5, 6, 7)) -> CheckResult:
         "quadrangulation with t^2-t faces",
     ]
     return _result("r2", notes, failures, len(ts))
+
+
+# (k, n) where R_k's OM less one antipodal pair is refused three ways; at
+# k = n - 1, say, every tope set of its size passes the tope count test
+_OM_CONTROLS = ((2, 4), (2, 5), (2, 6), (3, 6), (2, 8))
 
 
 def check_om(max_n: int = 8) -> CheckResult:
@@ -520,13 +531,27 @@ def check_om(max_n: int = 8) -> CheckResult:
                     failures.append(f"FAIL quad count: n={n}")
                 if faces != n * n - n:
                     failures.append(f"FAIL quad formula: n={n} faces={faces}")
+            if (k, n) in _OM_CONTROLS:
+                drop = om.topes[0]
+                for x, axiom in ((om.cocircuits[0], "F3"), (drop, "F2")):
+                    less = [v for v in om.covectors if v not in (x, -x)]
+                    if check_face_axioms(less).axiom != axiom:
+                        failures.append(f"FAIL control: k={k} n={n} covectors "
+                                        f"less {x} and {-x} do not fail {axiom}")
+                if uniform_tope_check(t for t in om.topes if t not in (drop, -drop)):
+                    failures.append(f"FAIL control: k={k} n={n} topes less "
+                                    f"{drop} and {-drop} pass the tope check")
     lat = face_lattice(om_from_rset(2, 4))
     if lat.level_sizes() != (1, 12, 24, 14, 1):
         failures.append(f"FAIL lattice levels: {lat.level_sizes()}")
+    controls = [f"k={k} n={n}" for k, n in _OM_CONTROLS if n <= max_n]
     notes = [
         f"{cases} cases k < n <= {max_n}: tope count 2*phi(k, n-1) with "
         "central symmetry, face axioms hold, rank k+1, corank n-k-1, "
         "uniform with cocircuit support size n-k",
+        f"controls at {', '.join(controls) or 'no case'}: the covectors less "
+        "one antipodal cocircuit pair fail F3, less one antipodal tope pair "
+        "fail F2, and the topes less one antipodal pair fail the tope check",
         "cocircuit count: enumeration gives 2*C(n, k) in every case; the "
         "alternative closed form 2*C(n, k-1) is inconsistent with "
         f"enumeration wherever the two differ ({mismatch_example})",

@@ -135,6 +135,11 @@ def parallel_relation(g: SimpleGraph) -> ParallelRelation:
 
 
 def _split_sides(g: SimpleGraph, removed: frozenset[Edge]) -> list[set[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in g.edges:
+        if (u, w) not in removed:
+            adj[u].append(w)
+            adj[w].append(u)
     seen = [False] * g.n
     parts: list[set[int]] = []
     for s in range(g.n):
@@ -145,9 +150,8 @@ def _split_sides(g: SimpleGraph, removed: frozenset[Edge]) -> list[set[int]]:
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
-                e = (u, w) if u < w else (w, u)
-                if e in removed or seen[w]:
+            for w in adj[u]:
+                if seen[w]:
                     continue
                 seen[w] = True
                 part.add(w)

@@ -1,12 +1,14 @@
 """Verification suites at reduced bounds; full bounds live in the acceptance tests."""
 
 import inspect
+import itertools
 import json
 
 import pytest
 
 from xoverlab import axioms, cli, verify, words
 from xoverlab.axioms import TransitTable
+from xoverlab.matroid import FaceAxiomReport
 from xoverlab.verify import CheckResult, run_suite
 
 
@@ -205,6 +207,61 @@ class TestPlantedFinderFaults:
             monkeypatch.setitem(axioms._FINDERS, axiom, lambda t, *counts: None)
         assert self.fail_lines(["verify", "hamming", "--max-n", "2"], capsys) == [
             "FAIL negative control: C_6 accepted"]
+
+
+class TestPlantedSuiteFaults:
+    """A library call that says yes where the answer is no, or no where it
+    is yes, makes the suite that relies on it fail."""
+
+    @staticmethod
+    def fail_lines(result):
+        assert not result.passed
+        return [line for line in result.details if line.startswith("FAIL")]
+
+    def test_partial_cube_accepting_everything_fails_partialcube(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_partial_cube", lambda g: ())
+        assert self.fail_lines(verify.check_partialcube(max_n=3, max_k=2)) == [
+            "FAIL negative control: K_{2,3} accepted",
+            "FAIL negative control: C_5 accepted",
+        ]
+
+    def test_vc_never_below_one_fails_vc(self, monkeypatch):
+        # every representative has dimension at least 1, so only the
+        # weight-0 control, a single word, can tell
+        real = verify.vc_dimension
+        monkeypatch.setattr(verify, "vc_dimension", lambda words: max(1, real(words)))
+        assert self.fail_lines(verify.check_vc(max_n=3, max_k=2)) == [
+            "FAIL vc control: weight<=0 words of 2^6"]
+
+    def test_no_quadrangulation_fails_r2(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_planar_quadrangulation",
+                            lambda g: (False, None))
+        assert self.fail_lines(verify.check_r2(ts=(4,))) == [
+            "FAIL r2 t=4: quadrangulation (False, None)"]
+
+    def test_face_axioms_always_holding_fail_om(self, monkeypatch):
+        monkeypatch.setattr(verify, "check_face_axioms",
+                            lambda vectors: FaceAxiomReport(True, None, None))
+        lines = self.fail_lines(verify.check_om(max_n=5))
+        assert [(line.split(" covectors less ")[0], line[-7:]) for line in lines] == [
+            (f"FAIL control: k=2 n={n}", f"fail {axiom}")
+            for n in (4, 5) for axiom in ("F3", "F2")]
+
+    def test_tope_check_always_passing_fails_om(self, monkeypatch):
+        monkeypatch.setattr(verify, "uniform_tope_check", lambda topes: True)
+        lines = self.fail_lines(verify.check_om(max_n=6))
+        assert [line.split(" topes less ")[0] for line in lines] == [
+            f"FAIL control: k={k} n={n}" for k, n in ((2, 4), (2, 5), (2, 6), (3, 6))]
+        assert all(line.endswith(" pass the tope check") for line in lines)
+
+    def test_paths_that_never_leave_x_fail_lexpaths(self, monkeypatch):
+        real = verify.lex_extreme_path_vertices
+        monkeypatch.setattr(verify, "lex_extreme_path_vertices",
+                            lambda x, y: real(x, x))
+        assert self.fail_lines(verify.check_lexpaths(max_n=2)) == [
+            f"FAIL lexpaths: n={n} x={x} y={y}"
+            for n in (1, 2) for x, y in itertools.product(
+                [format(i, f"0{n}b") for i in range(1 << n)], repeat=2) if x != y]
 
 
 class TestHelpers:
