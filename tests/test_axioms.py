@@ -1137,9 +1137,6 @@ class TestRecognizers:
     def test_lone_n_or_a_restricts_the_factorization(self):
         q3 = table_from_interval(hamming_graph(B3))
         assert recognize_hamming(q3, n=3) and not recognize_hamming(q3, n=5)
-        for n, holds in ((3, True), (5, False)):
-            assert check_axiom(q3, "A2", n=n).holds is holds, n
-            assert check_axiom(q3, "A2p", n=n).holds is holds, n
         assert recognize_hamming(q3, a=2) and not recognize_hamming(q3, a=3)
         k4 = table_from_interval(hamming_graph(AlphabetSpec.parse("4")))
         assert not check_axiom(k4, "A2p", n=2).holds
@@ -1149,6 +1146,19 @@ class TestRecognizers:
         mixed = table_from_interval(hamming_graph(AlphabetSpec.parse("2,3,3")))
         assert _resolve_sizes(mixed, 3, None, None) == (2, 3, 3)
         assert _resolve_sizes(mixed, None, 3, None) is None
+
+    def test_check_all_passes_a_lone_n_to_a2_and_a2p(self):
+        """check_all runs A2 and A2p unparametrised; a lone n reaches them
+        through check_axiom, and check_all itself takes no n."""
+        q3 = table_from_interval(hamming_graph(B3))
+        verdict = {r.axiom: r for r in check_all(q3)}
+        for axiom in ("A2", "A2p"):
+            assert verdict[axiom] == check_axiom(q3, axiom)
+            assert verdict[axiom].holds
+            for n, holds in ((3, True), (5, False)):
+                assert check_axiom(q3, axiom, n=n).holds is holds, (axiom, n)
+        with pytest.raises(TypeError):
+            check_all(q3, n=3)
 
     def test_hamming_on_rset_table(self):
         assert recognize_hamming(table_from_rset(1, TT), n=2, a=3)
