@@ -397,27 +397,23 @@ class AxiomReport:
     function: str
 
 
-def _resolve_sizes(t: TransitTable, n, a, sizes) -> tuple[int, ...] | None:
-    """Alphabet sizes consistent with carrier size and degree, if any; a lone
-    n allows only factorizations with n positions, a lone a only (a,) * m."""
+def _resolve_sizes(t: TransitTable, sizes) -> tuple[int, ...] | None:
+    """The given alphabet sizes, else the first sizes in ascending order
+    whose product is the carrier size and whose degrees sum to the table's."""
     if sizes is not None:
         return tuple(sizes)
-    if n is not None and a is not None:
-        return (a,) * n
 
-    def search(remaining: int, smallest: int, budget: int, slots) -> tuple[int, ...] | None:
+    def search(remaining: int, smallest: int, budget: int) -> tuple[int, ...] | None:
         if remaining == 1:
-            return () if budget == 0 and not slots else None
-        top = remaining if a is None else min(a, remaining)
-        for f in range(smallest if a is None else max(a, 2), top + 1):
-            if slots != 0 and remaining % f == 0 and budget >= f - 1:
-                rest = search(remaining // f, f, budget - (f - 1),
-                              None if slots is None else slots - 1)
+            return () if budget == 0 else None
+        for f in range(smallest, remaining + 1):
+            if remaining % f == 0 and budget >= f - 1:
+                rest = search(remaining // f, f, budget - (f - 1))
                 if rest is not None:
                     return (f,) + rest
         return None
 
-    return search(len(t), 2, t._delta, n)
+    return search(len(t), 2, t._delta)
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +698,12 @@ def _find_A1(t: TransitTable):
     return None
 
 
-def _find_A2(t: TransitTable, n, a, sizes):
-    n = n if n is not None else t._delta
-    return None if t._delta == n and len(t) == 2 ** n else ()
+def _find_A2(t: TransitTable):
+    return None if len(t) == 2 ** t._delta else ()
 
 
-def _find_A2p(t: TransitTable, n, a, sizes):
-    sizes = _resolve_sizes(t, n, a, sizes)
+def _find_A2p(t: TransitTable, sizes):
+    sizes = _resolve_sizes(t, sizes)
     if (
         sizes is not None
         and len(t) == prod(sizes)
@@ -833,22 +828,21 @@ def check_axiom(
     table: TransitTable,
     axiom: str,
     *,
-    n: int | None = None,
-    a: int | None = None,
     sizes: Sequence[int] | None = None,
 ) -> AxiomReport:
     """Exhaustively check one axiom, returning the first counterexample.
 
-    n/a/sizes parametrize the two counting conditions A2 and A2p; everything
-    else ignores them.  Six-variable axioms raise SixVarLimitError on
-    carriers larger than DEFAULT_SIX_VAR_LIMIT.
+    A2 counts against the table's degree; sizes, when given, are the
+    alphabet sizes A2p counts against, and every other axiom ignores them.
+    Six-variable axioms raise SixVarLimitError on carriers larger than
+    DEFAULT_SIX_VAR_LIMIT.
     """
     if axiom not in _FINDERS:
         raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
     if axiom in SIX_VAR_AXIOMS and len(table) > DEFAULT_SIX_VAR_LIMIT:
         raise SixVarLimitError(f"{axiom} on a carrier of {len(table)} exceeds "
                                f"the six-variable limit {DEFAULT_SIX_VAR_LIMIT}")
-    counts = (n, a, sizes) if axiom in ("A2", "A2p") else ()
+    counts = (sizes,) if axiom == "A2p" else ()
     witness_idx = _FINDERS[axiom](table, *counts)
     function = f"closure of {table.name}" if axiom == "CGp" else table.name
     if witness_idx is None:
@@ -902,34 +896,21 @@ def _connectivity_gate(table: TransitTable) -> None:
         raise ValueError("connectivity precondition unmet")
 
 
-def recognize_hypercube(table: TransitTable, n: int | None = None) -> bool:
-    """Whether the underlying graph is an n-dimensional binary Hamming graph.
-
-    With n omitted, the maximal degree of the underlying graph is used.
-    """
+def recognize_hypercube(table: TransitTable) -> bool:
+    """Whether the underlying graph is a binary Hamming graph, of dimension
+    the maximal degree of the underlying graph."""
     _connectivity_gate(table)
-    if n is None:
-        n = table._delta
-    return (
-        check_axiom(table, "A1").holds
-        and check_axiom(table, "A2", n=n).holds
-    )
+    return check_axiom(table, "A1").holds and check_axiom(table, "A2").holds
 
 
-def recognize_hamming(
-    table: TransitTable,
-    n: int | None = None,
-    a: int | None = None,
-    sizes: Sequence[int] | None = None,
-) -> bool:
+def recognize_hamming(table: TransitTable, *, sizes: Sequence[int] | None = None) -> bool:
     """Whether the underlying graph is a product of complete graphs.
 
-    Sizes may be given per position, as a uniform (n, a) pair, or omitted,
-    in which case a factorization matching carrier size and degree is
-    searched for.
+    Sizes may be given per position, or omitted, in which case a
+    factorization matching carrier size and degree is searched for.
     """
     _connectivity_gate(table)
-    if not check_axiom(table, "A2p", n=n, a=a, sizes=sizes).holds:
+    if not check_axiom(table, "A2p", sizes=sizes).holds:
         return False
     return (
         check_axiom(table, "A1").holds

@@ -258,8 +258,7 @@ def _graph_stats(g, emb, binary: bool, names: list[str]) -> dict:
         "cut_sizes": list(cut_sizes(emb)) if emb is not None else None,
         "antipodal": (
             None if anti is None
-            else dict(sorted((names[g.index_of(v)], names[g.index_of(w)])
-                             for v, w in anti.items()))
+            else dict(sorted((names[i], names[j]) for i, j in enumerate(anti)))
         ),
         "planar_quadrangulation": {"holds": quad, "quadrangles": faces},
         "vc_dimension": vc,

@@ -1,8 +1,9 @@
 """Simple undirected graphs with payload vertices, plus Hamming graph helpers.
 
 Vertices are stored in a fixed canonical order; every derived quantity
-(adjacency, distances) refers to vertex indices so that outputs
-are deterministic.
+(adjacency, distances, and the partial-cube labels and antipodes built on
+them) refers to vertex indices, so that outputs are deterministic and the
+payloads are read only to print them.
 
 Distances have one encoding, the distance spheres: ``distances()[v][r]`` is
 the bitmask of the vertices at distance r from v.  They are grown for all
@@ -37,13 +38,12 @@ def _low(mask: int) -> int:
 class SimpleGraph:
     """Immutable simple graph; vertices carry arbitrary hashable payloads."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_index", "_dist")
+    __slots__ = ("_vertices", "_edges", "_adj", "_dist")
 
     def __init__(self, vertices: Sequence[Hashable], edges: Iterable[tuple[int, int]]):
         self._vertices = tuple(vertices)
         m = len(self._vertices)
-        self._index = {v: i for i, v in enumerate(self._vertices)}
-        if len(self._index) != m:
+        if len(set(self._vertices)) != m:
             raise ValueError("duplicate vertex payloads")
         edge_set: set[tuple[int, int]] = set()
         for i, j in edges:
@@ -75,12 +75,6 @@ class SimpleGraph:
     @property
     def m(self) -> int:
         return len(self._edges)
-
-    def index_of(self, payload: Hashable) -> int:
-        try:
-            return self._index[payload]
-        except KeyError:
-            raise ValueError(f"vertex {payload!r} not in graph") from None
 
     def degree(self, i: int) -> int:
         return len(self._adj[i])
@@ -118,11 +112,6 @@ def diameter(g: SimpleGraph) -> int:
     if not is_connected(g):
         raise ValueError("diameter of a disconnected graph is undefined")
     return max(map(len, g.distances())) - 1
-
-
-def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
-    """Vertex degrees in non-increasing order."""
-    return tuple(sorted((g.degree(i) for i in range(g.n)), reverse=True))
 
 
 def hamming_graph(spec: AlphabetSpec, budget: int = DEFAULT_BUDGET) -> SimpleGraph:

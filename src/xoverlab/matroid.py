@@ -103,13 +103,6 @@ class SignVector:
     def zero(cls, n: int) -> "SignVector":
         return cls(n, 0, 0)
 
-    def entry(self, e: int) -> int:
-        """Sign at 1-based position e as an integer in {-1, 0, 1}."""
-        if not 1 <= e <= self.n:
-            raise ValueError(f"position {e} outside 1..{self.n}")
-        bit = 1 << (self.n - e)
-        return 1 if self.pos & bit else -1 if self.neg & bit else 0
-
     @property
     def support(self) -> int:
         return self.pos | self.neg
@@ -130,10 +123,8 @@ class SignVector:
         return ((3 ** self.n - 1) // 2
                 + int(f"{self.pos:b}", 3) - int(f"{self.neg:b}", 3))
 
-    def negate(self) -> "SignVector":
+    def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.neg, self.pos)
-
-    __neg__ = negate
 
     def _check(self, other: "SignVector") -> None:
         if self.n != other.n:
@@ -238,6 +229,19 @@ def _zero_set_covectors(tope: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def _tope_length(topes: set[SignVector]) -> int:
+    """The length of a non-empty family of full-support sign vectors of one
+    length.  Otherwise the first offender in canonical order, shortest first
+    and then by key, names the fault."""
+    n = min(t.n for t in topes)
+    bad = [t for t in topes if t.n != n or t.support_size != n]
+    if bad:
+        first = min(bad, key=lambda t: (t.n, t.key))
+        raise ValueError("length mismatch" if first.n != n
+                         else "topes must have full support")
+    return n
+
+
 def covectors_from_topes(topes: Iterable[SignVector]) -> OrientedMatroidData:
     """All sign vectors whose composition with every tope is a tope.
 
@@ -247,13 +251,7 @@ def covectors_from_topes(topes: Iterable[SignVector]) -> OrientedMatroidData:
     tope_set = set(topes)
     if not tope_set:
         raise ValueError("empty tope set")
-    n = next(iter(tope_set)).n
-    if any(t.n != n or t.support_size != n for t in tope_set):
-        ordered = sorted(tope_set, key=lambda t: t.key)  # first offender wins
-        n = ordered[0].n
-        bad = next(t for t in ordered if t.n != n or t.support_size != n)
-        raise ValueError("length mismatch" if bad.n != n
-                         else "topes must have full support")
+    n = _tope_length(tope_set)
     full = (1 << n) - 1
     masks = {t.pos for t in tope_set}
     if any(full ^ p not in masks for p in masks):
@@ -569,13 +567,11 @@ def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
 def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
     """Tope count and symmetry test: T = -T and |T| = 2 phi_{d-1}(|E|-1),
     with d the VC dimension of the topes read as binary words."""
-    tope_list = list(set(topes))
-    if not tope_list:
+    tope_set = set(topes)
+    if not tope_set:
         return False
-    n = tope_list[0].n
-    if any(t.n != n or t.support_size != n for t in tope_list):
-        raise ValueError("topes must have full support")
-    masks = [t.pos for t in tope_list]
+    n = _tope_length(tope_set)
+    masks = [t.pos for t in tope_set]
     if set(masks) != {p ^ ((1 << n) - 1) for p in masks}:
         return False
     d = _largest_full_projection(masks, n)

@@ -18,11 +18,11 @@ most E - V + 1 rounds, so a candidate (E = 2V - 4) costs O(V * (V + E)).
 The library needs no graph package; networkx is used by the tests only, as
 the planarity oracle.
 
-Vertex labels are plain 0/1 strings, one coordinate per cut class, so empty
-labelings (single-vertex graphs) stay representable.  Class order, and hence
-coordinate order, is fixed by the smallest edge in each class; the side of a
-cut containing vertex index 0 is labeled 0.  All outputs are therefore
-reproducible byte for byte.
+Vertex labels are bitmasks by vertex index, one bit per cut class, cut 1
+the most significant as in packed binary words, so a single-vertex graph has
+the label 0 over no cuts.  Class order, and hence coordinate order, is fixed
+by the smallest edge in each class; the side of a cut containing vertex
+index 0 is labeled 0.  All outputs are therefore reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph, _bits, _low, degree_sequence, diameter, is_connected
+from .graphs import SimpleGraph, _bits, _low, diameter, is_connected
 from .words import Word
 
 Edge = tuple[int, int]
@@ -48,12 +48,13 @@ def _require_connected(g: SimpleGraph) -> None:
 class PartialCubeEmbedding:
     """Isometric binary labeling of a graph together with its cut classes.
 
-    labels maps every vertex payload to a 0/1 string whose i-th character
-    says on which side of cut i the vertex lies; cuts lists the edge classes
-    in the same coordinate order.
+    labels[v] is vertex v's label, a mask over the cuts whose bit for cut i
+    (1-based, cut 1 the most significant) says on which side of it v lies,
+    so ``f"{labels[v]:0{word_length}b}"`` spells it; cuts lists the edge
+    classes in the same coordinate order.
     """
 
-    labels: Mapping[object, str]
+    labels: tuple[int, ...]
     cuts: tuple[tuple[Edge, ...], ...]
 
     @property
@@ -98,11 +99,11 @@ def is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
             cuts.append(cut)
         elif near != sides[c] and near != full ^ sides[c]:
             return None
-    labels = {
-        x: "".join("1" if side >> i & 1 else "0" for side in sides)
-        for i, x in enumerate(g.vertices)
-    }
-    return PartialCubeEmbedding(labels, tuple(cuts))
+    labels = [0] * g.n
+    for c, side in enumerate(reversed(sides)):
+        for v in _bits(side):
+            labels[v] |= 1 << c
+    return PartialCubeEmbedding(tuple(labels), tuple(cuts))
 
 
 def cut_sizes(e: PartialCubeEmbedding) -> tuple[int, ...]:
@@ -110,24 +111,24 @@ def cut_sizes(e: PartialCubeEmbedding) -> tuple[int, ...]:
     return tuple(len(c) for c in e.cuts)
 
 
-def is_antipodal(g: SimpleGraph) -> dict | None:
-    """Map sending each vertex to its unique farthest vertex, if one exists.
+def is_antipodal(g: SimpleGraph) -> tuple[int, ...] | None:
+    """Index of each vertex's unique farthest vertex, by vertex index.
 
     Every vertex's sphere at radius diameter(g) must hold exactly one
     vertex; otherwise the result is None.
     """
     _require_connected(g)
     diam = diameter(g)
-    out = {}
-    for x, row in zip(g.vertices, g.distances()):
+    out = []
+    for row in g.distances():
         far = row[diam] if len(row) > diam else 0
         if far.bit_count() != 1:
             return None
-        out[x] = g.vertices[far.bit_length() - 1]
-    return out
+        out.append(far.bit_length() - 1)
+    return tuple(out)
 
 
-def _largest_full_projection(masks: list[int], n: int) -> int:
+def _largest_full_projection(masks: Sequence[int], n: int) -> int:
     """Largest t with some t-subset of bit positions realizing all patterns.
 
     Sizes are tried in increasing order; shattering is monotone, so the
@@ -167,15 +168,14 @@ def vc_dimension(words: Iterable[Word]) -> int:
 def largest_cube_minor_dim(e: PartialCubeEmbedding) -> int:
     """Largest d such that keeping d cut coordinates and merging equal
     labels yields the full d-cube vertex set."""
-    n = e.word_length
-    masks = [int(lbl, 2) if lbl else 0 for lbl in e.labels.values()]
-    return max(_largest_full_projection(masks, n), 0)
+    return max(_largest_full_projection(e.labels, e.word_length), 0)
 
 
 def degree_profile(g: SimpleGraph) -> dict[int, int]:
     """Histogram degree -> vertex count."""
     out: dict[int, int] = {}
-    for d in degree_sequence(g):
+    for v in range(g.n):
+        d = g.degree(v)
         out[d] = out.get(d, 0) + 1
     return dict(sorted(out.items()))
 

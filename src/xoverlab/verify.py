@@ -408,7 +408,8 @@ def check_partialcube(max_n: int = 7, max_k: int = 6) -> CheckResult:
                 failures.append(f"FAIL antipodal: k={k} d={d}")
                 continue
             full = (1 << d) - 1
-            if any(anti[w].index != w.index ^ full for w in g.vertices):
+            if any(g.vertices[j].index != w.index ^ full
+                   for w, j in zip(g.vertices, anti)):
                 failures.append(f"FAIL antipodal map: k={k} d={d}")
     k23 = SimpleGraph(
         list(range(5)), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]

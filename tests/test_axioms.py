@@ -286,7 +286,7 @@ def _body_A2(c: TransitTable, t) -> bool:
 
 
 def _body_A2p(c: TransitTable, t) -> bool:
-    sizes = _resolve_sizes(c, None, None, None)
+    sizes = _resolve_sizes(c, None)
     if sizes is None:
         return False
     prod = 1
@@ -1114,10 +1114,17 @@ class TestRecognizers:
 
     def test_hypercube_on_closure_table(self):
         assert recognize_hypercube(table_from_closure(1, B4))
-        assert recognize_hypercube(table_from_closure(1, B4), n=4)
 
-    def test_hypercube_rejects_wrong_n(self):
-        assert not recognize_hypercube(table_from_rset(1, B4), n=3)
+    def test_hypercube_dimension_is_the_degree(self):
+        """A2 reads the dimension off the table: |X| = 2^degree."""
+        table = table_from_rset(1, B4)
+        assert table._delta == 4 and recognize_hypercube(table)
+        star = table_from_interval(SimpleGraph(range(4), [(0, 1), (0, 2), (0, 3)]))
+        assert star._delta == 3 and not check_axiom(star, "A2").holds
+        with pytest.raises(TypeError):
+            recognize_hypercube(table, n=4)
+        with pytest.raises(TypeError):
+            check_axiom(table, "A2", n=4)
 
     def test_cycle_is_not_a_hypercube(self):
         table = table_from_interval(cycle_graph(6))
@@ -1128,40 +1135,49 @@ class TestRecognizers:
     def test_hamming_recognition(self):
         table = table_from_interval(hamming_graph(TT))
         assert recognize_hamming(table)
-        assert recognize_hamming(table, n=2, a=3)
         assert recognize_hamming(table, sizes=(3, 3))
+        assert not recognize_hamming(table, sizes=(9,))
         mixed = table_from_interval(hamming_graph(AlphabetSpec.parse("2,3")))
         assert recognize_hamming(mixed)
         assert recognize_hamming(mixed, sizes=(2, 3))
 
-    def test_lone_n_or_a_restricts_the_factorization(self):
+    def test_the_factorization_is_read_off_the_table(self):
+        """Without sizes, A2p takes the first factorization in ascending
+        order whose product is |X| and whose degrees sum to the table's."""
         q3 = table_from_interval(hamming_graph(B3))
-        assert recognize_hamming(q3, n=3) and not recognize_hamming(q3, n=5)
-        assert recognize_hamming(q3, a=2) and not recognize_hamming(q3, a=3)
         k4 = table_from_interval(hamming_graph(AlphabetSpec.parse("4")))
-        assert not check_axiom(k4, "A2p", n=2).holds
-        assert check_axiom(k4, "A2p", n=1).holds
-        assert _resolve_sizes(k4, 2, None, None) is None
-        assert _resolve_sizes(q3, None, 2, None) == (2, 2, 2)
         mixed = table_from_interval(hamming_graph(AlphabetSpec.parse("2,3,3")))
-        assert _resolve_sizes(mixed, 3, None, None) == (2, 3, 3)
-        assert _resolve_sizes(mixed, None, 3, None) is None
+        assert _resolve_sizes(q3, None) == (2, 2, 2)
+        assert _resolve_sizes(k4, None) == (4,)
+        assert _resolve_sizes(mixed, None) == (2, 3, 3)
+        assert _resolve_sizes(mixed, [3, 3, 2]) == (3, 3, 2)
+        cycle = table_from_interval(cycle_graph(6))
+        assert _resolve_sizes(cycle, None) is None
+        for table in (q3, k4, mixed):
+            assert recognize_hamming(table)
+            for kw in ("n", "a"):
+                with pytest.raises(TypeError):
+                    recognize_hamming(table, **{kw: 2})
+                with pytest.raises(TypeError):
+                    check_axiom(table, "A2p", **{kw: 2})
 
     def test_check_all_passes_a_lone_n_to_a2_and_a2p(self):
-        """check_all runs A2 and A2p unparametrised; a lone n reaches them
-        through check_axiom, and check_all itself takes no n."""
+        """check_all runs A2 and A2p unparametrised, with the dimension read
+        off the table; neither check_all nor check_axiom takes an n."""
         q3 = table_from_interval(hamming_graph(B3))
         verdict = {r.axiom: r for r in check_all(q3)}
         for axiom in ("A2", "A2p"):
             assert verdict[axiom] == check_axiom(q3, axiom)
             assert verdict[axiom].holds
-            for n, holds in ((3, True), (5, False)):
-                assert check_axiom(q3, axiom, n=n).holds is holds, (axiom, n)
+            with pytest.raises(TypeError):
+                check_axiom(q3, axiom, n=3)
         with pytest.raises(TypeError):
             check_all(q3, n=3)
 
     def test_hamming_on_rset_table(self):
-        assert recognize_hamming(table_from_rset(1, TT), n=2, a=3)
+        table = table_from_rset(1, TT)
+        assert recognize_hamming(table)
+        assert _resolve_sizes(table, None) == (3, 3)
 
     def test_hamming_rejects_cycle(self):
         assert not recognize_hamming(table_from_interval(cycle_graph(6)))

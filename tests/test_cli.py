@@ -580,6 +580,27 @@ class TestSources:
         assert doc["stats"]["vc_dimension"] is None
         assert doc["stats"]["vertices"] == 4
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["graph", "-k", "1", "-x", "0,1", "-y", "1,2", "--spec", "3,3"],
+         "0f4fed4b7ded52d3529dab6e2f7c7c00cdb8ec54bec1c9afa9d35ec8b2b1c633"),
+        (["graph", "-k", "1", "-x", "0,1", "-y", "1,2", "--spec", "3,3",
+          "--format", "table"],
+         "fe1731477489035ed36193047b6261a421b4867b4e3a24e0b21b4deb9681f5e0"),
+        (["graph", "-k", "2", "-x", "0,0,0,0", "-y", "1,2,1,2", "--spec", "3,3,3,3"],
+         "853d4ca01aef3cfe2e578adf8de8ddf8cdcef73676dee841cb896b2ac3203c7f"),
+        (["graph", "-k", "2", "-x", "0,0,0,0,0", "-y", "1,2,3,1,2",
+          "--spec", "2,3,4,3,3"],
+         "fe69276d5bcda42b0d85a38fa23bd5c46f33fa302d565eeb66eff7ead70d99ea"),
+    ], ids=["3,3-json", "3,3-table", "3^4-k2", "2,3,4,3,3-k2"])
+    def test_nonbinary_graph_documents_are_pinned(self, argv, digest):
+        """Only a non-binary graph reads cube_minor_dim off the partial-cube
+        labels.  The digests were recorded from the payload-keyed string
+        labels and antipodal dict that the index-based results replace."""
+        import hashlib
+
+        text = cli.render_command(argv)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("x,y,text,label_searches", [
         ("0,1", "1,2", "3,3", 1),
         ("000110", "111001", "2^6", 0),

@@ -51,6 +51,11 @@ def svs(*texts):
     return [sv(t) for t in texts]
 
 
+def entry(x, e):
+    """Sign of x at 1-based position e as an integer in {-1, 0, 1}."""
+    return x.entries()[e - 1]
+
+
 def bspec(n):
     return AlphabetSpec((2,) * n)
 
@@ -92,12 +97,12 @@ def literal_face_axioms(vectors):
                 continue
             kept = [f for f in range(1, n + 1) if f not in sep]
             composed = x.compose(y)
-            target = tuple(composed.entry(f) for f in kept)
+            target = tuple(entry(composed, f) for f in kept)
             for e in sorted(sep):
                 if (sep, e) not in eliminators:
                     eliminators[sep, e] = {
-                        tuple(z.entry(f) for f in kept)
-                        for z in family if z.entry(e) == 0
+                        tuple(entry(z, f) for f in kept)
+                        for z in family if entry(z, e) == 0
                     }
                 if target not in eliminators[sep, e]:
                     return FaceAxiomReport(False, "F3", (x, y, e))
@@ -400,9 +405,7 @@ class TestSignVector:
         x = sv("+-0")
         assert (x.pos, x.neg) == (0b100, 0b010)
         assert x.entries() == (1, -1, 0)
-        assert [x.entry(e) for e in (1, 2, 3)] == [1, -1, 0]
-        with pytest.raises(ValueError):
-            x.entry(4)
+        assert (-x).entries() == (-1, 1, 0)
 
     def test_overlapping_masks_rejected(self):
         with pytest.raises(ValueError):
@@ -468,7 +471,7 @@ class TestSignVector:
     def test_negation_distributes(self, x):
         assert (-x).key != x.key or x.is_zero
         assert x.separation(-x) == frozenset(
-            e for e in range(1, x.n + 1) if x.entry(e) != 0
+            e for e in range(1, x.n + 1) if entry(x, e) != 0
         )
 
 
@@ -1022,10 +1025,8 @@ class TestUniformity:
         # coordinate doubled: still an OM, no longer uniform
         c6 = SimpleGraph(list(range(6)), [(i, (i + 1) % 6) for i in range(6)])
         emb = is_partial_cube(c6)
-        topes = [
-            sv("".join("+" if ch == "1" else "-" for ch in emb.labels[v] + emb.labels[v][-1]))
-            for v in c6.vertices
-        ]
+        texts = [f"{m:0{emb.word_length}b}" for m in emb.labels]
+        topes = [sv("".join("+" if ch == "1" else "-" for ch in t + t[-1])) for t in texts]
         om = covectors_from_topes(topes)
         assert check_face_axioms(om.covectors).holds
         assert is_uniform(om) == (False, None)
@@ -1052,6 +1053,22 @@ class TestUniformTopeCheck:
     def test_partial_support_rejected(self):
         with pytest.raises(ValueError):
             uniform_tope_check(svs("+0"))
+
+    @pytest.mark.parametrize("texts,fault", [
+        (("++", "--", "+++", "---"), "length mismatch"),
+        (("+++", "---", "+-", "-+"), "length mismatch"),
+        (("+0", "-0", "+++", "---"), "full support"),
+        (("++", "--", "+0-", "-0+"), "length mismatch"),
+        (("++", "+0", "--"), "full support"),
+    ])
+    def test_faults_named_as_covectors_from_topes_names_them(self, texts, fault):
+        """One validator: the first offender in canonical order, shortest
+        length first and then by key, names the fault in either input
+        order."""
+        for order in (texts, texts[::-1]):
+            for check in (uniform_tope_check, covectors_from_topes):
+                with pytest.raises(ValueError, match=fault):
+                    check(svs(*order))
 
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 5), (2, 6), (3, 7), (4, 8), (7, 8)])
     def test_crossover_topes_pass(self, k, n):

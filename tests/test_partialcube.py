@@ -54,10 +54,6 @@ def bwords(*texts):
     return [Word.parse(t, AlphabetSpec.parse(f"2^{len(t)}")) for t in texts]
 
 
-def label_masks(emb):
-    return {v: int(lbl, 2) if lbl else 0 for v, lbl in emb.labels.items()}
-
-
 # Literal oracle: the edge parallelism relation built pair by pair (O(E^2)),
 # its connected components as classes, and each class split off by removing
 # it and searching the rest.  is_partial_cube must agree with it exactly.
@@ -188,12 +184,7 @@ def literal_is_partial_cube(g: SimpleGraph) -> PartialCubeEmbedding | None:
     for i, j in g.edges:  # isometry forces bipartiteness; keep it checked
         if masks[i].bit_count() % 2 == masks[j].bit_count() % 2:
             raise RuntimeError("edge joins labels of equal parity")
-    c = len(classes)
-    labels = {
-        g.vertices[v]: format(masks[v], f"0{c}b") if c else ""
-        for v in range(g.n)
-    }
-    return PartialCubeEmbedding(labels, tuple(tuple(b) for b in classes))
+    return PartialCubeEmbedding(tuple(masks), tuple(tuple(b) for b in classes))
 
 
 class TestParallelRelation:
@@ -258,15 +249,13 @@ class TestIsPartialCube:
         emb = is_partial_cube(SimpleGraph(["x"], []))
         assert emb is not None
         assert emb.word_length == 0
-        assert emb.labels["x"] == ""
+        assert emb.labels == (0,)
 
     def test_hypercube_embeds_onto_itself(self):
         emb = is_partial_cube(hamming_graph(B3))
         assert emb is not None
         assert emb.word_length == 3
-        assert sorted(emb.labels.values()) == sorted(
-            format(i, "03b") for i in range(8)
-        )
+        assert sorted(emb.labels) == list(range(8))
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=2, max_value=8))
@@ -289,23 +278,23 @@ class TestIsPartialCube:
 
     def test_embedding_is_isometric(self):
         for g in (cyc(8), rgraph(2, 4), rgraph(3, 5), hamming_graph(B3)):
-            emb = is_partial_cube(g)
-            masks = label_masks(emb)
+            labels = is_partial_cube(g).labels
             dist = bfs_distances(g)
             for i in range(g.n):
                 for j in range(g.n):
-                    lhs = (masks[g.vertices[i]] ^ masks[g.vertices[j]]).bit_count()
-                    assert lhs == dist[i][j]
+                    assert (labels[i] ^ labels[j]).bit_count() == dist[i][j]
 
     def test_labels_start_at_zero_vertex(self):
         # the side of every cut containing vertex index 0 is the 0 side
         for g in (cyc(6), rgraph(2, 4)):
             emb = is_partial_cube(g)
-            assert emb.labels[g.vertices[0]] == "0" * emb.word_length
+            assert emb.labels[0] == 0
 
     def test_c4_labels(self):
+        # cut 1 is the most significant bit, as in packed binary words
         emb = is_partial_cube(cyc(4))
-        assert emb.labels == {0: "00", 1: "10", 2: "11", 3: "01"}
+        assert emb.labels == (0b00, 0b10, 0b11, 0b01)
+        assert [f"{m:02b}" for m in emb.labels] == ["00", "10", "11", "01"]
 
 
 def assert_matches_oracle(g):
@@ -313,7 +302,7 @@ def assert_matches_oracle(g):
     fast, lit = is_partial_cube(g), literal_is_partial_cube(g)
     assert (fast is None) == (lit is None), g.edges
     if fast is not None:
-        assert list(fast.labels.items()) == list(lit.labels.items())
+        assert fast.labels == lit.labels
         assert fast.cuts == lit.cuts
     return fast
 
@@ -374,7 +363,7 @@ class TestAgainstLiteralOracle:
         emb = is_partial_cube(g)
         assert emb.word_length == 10
         assert cut_sizes(emb) == (186,) * 10
-        assert len(set(emb.labels.values())) == 512
+        assert len(set(emb.labels)) == 512
 
 
 class TestSeededSweepAgainstLiteralOracles:
@@ -417,17 +406,17 @@ class TestCutSizes:
 
 
 def literal_is_antipodal(g):
-    """The antipodal map by a scan of every pair of BFS distances."""
+    """The antipode indices by a scan of every pair of BFS distances."""
     _require_connected(g)
     dist = bfs_distances(g)
     diam = max(map(max, dist))
-    out = {}
+    out = []
     for i in range(g.n):
         far = [j for j in range(g.n) if dist[i][j] == diam]
         if len(far) != 1:
             return None
-        out[g.vertices[i]] = g.vertices[far[0]]
-    return out
+        out.append(far[0])
+    return tuple(out)
 
 
 class TestAntipodal:
@@ -435,8 +424,9 @@ class TestAntipodal:
         g = hamming_graph(B3)
         anti = is_antipodal(g)
         assert anti is not None
-        for w in B3.iter_words():
-            assert anti[w].index == w.index ^ 0b111
+        assert sorted(g.vertices, key=lambda w: w.index) == list(B3.iter_words())
+        for w, j in zip(g.vertices, anti, strict=True):
+            assert g.vertices[j].index == w.index ^ 0b111
 
     def test_rset_graph_map_is_interval_complement(self):
         for k, n in ((1, 4), (2, 4), (2, 5), (3, 5)):
@@ -444,12 +434,13 @@ class TestAntipodal:
             anti = is_antipodal(g)
             assert anti is not None, (k, n)
             full = (1 << n) - 1
-            for w, wbar in anti.items():
-                assert wbar.index == w.index ^ full
+            for w, j in zip(g.vertices, anti, strict=True):
+                assert g.vertices[j].index == w.index ^ full
 
     def test_specific_pairing(self):
-        anti = is_antipodal(rgraph(2, 4))
-        assert str(anti[Word.parse("0110", B4)]) == "1001"
+        g = rgraph(2, 4)
+        anti = is_antipodal(g)
+        assert str(g.vertices[anti[g.vertices.index(Word.parse("0110", B4))]]) == "1001"
 
     def test_path_not_antipodal(self):
         assert is_antipodal(SimpleGraph([0, 1, 2], [(0, 1), (1, 2)])) is None
@@ -460,10 +451,10 @@ class TestAntipodal:
 
     def test_even_cycle_opposite_vertices(self):
         anti = is_antipodal(cyc(6))
-        assert anti == {i: (i + 3) % 6 for i in range(6)}
+        assert anti == tuple((i + 3) % 6 for i in range(6))
 
     def test_single_vertex_is_its_own_antipode(self):
-        assert is_antipodal(SimpleGraph(["v"], [])) == {"v": "v"}
+        assert is_antipodal(SimpleGraph(["v"], [])) == (0,)
 
     @settings(max_examples=200, deadline=None)
     @given(connected_graphs())
@@ -562,7 +553,7 @@ class TestCubeMinor:
         for g in (cyc(6), cyc(10), rgraph(1, 4), rgraph(2, 4), rgraph(3, 6)):
             emb = is_partial_cube(g)
             spec = AlphabetSpec.parse(f"2^{emb.word_length}")
-            labels = [Word.parse(lbl, spec) for lbl in emb.labels.values()]
+            labels = [Word.from_index(m, spec) for m in emb.labels]
             assert largest_cube_minor_dim(emb) == vc_dimension(labels)
 
     def test_agrees_with_vc_of_members(self):
