@@ -833,12 +833,14 @@ def check_axiom(
     """Exhaustively check one axiom, returning the first counterexample.
 
     A2 counts against the table's degree; sizes, when given, are the
-    alphabet sizes A2p counts against, and every other axiom ignores them.
-    Six-variable axioms raise SixVarLimitError on carriers larger than
-    DEFAULT_SIX_VAR_LIMIT.
+    alphabet sizes A2p counts against, and any other axiom given them
+    raises ValueError.  Six-variable axioms raise SixVarLimitError on
+    carriers larger than DEFAULT_SIX_VAR_LIMIT.
     """
     if axiom not in _FINDERS:
         raise ValueError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
+    if sizes is not None and axiom != "A2p":
+        raise ValueError(f"{axiom} takes no sizes; only A2p counts against them")
     if axiom in SIX_VAR_AXIOMS and len(table) > DEFAULT_SIX_VAR_LIMIT:
         raise SixVarLimitError(f"{axiom} on a carrier of {len(table)} exceeds "
                                f"the six-variable limit {DEFAULT_SIX_VAR_LIMIT}")

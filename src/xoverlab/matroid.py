@@ -233,6 +233,8 @@ def _tope_length(topes: set[SignVector]) -> int:
     """The length of a non-empty family of full-support sign vectors of one
     length.  Otherwise the first offender in canonical order, shortest first
     and then by key, names the fault."""
+    if not topes:
+        raise ValueError("empty tope set")
     n = min(t.n for t in topes)
     bad = [t for t in topes if t.n != n or t.support_size != n]
     if bad:
@@ -249,8 +251,6 @@ def covectors_from_topes(topes: Iterable[SignVector]) -> OrientedMatroidData:
     derived maximal covectors are checked to reproduce the input exactly.
     """
     tope_set = set(topes)
-    if not tope_set:
-        raise ValueError("empty tope set")
     n = _tope_length(tope_set)
     full = (1 << n) - 1
     masks = {t.pos for t in tope_set}
@@ -566,10 +566,10 @@ def is_uniform(om: OrientedMatroidData) -> tuple[bool, int | None]:
 
 def uniform_tope_check(topes: Iterable[SignVector]) -> bool:
     """Tope count and symmetry test: T = -T and |T| = 2 phi_{d-1}(|E|-1),
-    with d the VC dimension of the topes read as binary words."""
+    with d the VC dimension of the topes read as binary words.  The count is
+    necessary only: R_{n-1}'s topes (the whole cube) less one antipodal pair
+    pass, since 2^n - 2 = 2 phi_{n-2}(n-1)."""
     tope_set = set(topes)
-    if not tope_set:
-        return False
     n = _tope_length(tope_set)
     masks = [t.pos for t in tope_set]
     if set(masks) != {p ^ ((1 << n) - 1) for p in masks}:

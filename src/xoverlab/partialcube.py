@@ -10,6 +10,10 @@ operations plus O(V * E) for the cuts, with no scan over vertex pairs.
 Everything downstream (cut sizes, antipodal maps, VC dimension, cube minors,
 quadrangulation statistics) consumes the graph or the returned embedding.
 
+The VC dimension of words, cut labels and topes is one depth-first search of
+the shattered position sets, plus each one's failed one-position extensions;
+it is LOGNP-complete in general (Papadimitriou and Yannakakis, JCSS 53, 1996).
+
 Planarity, asked only of quadrangulation candidates, is the path embedding
 of Demoucron, Malgrange and Pertuiset (1964; Gibbons, "Algorithmic Graph
 Theory", 1985, sec. 5.4) on neighbour bitmasks.  Bridges and faces are
@@ -29,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import and_, or_
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import and_, or_, xor
+from typing import Iterable
 
 from .graphs import SimpleGraph, _bits, _low, diameter, is_connected
 from .words import Word
@@ -128,24 +132,37 @@ def is_antipodal(g: SimpleGraph) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _largest_full_projection(masks: Sequence[int], n: int) -> int:
-    """Largest t with some t-subset of bit positions realizing all patterns.
+def _largest_full_projection(masks: Iterable[int], n: int) -> int:
+    """Size of the largest bit-position set that the masks shatter, or -1.
 
-    Sizes are tried in increasing order; shattering is monotone, so the
-    search may stop at the first size with no witness.
+    A shattered S keeps its 2^|S| projection classes as member bitmasks;
+    S + b, b after S, is shattered when column b splits every class.  Constant
+    columns and repeats of a column or its complement add no shattered pair
+    and are dropped.  A branch stops when 2^(|S|+1) exceeds the member count
+    or the columns left cannot beat the best size found.
     """
-    if not masks:
+    members = set(masks)
+    if not members:
         return -1
-    distinct = set(masks)
-    bits = [1 << b for b in range(n)]
+    full = (1 << len(members)) - 1
+    rows = "".join(map(format, members, repeat(f"0{n}b")))
+    cols = sorted({min(c, full ^ c) for c in (int(rows[b::n], 2) for b in range(n))} - {0})
+    cap = len(members).bit_length() - 1
     best = 0
-    for t in range(1, n + 1):
-        if len(distinct) < 1 << t or not any(
-            len({m & keep for m in distinct}) == 1 << t
-            for keep in map(sum, combinations(bits, t))
-        ):
-            break
-        best = t
+
+    def extend(classes: list[int], start: int, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        for j in range(start, len(cols)):
+            if size == cap or size + len(cols) - j <= best:
+                return
+            lo = list(map(and_, classes, repeat(cols[j])))
+            if 0 not in lo:
+                hi = list(map(xor, classes, lo))
+                if 0 not in hi:
+                    extend(lo + hi, j + 1, size + 1)
+
+    extend([full], 0, 0)
     return best
 
 
@@ -154,7 +171,8 @@ def vc_dimension(words: Iterable[Word]) -> int:
 
     Takes ``Word``s over one binary alphabet, read as their packed indices;
     anything else, such as a 0/1 string, raises ``ValueError``.  The empty
-    family has dimension -1 by convention.
+    family has dimension -1 by convention.  The search costs each shattered set
+    it visits plus that set's failed one-position extensions.
     """
     words = list(words)
     if not all(isinstance(w, Word) and w.spec.is_binary for w in words):

@@ -1141,6 +1141,17 @@ class TestRecognizers:
         assert recognize_hamming(mixed)
         assert recognize_hamming(mixed, sizes=(2, 3))
 
+    def test_only_a2p_takes_sizes(self):
+        """A count given to an axiom that never reads it raises and names
+        the axiom, rather than returning the verdict without the count."""
+        q3 = table_from_interval(hamming_graph(B3))
+        assert not check_axiom(q3, "A2p", sizes=(9,)).holds
+        assert check_axiom(q3, "A2p", sizes=(2, 2, 2)).holds
+        for axiom in ("A2", "T1", "M", "CGp"):
+            with pytest.raises(ValueError, match=rf"^{axiom} takes no sizes"):
+                check_axiom(q3, axiom, sizes=(9,))
+            assert check_axiom(q3, axiom, sizes=None) == check_axiom(q3, axiom)
+
     def test_the_factorization_is_read_off_the_table(self):
         """Without sizes, A2p takes the first factorization in ascending
         order whose product is |X| and whose degrees sum to the table's."""

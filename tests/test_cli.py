@@ -601,6 +601,19 @@ class TestSources:
         text = cli.render_command(argv)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("k,t,digest", [
+        (4, 16, "a93f1f84e2be0d47fd56099235129d159d7b3d174b9e254093979d434ac1db3b"),
+        (3, 20, "3b9e448e51ed1aa07bb050a38383b714a26e7ed076ee5ae243fedf0bd076d4bc"),
+    ], ids=["k4-t16", "k3-t20"])
+    def test_long_binary_graph_documents_are_pinned(self, k, t, digest):
+        """Graph documents over long strings, where the VC search is most of
+        the work.  The digests were recorded from the subset-scan search
+        that projected every member onto every position subset."""
+        import hashlib
+
+        text = cli.render_command(["graph", "-k", str(k), "-x", "0" * t, "-y", "1" * t])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("x,y,text,label_searches", [
         ("0,1", "1,2", "3,3", 1),
         ("000110", "111001", "2^6", 0),

@@ -1050,6 +1050,23 @@ class TestUniformTopeCheck:
     def test_singleton(self):
         assert not uniform_tope_check(svs("+-"))
 
+    def test_empty_family_raises_as_covectors_from_topes_does(self):
+        # both callers of the shared validator refuse the empty family
+        for check in (uniform_tope_check, covectors_from_topes):
+            with pytest.raises(ValueError, match="empty tope set"):
+                check([])
+            with pytest.raises(ValueError, match="empty tope set"):
+                check(iter(()))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_count_passes_the_cube_less_one_antipodal_pair(self, n):
+        # the documented blind spot: 2^n - 2 = 2 phi_{n-2}(n-1), and the
+        # VC dimension drops from n to n - 1
+        full = (1 << n) - 1
+        topes = [SignVector(n, m, full ^ m) for m in range(1, full)]
+        assert len(topes) == 2 * phi(n - 2, n - 1)
+        assert uniform_tope_check(topes)
+
     def test_partial_support_rejected(self):
         with pytest.raises(ValueError):
             uniform_tope_check(svs("+0"))

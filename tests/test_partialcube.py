@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from test_graphs import bfs_distances, connected_graphs, seeded_graphs
 from xoverlab import AlphabetSpec, Word, rset
-from xoverlab.crossover import transit_graph
+from xoverlab.crossover import _patterns, transit_graph
 from xoverlab.graphs import SimpleGraph, hamming_graph, is_connected
+from xoverlab.matroid import om_from_rset
 from xoverlab.partialcube import (
     PartialCubeEmbedding,
+    _largest_full_projection,
     _planar_block,
     _require_connected,
     cut_sizes,
@@ -510,19 +512,32 @@ class TestVcDimension:
                     assert got == min(k + 1, d), (n, d, k)
 
 
-def literal_vc_dimension(words):
-    """Largest t with some t-set of positions whose tuple projections of
-    the words take all 2^t values, trying every size; -1 when empty."""
-    words = [str(w) for w in words]
-    if not words:
+def literal_full_projection(masks, n):
+    """Largest t with some t-subset of bit positions realizing all patterns,
+    -1 when there are no masks: the subset scan that projects every member
+    onto every t-subset.  Sizes are tried in increasing order; shattering is
+    monotone, so the scan may stop at the first size with no witness."""
+    if not masks:
         return -1
-    n = len(words[0])
-    return max(
-        t
-        for t in range(n + 1)
-        for positions in combinations(range(n), t)
-        if len({tuple(w[p] for p in positions) for w in words}) == 1 << t
-    )
+    distinct = set(masks)
+    bits = [1 << b for b in range(n)]
+    best = 0
+    for t in range(1, n + 1):
+        if len(distinct) < 1 << t or not any(
+            len({m & keep for m in distinct}) == 1 << t
+            for keep in map(sum, combinations(bits, t))
+        ):
+            break
+        best = t
+    return best
+
+
+@st.composite
+def mask_families(draw):
+    """(n, masks) for n <= 9, with duplicates or without."""
+    n = draw(st.integers(0, 9))
+    masks = st.integers(0, (1 << n) - 1)
+    return n, draw(st.lists(masks, max_size=min(1 << n, 96)) | st.sets(masks).map(list))
 
 
 class TestVcDimensionAgainstLiteral:
@@ -530,14 +545,66 @@ class TestVcDimensionAgainstLiteral:
         rng = random.Random(2024)
         dims = Counter()
         for _ in range(300):
-            n = rng.randint(1, 8)
+            n = rng.randint(1, 9)
             size = rng.randint(1, min(1 << n, rng.choice((4, 16, 64, 256))))
             spec = AlphabetSpec.parse(f"2^{n}")
             family = [Word.from_index(m, spec) for m in rng.sample(range(1 << n), size)]
-            want = literal_vc_dimension(family)
+            want = literal_full_projection([w.index for w in family], n)
             assert vc_dimension(family) == want, family
             dims[want] += 1
         assert len(dims) >= 5  # the sample spans many dimensions
+
+    def test_seeded_masks_with_duplicates(self):
+        rng = random.Random(33)
+        dims = Counter()
+        for _ in range(1500):
+            n = rng.randint(0, 9)
+            size = rng.randint(0, rng.choice((4, 16, 64, 512)))
+            masks = [rng.randrange(1 << n) for _ in range(size)]
+            want = literal_full_projection(masks, n)
+            assert _largest_full_projection(masks, n) == want, (masks, n)
+            dims[want] += 1
+        assert set(range(-1, 8)) <= set(dims)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_families())
+    def test_hypothesis_families(self, family):
+        n, masks = family
+        assert _largest_full_projection(masks, n) == literal_full_projection(masks, n)
+
+    def test_every_crossover_pattern_set(self):
+        for k in range(1, 8):
+            for t in range(1, 12):
+                masks = _patterns(k, t)
+                got = _largest_full_projection(masks, t)
+                assert got == literal_full_projection(masks, t) == min(k + 1, t), (k, t)
+
+    def test_om_topes(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                masks = [tope.pos for tope in om_from_rset(k, n).topes]
+                got = _largest_full_projection(masks, n)
+                assert got == literal_full_projection(masks, n) == k + 1, (k, n)
+
+    @pytest.mark.parametrize("masks,n,want", [
+        ([], 0, -1), ([], 4, -1), ([0], 0, 0), ([0, 0, 0], 0, 0),
+        ([5], 3, 0), ([5, 5, 5], 3, 0), ([0, 1, 1, 0], 1, 1),
+        ([0b011, 0b011, 0b101, 0b101, 0b110], 3, 1),
+        ([0b00, 0b01, 0b10, 0b11] * 3, 2, 2),
+        (list(range(1 << 7)), 7, 7), (list(range(1 << 7))[::-1] * 2, 7, 7),
+    ])
+    def test_edge_cases(self, masks, n, want):
+        assert _largest_full_projection(masks, n) == want
+        assert literal_full_projection(masks, n) == want
+
+    def test_equal_and_complementary_columns(self):
+        # position 2 repeats position 0 and position 3 complements it, so
+        # only one of the three can join a shattered set
+        base = list(range(4))
+        masks = [m | (m & 1) << 2 | (~m & 1) << 3 for m in base]
+        assert _largest_full_projection(masks, 4) == 2 == literal_full_projection(masks, 4)
+        half = [m for m in range(1 << 6) if (m ^ m >> 3) & 1 == 0]
+        assert _largest_full_projection(half, 6) == 5 == literal_full_projection(half, 6)
 
 
 class TestCubeMinor:
@@ -555,6 +622,22 @@ class TestCubeMinor:
             spec = AlphabetSpec.parse(f"2^{emb.word_length}")
             labels = [Word.from_index(m, spec) for m in emb.labels]
             assert largest_cube_minor_dim(emb) == vc_dimension(labels)
+
+    def test_non_binary_cut_labels_against_the_scan(self):
+        # only a non-binary graph document reads cube_minor_dim off the labels
+        rng = random.Random(33)
+        searched = Counter()
+        for text in ("3,3", "3^3", "3^4", "4,4,3", "2,3,4,3,3", "2,3,3,2,3"):
+            spec = AlphabetSpec.parse(text)
+            for k in (1, 2, 3):
+                for _ in range(3):
+                    x, y = (Word.from_index(rng.randrange(spec.size), spec) for _ in "xy")
+                    emb = is_partial_cube(transit_graph(k, x, y))
+                    assert emb is not None
+                    want = literal_full_projection(emb.labels, emb.word_length)
+                    assert largest_cube_minor_dim(emb) == max(want, 0), (text, k, x, y)
+                    searched[want] += 1
+        assert len(searched) >= 4 and sum(searched.values()) == 54
 
     def test_agrees_with_vc_of_members(self):
         for k, n in ((1, 3), (1, 5), (2, 4), (2, 6), (3, 5)):
